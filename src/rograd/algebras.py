@@ -457,10 +457,6 @@ def split_octonions(ring: BaseRing) -> StructureAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def mat_zero(n, ring):
-    return [[ring.coerce(0)] * n for _ in range(n)]
-
-
 def mat_add(A, B, ring, sign=1):
     return [
         [ring.add(a, ring.mul(sign, b)) for a, b in zip(ra, rb)]

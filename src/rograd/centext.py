@@ -20,6 +20,7 @@ from .linalg import (
     FinitelyPresentedModule,
     IntEchelon,
     LatticeEchelon,
+    ModularEchelon,
     ModuleShape,
     SparseMatrix,
     _field_rref,
@@ -166,9 +167,8 @@ class UceResult:
             uce_shape = module_invariants(FinitelyPresentedModule(ZZ, m, rel_mat))
             return UceBlock(degree, m, uce_shape, kernel, tdim)
         if ring.kind == "Fp":
-            ech = FieldEchelon(ring)
-            for row in self._relation_rows(degree, gens):
-                ech.add(row)
+            ech = ModularEchelon(m, ring.p)
+            ech.add_batch(self._relation_rows(degree, gens))
             dim_uce = m - ech.rank
             return UceBlock(
                 degree,

@@ -88,13 +88,32 @@ def _make_model(model: str, n: int, ring):
     raise ValueError(f"unknown model {model!r}")
 
 
-def cmd_tkk(args) -> str:
-    from .lie import structural_predicates
+def _model_dim(model: str, n: int) -> int:
+    """Dimension of a model from its closed form, known before it is built."""
+    if model in ("sl", "tkk-rect"):
+        if n < 2:
+            raise ValueError(f"--n must be at least 2 for {model}")
+        return n * n - 1  # sl_n
+    if model == "tkk-hermitian":
+        return n * (2 * n + 1)  # sp_2n
+    return {"tkk-oct": 78, "tkk-albert": 133}[model]  # E_6, E_7
 
+
+def _build_capped(args):
+    """Build the model of args, refusing it before and after the build when
+    its dimension exceeds --max-dim."""
     ring = _ring(args)
-    L, name, _ = _make_model(args.model, args.n, ring)
+    dim = _model_dim(args.model, args.n)
+    if dim > args.max_dim:
+        raise ValueError(f"dimension {dim} exceeds the cap {args.max_dim}")
+    L, name, R = _make_model(args.model, args.n, ring)
     if L.dim > args.max_dim:
         raise ValueError(f"dimension {L.dim} exceeds the cap {args.max_dim}")
+    return L, name, R
+
+
+def cmd_tkk(args) -> str:
+    L, name, _ = _build_capped(args)
     if args.format == "json":
         return json.dumps(L.to_json(), indent=2)
     return f"{name}\n{L.report()}"
@@ -103,10 +122,7 @@ def cmd_tkk(args) -> str:
 def cmd_uce(args) -> str:
     from .centext import kernel_report, uce
 
-    ring = _ring(args)
-    L, name, R = _make_model(args.model, args.n, ring)
-    if L.dim > args.max_dim:
-        raise ValueError(f"dimension {L.dim} exceeds the cap {args.max_dim}")
+    L, name, R = _build_capped(args)
     u = uce(L)
     rep = kernel_report(u, R, name)
     if args.format == "json":

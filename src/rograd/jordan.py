@@ -74,21 +74,12 @@ def op_compose(ring, A, B):
     return out
 
 
-def op_eq(A, B) -> bool:
-    return A == B
-
-
 def op_to_matrix(ring, A, nrows, ncols):
     M = [[ring.coerce(0)] * ncols for _ in range(nrows)]
     for j, col in A.items():
         for i, v in col.items():
             M[i][j] = v
     return M
-
-
-def op_identity(ring, n):
-    one = ring.coerce(1)
-    return {j: {j: one} for j in range(n)}
 
 
 # ---------------------------------------------------------------------------

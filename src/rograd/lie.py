@@ -10,8 +10,7 @@ denominators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -48,14 +47,8 @@ def _scale_row_to_int(row: dict):
     """Scale a sparse rational row to a primitive integer row (span-safe)."""
     denom = 1
     for v in row.values():
-        f = Fraction(v)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    out = {}
-    for c, v in row.items():
-        w = int(Fraction(v) * denom)
-        if w:
-            out[c] = w
-    return out
+        denom = lcm(denom, v.denominator)
+    return {c: int(v * denom) for c, v in row.items() if v}
 
 
 def _vec_add_into(ring, acc: dict, vec: dict, coef=1):
@@ -218,74 +211,42 @@ class GradedLieAlgebra:
                         f"bracket [{i},{j}] leaves the degree-{want} component"
                     )
 
-    def _scaled_ad_stack(self):
-        """(ads, tensor) with all denominators cleared; ads int64 numpy."""
+    def verify_jacobi(self):
+        """Jacobi via ad[x,y] = [ad x, ad y] on all basis pairs (exact).
+
+        With denominators cleared, A_i = denom * ad e_i and c = denom * c0,
+        the identity reads [A_i, A_j] = sum_k c_k A_k over Z, or mod p over
+        F_p (on integer representatives).
+        """
         denom = 1
         for vec in self.bracket.values():
             for v in vec.values():
-                f = Fraction(v)
-                denom = denom * f.denominator // gcd(denom, f.denominator)
+                denom = lcm(denom, v.denominator)
+        scaled = {
+            key: {k: int(v * denom) for k, v in vec.items()} for key, vec in self.bracket.items()
+        }
         n = self.dim
-        ads = np.zeros((n, n, n), dtype=np.int64)
-        tensor = {}
-        for (i, j), vec in self.bracket.items():
-            for k, v in vec.items():
-                c = int(Fraction(v) * denom)
-                ads[i, k, j] = c
-                ads[j, k, i] = -c
-                tensor.setdefault((i, j), {})[k] = c
-        return ads, tensor, denom
-
-    def verify_jacobi(self):
-        """Jacobi via ad[x,y] = [ad x, ad y] on all basis pairs (exact)."""
-        if self.ring.kind == "Fp":
-            self._verify_jacobi_modp()
-            self.jacobi_ok = True
-            return
-        ads, tensor, denom = self._scaled_ad_stack()
-        n = self.dim
-        mA = int(np.abs(ads).max()) if n else 0
-        # with A = denom * ad and tensor c = denom * c0:
-        # [A_i, A_j] = denom * sum c0_k A_k = sum tensor_c A_k  (exact)
-        if n and n * mA * mA < (1 << 52):
-            A = ads.astype(np.float64)
-            for i in range(n):
-                X = np.matmul(A[i], A[i + 1 :])
-                Y = np.matmul(A[i + 1 :], A[i])
-                rhs = np.zeros_like(X)
-                for (a, b), vec in tensor.items():
-                    if a == i and b > i:
-                        for k, c in vec.items():
-                            rhs[b - i - 1] += c * A[k]
-                if not np.array_equal(X - Y, rhs):
-                    raise AssertionError("Jacobi identity fails")
-        else:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    lhs = ads[i] @ ads[j] - ads[j] @ ads[i]
-                    rhs = np.zeros((n, n), dtype=np.int64)
-                    for k, c in tensor.get((i, j), {}).items():
-                        rhs += c * ads[k]
-                    if not np.array_equal(lhs, rhs):
-                        raise AssertionError("Jacobi identity fails")
-        self.jacobi_ok = True
-
-    def _verify_jacobi_modp(self):
-        p = self.ring.p
-        n = self.dim
-        ads = np.zeros((n, n, n), dtype=np.int64)
-        for (i, j), vec in self.bracket.items():
-            for k, v in vec.items():
-                ads[i, k, j] = v % p
-                ads[j, k, i] = (-v) % p
+        # every entry of [A_i, A_j] - sum c_k A_k, and every partial sum of
+        # it, is at most 2 n m^2 in size: compute in a dtype that holds that
+        m = max((abs(c) for vec in scaled.values() for c in vec.values()), default=0)
+        bound = 2 * n * m * m
+        dtype = np.float64 if bound < (1 << 53) else np.int64 if bound < (1 << 63) else object
+        A = np.zeros((n, n, n), dtype=dtype)
+        for (i, j), vec in scaled.items():
+            for k, c in vec.items():
+                A[i, k, j] = c
+                A[j, k, i] = -c
+        p = self.ring.characteristic
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = (ads[i] @ ads[j] - ads[j] @ ads[i]) % p
-                rhs = np.zeros((n, n), dtype=np.int64)
-                for k, v in self.bracket.get((i, j), {}).items():
-                    rhs = (rhs + v * ads[k]) % p
-                if not np.array_equal(lhs, rhs % p):
+                diff = A[i] @ A[j] - A[j] @ A[i]
+                for k, c in scaled.get((i, j), {}).items():
+                    diff -= c * A[k]
+                if p:
+                    diff %= p
+                if diff.any():
                     raise AssertionError("Jacobi identity fails")
+        self.jacobi_ok = True
 
     # -- predicates ---------------------------------------------------------
     def derived_rows(self):
@@ -303,14 +264,9 @@ class GradedLieAlgebra:
             # full staircase with all leads 1 <=> the derived lattice is Z^n
             return all(row[c] == 1 for c, row in lat.pivots.items())
         if ring.kind == "Fp":
-            ech = ModularEchelon(self.dim, p=ring.p) if ring.p < (1 << 20) else None
-            if ech is not None:
-                rows = list(self.derived_rows())
-                from .linalg import _densify
-
-                ech.add_batch(_densify(rows, self.dim, ring.p))
-                return ech.rank == self.dim
-            return len(_field_rref(list(self.derived_rows()), self.dim, ring)[0]) == self.dim
+            ech = ModularEchelon(self.dim, p=ring.p)
+            ech.add_batch(self.derived_rows())
+            return ech.rank == self.dim
         rows = [_scale_row_to_int(r) for r in self.derived_rows()]
         rank = rank_certified(lambda: iter(rows), self.dim, self.dim)
         return rank == self.dim

@@ -759,97 +759,77 @@ CERT_PRIMES = (999983, 999979, 999961)
 for _q in CERT_PRIMES:
     assert _is_prime(_q)
 
-_FLOAT_SAFE = 1 << 20  # p below this: float64 matmul stays exact here
-
-
-def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ B) mod p for int64 matrices with entries in [0, p)."""
-    if A.size == 0 or B.size == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    if p < _FLOAT_SAFE and A.shape[1] * (p - 1) * (p - 1) < (1 << 53):
-        C = np.rint(A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
-        return np.mod(C, p)
-    # chunked int64 accumulation; keeps partial sums below 2^62
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    step = max(1, (1 << 62) // max(1, (p - 1) * (p - 1)) - 1)
-    for k0 in range(0, A.shape[1], step):
-        out = (out + A[:, k0 : k0 + step] @ B[k0 : k0 + step]) % p
-    return out
-
 
 class ModularEchelon:
-    """Streaming reduced row echelon over F_p on dense int64 rows.
+    """Streaming row echelon over F_p on sparse rows.
 
-    Over F_p this is exact linear algebra; over Z or Q it yields a lower
-    bound on the rank (reduction mod p cannot increase rank), which
-    certifies the exact rank whenever a structural upper bound is hit.
+    Rows are dicts col -> int in [0, p), kept by lead column with lead
+    entry 1.  The arithmetic is on Python ints reduced mod p, so it is exact
+    for every prime p.  Over F_p this is exact linear algebra; over Z or Q
+    it yields a lower bound on the rank (reduction mod p cannot increase
+    rank), which certifies the exact rank whenever a structural upper bound
+    is hit.
     """
 
     def __init__(self, ncols: int, p: int = CERT_PRIMES[0]):
         self.ncols = ncols
         self.p = p
-        self.rows = np.zeros((0, ncols), dtype=np.int64)
-        self.piv_cols: list = []
+        self.pivots = {}  # lead col -> row dict with lead entry 1
 
     @property
     def rank(self) -> int:
-        return len(self.piv_cols)
+        return len(self.pivots)
 
-    def add_batch(self, batch: np.ndarray) -> int:
-        """Reduce a batch of rows and absorb new pivots; returns rank gain."""
+    def add_batch(self, batch) -> int:
+        """Reduce rows (an iterable of sparse dicts, or a 2-D int array)
+        against the pivot rows and keep those that stay nonzero; returns the
+        rank gain."""
+        if isinstance(batch, np.ndarray):
+            batch = [{c: int(v) for c, v in enumerate(row) if v} for row in np.atleast_2d(batch)]
         p = self.p
-        batch = np.mod(np.atleast_2d(batch).astype(np.int64), p)
-        if batch.size == 0:
-            return 0
-        if self.piv_cols:
-            coef = batch[:, self.piv_cols]
-            batch = np.mod(batch - _matmul_mod(coef, self.rows, p), p)
-        new_rows = []
-        new_cols = []
-        for i in range(batch.shape[0]):
-            row = batch[i]
-            for r, c in zip(new_rows, new_cols):
-                f = row[c]
-                if f:
-                    row = np.mod(row - f * r, p)
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            lead = int(nz[0])
-            row = np.mod(row * pow(int(row[lead]), p - 2, p), p)
-            for k in range(len(new_rows)):
-                f = new_rows[k][lead]
-                if f:
-                    new_rows[k] = np.mod(new_rows[k] - f * row, p)
-            new_rows.append(row)
-            new_cols.append(lead)
-        if not new_rows:
-            return 0
-        N = np.stack(new_rows)
-        if self.piv_cols:
-            coef = self.rows[:, new_cols]
-            self.rows = np.mod(self.rows - _matmul_mod(coef, N, p), p)
-        self.rows = np.vstack([self.rows, N]) if self.rows.size else N
-        self.piv_cols.extend(new_cols)
-        order = np.argsort(self.piv_cols, kind="stable")
-        self.piv_cols = [self.piv_cols[i] for i in order]
-        self.rows = self.rows[order]
-        return len(new_cols)
+        pivots = self.pivots
+        before = len(pivots)
+        for row in batch:
+            row = {c: v % p for c, v in row.items() if v % p}
+            while row:
+                lead = min(row)
+                prow = pivots.get(lead)
+                if prow is None:
+                    inv = pow(row[lead], p - 2, p)
+                    pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                    break
+                f = row[lead]
+                for c, v in prow.items():
+                    w = (row.get(c, 0) - f * v) % p
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+        return len(pivots) - before
 
     def kernel(self) -> list:
-        """Kernel basis (valid when p is the base field characteristic)."""
-        pivset = set(self.piv_cols)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivset:
-                continue
-            vec = {free: 1}
-            for pc, row in zip(self.piv_cols, self.rows):
-                v = int(row[free])
-                if v:
-                    vec[pc] = (-v) % self.p
-            basis.append(vec)
-        return basis
+        """Kernel basis (valid when p is the base field characteristic), one
+        vector per free column, read off the reduced row echelon form."""
+        p = self.p
+        reduced = {}  # back-substitution: no pivot row keeps another pivot column
+        for lead in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[lead])
+            for c in [c for c in row if c in reduced and c != lead]:
+                f = row.pop(c)
+                for k, v in reduced[c].items():
+                    if k != c:
+                        w = (row.get(k, 0) - f * v) % p
+                        if w:
+                            row[k] = w
+                        else:
+                            del row[k]
+            reduced[lead] = row
+        basis = {free: {free: 1} for free in range(self.ncols) if free not in reduced}
+        for lead in sorted(reduced):
+            for c, v in reduced[lead].items():
+                if c != lead:
+                    basis[c][lead] = (-v) % p
+        return list(basis.values())
 
 
 def rank_certified(rows_factory, ncols: int, upper_bound: int, batch: int = 1024):
@@ -873,12 +853,12 @@ def rank_certified(rows_factory, ncols: int, upper_bound: int, batch: int = 1024
         for row in rows_factory():
             buf.append(row)
             if len(buf) >= batch:
-                ech.add_batch(_densify(buf, ncols, p))
+                ech.add_batch(buf)
                 buf = []
                 if _hit(ech.rank):
                     return upper_bound
         if buf:
-            ech.add_batch(_densify(buf, ncols, p))
+            ech.add_batch(buf)
         if _hit(ech.rank):
             return upper_bound
     exact = IntEchelon()
@@ -887,14 +867,6 @@ def rank_certified(rows_factory, ncols: int, upper_bound: int, batch: int = 1024
         if _hit(exact.rank):
             return upper_bound
     return exact.rank
-
-
-def _densify(sparse_rows, ncols: int, p: int) -> np.ndarray:
-    out = np.zeros((len(sparse_rows), ncols), dtype=np.int64)
-    for i, row in enumerate(sparse_rows):
-        for c, v in row.items():
-            out[i, c] = v % p
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,39 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin with the first 12 prime bases has no strong pseudoprime below
+# this bound (Jiang and Deng, Math. Comp. 83 (2014)), so it decides primality.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        d = _MR_BASES[-1] + 4
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
