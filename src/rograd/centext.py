@@ -4,6 +4,8 @@ uce(L) = (L ^ L)/B for perfect L, computed degree block by degree block:
 generators x_i ^ x_j (i < j), one relation row per basis triple, and the
 covering map u(<x,y>) = [x,y].  Kernels are reported per degree as exact
 module normal forms (invariant factors over Z, dimensions over fields).
+Over Z one SNF of Z^m/R per block gives both: Z^m/R = ker(u)/R + Z^rank(u),
+once every relation row is checked to lie in ker u.
 
 Also: the homology quotients D_2, D_3, <D,D>, the tilde-wedge and HC_1,
 and the explicit A_2 / A_3 cocycle extensions with their fibers.
@@ -25,6 +27,7 @@ from .linalg import (
     SparseMatrix,
     _field_rref,
     integer_kernel,
+    integer_kernel_mod_relations,
     module_invariants,
     rank_certified,
     subquotient_invariants,
@@ -152,19 +155,10 @@ class UceResult:
             if col:
                 u_cols[p] = col
         if ring.kind == "Z":
-            ent = {}
-            for p, col in u_cols.items():
-                for t, v in col.items():
-                    ent[(t, p)] = v
-            M = SparseMatrix(tdim, m, ent, ZZ)
-            U = integer_kernel(M)
-            rels = [
-                {k: int(v) for k, v in r.items()}
-                for r in self._relation_rows(degree, gens)
-            ]
-            kernel = subquotient_invariants(ZZ, U, rels, m)
-            rel_mat = SparseMatrix.from_rows(rels, m, ZZ) if rels else SparseMatrix(0, m, {}, ZZ)
-            uce_shape = module_invariants(FinitelyPresentedModule(ZZ, m, rel_mat))
+            # L is perfect and brackets are homogeneous, so rank(u) = tdim
+            uce_shape, kernel = integer_kernel_mod_relations(
+                u_cols, tdim, self._relation_rows(degree, gens), m
+            )
             return UceBlock(degree, m, uce_shape, kernel, tdim)
         if ring.kind == "Fp":
             ech = ModularEchelon(m, ring.p)

@@ -2,7 +2,8 @@
 
 Subcommands: degsums, roots, tkk, uce, dims, verify.  Results go to
 stdout (optionally duplicated to --out), diagnostics to stderr.
-Exit codes: 0 success, 1 computation-precondition failure, 2 usage error.
+Exit codes: 0 success, 1 computation-precondition failure, 2 usage error,
+3 internal check failed (an invariant of the computation was violated).
 """
 from __future__ import annotations
 
@@ -248,6 +249,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
     _emit(text, args.out)
     return 0
 

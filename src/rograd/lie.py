@@ -28,10 +28,11 @@ from .linalg import (
     IntEchelon,
     LatticeEchelon,
     ModularEchelon,
+    ModuleShape,
     _field_rref,
     integer_kernel,
+    integer_kernel_mod_relations,
     rank_certified,
-    subquotient_invariants,
     SparseMatrix,
     kernel_basis,
 )
@@ -545,23 +546,15 @@ class UIDer:
         """Normal form of HC(V) = ker(ud), the centre of the covering."""
         ring = self.ring
         if ring.kind == "Z":
-            ent = {}
-            for g, col in self.ud_columns.items():
-                for t, v in col.items():
-                    ent[(t, g)] = v
-            M = SparseMatrix(self.inner.dim, self.gens, ent, ZZ)
-            U = integer_kernel(M)
-            rels = [
-                {k: int(v) for k, v in row.items()} for row in self.relation_rows()
-            ]
-            return subquotient_invariants(ZZ, U, rels, self.gens)
+            # instr(V) is spanned by the deltas, so rank(ud) = inner.dim
+            _, kernel = integer_kernel_mod_relations(
+                self.ud_columns, self.inner.dim, self.relation_rows(), self.gens
+            )
+            return kernel
         if ring.kind == "Fp":
-            rows = list(self.relation_rows())
-            rank = len(_field_rref(rows, self.gens, ring)[0])
-            dim_uider = self.gens - rank
-            from .linalg import ModuleShape
-
-            return ModuleShape(dim_uider - self.inner.dim, ())
+            ech = ModularEchelon(self.gens, ring.p)
+            ech.add_batch(self.relation_rows())
+            return ModuleShape(self.gens - ech.rank - self.inner.dim, ())
         bound = self.gens - self.inner.dim
 
         def factory():
@@ -569,8 +562,6 @@ class UIDer:
                 yield _scale_row_to_int(row)
 
         rank = rank_certified(factory, self.gens, bound)
-        from .linalg import ModuleShape
-
         return ModuleShape(self.gens - rank - self.inner.dim, ())
 
     def dim_over_field(self) -> int:
@@ -926,8 +917,6 @@ class StarModule:
         """(dim J*J, HC(J) shape) over a field, exactly."""
         ring = self.ring
         bound = self.gens - self.inner.dim
-        from .linalg import ModuleShape
-
         if ring.kind == "Fp":
             rank = len(
                 _field_rref(list(self.relation_rows()), self.gens, ring)[0]

@@ -920,6 +920,33 @@ def subquotient_invariants(ring, sub_basis, rel_rows, ncols) -> ModuleShape:
     return ModuleShape(sub_rank - rel_rank, ())
 
 
+def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int):
+    """(Z^ncols/R, ker(u)/R) for the integer map u given by its columns
+    (col -> {row: value}) of rank rank_u, and R spanned by rel_rows.
+
+    One SNF of Z^ncols/R gives both: Z^ncols/ker(u) embeds in Z^rank_u, so
+    it is free and splits off, Z^ncols/R = ker(u)/R + Z^rank_u.  That needs
+    R in ker(u), which is checked row by row.
+    """
+    rels = []
+    for r, row in enumerate(rel_rows):
+        row = {c: int(v) for c, v in row.items()}
+        image = {}
+        for c, v in row.items():
+            for t, w in u_cols.get(c, {}).items():
+                image[t] = image.get(t, 0) + v * w
+        if any(image.values()):
+            raise AssertionError(f"relation outside ker u (relation row {r})")
+        rels.append(row)
+    rel_mat = SparseMatrix.from_rows(rels, ncols, ZZ)
+    quotient = module_invariants(FinitelyPresentedModule(ZZ, ncols, rel_mat))
+    if quotient.free_rank < rank_u:
+        raise AssertionError(
+            f"Z^{ncols}/R has free rank {quotient.free_rank} below rank(u) = {rank_u}"
+        )
+    return quotient, ModuleShape(quotient.free_rank - rank_u, quotient.torsion)
+
+
 def preimage_lattice(M: SparseMatrix, target_rows):
     """Basis of {x in Z^n : Mx lies in the lattice spanned by target_rows}."""
     n = M.cols

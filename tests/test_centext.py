@@ -15,8 +15,13 @@ from rograd.centext import (
     uce,
 )
 from rograd.jordan import hermitian_algebra, rectangular_pair
-from rograd.lie import GradedLieAlgebra, sl_algebra, tkk
-from rograd.linalg import ModuleShape
+from rograd.lie import GradedLieAlgebra, sl_algebra, tkk, uider
+from rograd.linalg import (
+    ModuleShape,
+    SparseMatrix,
+    integer_kernel,
+    subquotient_invariants,
+)
 from rograd.rings import GF, QQ, ZZ
 from rograd.roots import build
 
@@ -178,3 +183,54 @@ class TestModularFieldPaths:
         V7 = rectangular_pair(1, 2, O7)
         u7 = uce(tkk(V7))
         assert u7.total_kernel().is_trivial
+
+
+def _subquotient_oracle(u_cols, tdim, rel_rows, m):
+    """ker(u)/R the long way: a basis of ker u, then one solve per relation."""
+    ent = {(t, p): v for p, col in u_cols.items() for t, v in col.items()}
+    U = integer_kernel(SparseMatrix(tdim, m, ent, ZZ))
+    rels = [{k: int(v) for k, v in r.items()} for r in rel_rows]
+    return subquotient_invariants(ZZ, U, rels, m)
+
+
+class TestIntegerKernelFromCokernel:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sl_z_blocks_match_subquotient_oracle(self, Dz, n):
+        L = sl_algebra(n, Dz)
+        u = uce(L)
+        targets = L.degree_blocks()
+        for d, gens in u._gen_blocks.items():
+            target = targets.get(d, [])
+            tpos = {b: p for p, b in enumerate(target)}
+            u_cols = {}
+            for p, (i, j) in enumerate(gens):
+                col = {tpos[t]: v for t, v in L.bracket_basis(i, j).items()}
+                if col:
+                    u_cols[p] = col
+            rels = list(u._relation_rows(d, gens))
+            oracle = _subquotient_oracle(u_cols, len(target), rels, len(gens))
+            assert u.blocks[d].kernel_shape == oracle, d
+
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (2, 2)])
+    def test_uider_hc_z_matches_subquotient_oracle(self, Dz, rows, cols):
+        U = uider(rectangular_pair(rows, cols, Dz))
+        oracle = _subquotient_oracle(
+            U.ud_columns, U.inner.dim, U.relation_rows(), U.gens
+        )
+        assert U.hc() == oracle
+
+    def test_corrupted_constant_raises(self, Dz):
+        L = sl_algebra(3, Dz)
+        bracket = {k: dict(v) for k, v in L.bracket.items()}
+        (i, j), vec = next((k, v) for k, v in sorted(bracket.items()) if len(v) == 1)
+        bracket[(i, j)] = {k: 2 * c for k, c in vec.items()}
+        bad = GradedLieAlgebra(ZZ, L.labels, L.degrees, bracket, check=False)
+        assert bad.is_perfect()  # so uce gets past its precondition
+        with pytest.raises(AssertionError, match="relation outside ker u"):
+            uce(bad)
+
+    def test_sl4_m2_z_kernel_zero(self):
+        u = uce(sl_algebra(4, matrix_algebra(2, ZZ)))
+        rep = kernel_report(u, build("A", 3))
+        assert all(s.is_trivial for s in rep.by_degree.values())
+        assert u.total_kernel().is_trivial

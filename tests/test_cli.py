@@ -105,3 +105,35 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 1
+
+
+class TestInternalCheckExit:
+    def test_assertion_exits_3_with_one_line(self, capsys, monkeypatch):
+        import rograd.cli as cli
+
+        def broken(model, n, ring):
+            raise AssertionError("structure constants inconsistent")
+
+        monkeypatch.setattr(cli, "_make_model", broken)
+        code, out, err = run_cli(capsys, "uce", "--model", "sl", "--n", "3")
+        assert code == 3 and out == ""
+        assert err == "error: internal check failed: structure constants inconsistent\n"
+
+    def test_corrupted_model_exits_3(self, capsys, monkeypatch):
+        import rograd.cli as cli
+        from rograd.lie import GradedLieAlgebra
+
+        build_model = cli._make_model
+
+        def corrupted(model, n, ring):
+            L, name, R = build_model(model, n, ring)
+            bracket = {k: dict(v) for k, v in L.bracket.items()}
+            key = next(k for k, v in sorted(bracket.items()) if len(v) == 1)
+            bracket[key] = {t: 2 * c for t, c in bracket[key].items()}
+            return GradedLieAlgebra(ring, L.labels, L.degrees, bracket, check=False), name, R
+
+        monkeypatch.setattr(cli, "_make_model", corrupted)
+        code, out, err = run_cli(capsys, "uce", "--model", "sl", "--n", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("error: internal check failed: relation outside ker u")
+        assert err.count("\n") == 1
