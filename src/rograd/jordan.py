@@ -4,14 +4,18 @@ Rectangular matrix pairs, hermitian matrix algebras, the split Albert
 algebra, idempotents, Peirce decompositions and covering grids.  Quadratic
 operators are stored through their diagonal values Q_{e_i} together with
 the full linearization tensor Q_{e_i, e_j}, so Q is exactly reconstructible
-on arbitrary elements without dividing by 2.
+on arbitrary elements without dividing by 2.  Stored entries go through
+ring.coerce, so integral rational entries are plain ints, not Fraction(k, 1),
+and the products built from them stay integer arithmetic.
 
 Operators are kept sparse as dicts column -> (dict row -> scalar).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations_with_replacement, product
+from math import prod
 
 from .algebras import StructureAlgebra
 from .linalg import _field_rref, kernel_basis, SparseMatrix
@@ -140,10 +144,18 @@ class JordanPair:
         return op_apply(self.ring, self.Qb_of(sign, x, z), y)
 
     def D_op(self, sign, x, y):
-        """D_{x,y} acting on V^sign: z -> {x y z}."""
+        """D_{x,y} acting on V^sign: column k is {x y e_k}, which is
+        sum x_a y_b Q_{e_a,e_k} f_b, read off the stored Q tensors."""
+        ring = self.ring
         cols = {}
         for k in range(self.dims[sign]):
-            vec = self.triple(sign, x, y, {k: self.ring.coerce(1)})
+            vec = {}
+            for a, xa in x.items():
+                qb = self.QB_basis(sign, a, k)
+                for b, yb in y.items():
+                    col = qb.get(b)
+                    if col:
+                        _vec_add_into(ring, vec, col, ring.mul(xa, yb))
             if vec:
                 cols[k] = vec
         return cols
@@ -160,10 +172,6 @@ class JordanPair:
             op_apply(self.ring, self.Q_of(1, ep), em) == ep
             and op_apply(self.ring, self.Q_of(-1, em), ep) == em
         )
-
-    # -- identity verification ------------------------------------------
-    def verify_identities(self, budget: int = 120_000, window: int = 4) -> dict:
-        return verify_pair_identities(self, budget=budget, window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -192,284 +200,307 @@ def verify_pair_identities(V: JordanPair, budget: int = 50_000, window: int = 4)
     Each component family is multilinear in its slots, so checking it on
     basis tuples decides validity in every scalar extension.  Families whose
     exhaustive tuple count exceeds the budget are checked on deterministic
-    index windows instead; the report records the mode per family.
-    Raises AssertionError on the first violation.
+    index windows instead; the report records the mode per family.  A
+    family's value is invariant under permuting each group of its
+    interchangeable slots, so it is decided on one sorted tuple per orbit;
+    instances still counts every tuple of the grids decided.
+    Raises AssertionError on the first violation (the lexicographically
+    least failing tuple of the first failing grid).
     Returns {family: (instances, violations, mode)}.
     """
-    ring = V.ring
+    if window < 2:
+        raise ValueError(f"window must be at least 2, got {window}")
     report = {}
     for sign in (1, -1):
         n = V.dim(sign)
         m = V.dim(-sign)
-        Qd = V.Qdiag[sign]
-        Qdm = V.Qdiag[-sign]
-        QBt = lambda i, j: V.QB_basis(sign, i, j)
-        QBmt = lambda i, j: V.QB_basis(-sign, i, j)
-        Dtab = {}
-        Dmtab = {}
-        one = ring.coerce(1)
-        for i in range(n):
-            for j in range(m):
-                Dtab[(i, j)] = V.D_op(sign, {i: one}, {j: one})
-        for j in range(m):
-            for i in range(n):
-                Dmtab[(j, i)] = V.D_op(-sign, {j: one}, {i: one})
-
-        def col(op, j):
-            return op.get(j, {})
-
-        def Dvec(x: dict, d: int):
-            out = {}
-            for k, c in x.items():
-                out = op_add(ring, out, op_scale(ring, c, Dtab[(k, d)]))
-            return out
-
-        def Dvec2(i_idx: int, y: dict):
-            # D(e_i, y) for a vector y in V^{-sign}
-            out = {}
-            for k, c in y.items():
-                out = op_add(ring, out, op_scale(ring, c, Dtab[(i_idx, k)]))
-            return out
-
-        def Qbvec(x: dict, y: dict):
-            out = {}
-            for k, ck in x.items():
-                for l, cl in y.items():
-                    out = op_add(ring, out, op_scale(ring, ring.mul(ck, cl), QBt(k, l)))
-            return out
-
-        def Qvec(x: dict):
-            out = {}
-            items = sorted(x.items())
-            for idx, (k, ck) in enumerate(items):
-                out = op_add(ring, out, op_scale(ring, ring.mul(ck, ck), Qd[k]))
-                for l, cl in items[idx + 1 :]:
-                    lo, hi = (k, l) if k < l else (l, k)
-                    out = op_add(
-                        ring,
-                        out,
-                        op_scale(ring, ring.mul(ck, cl), V.Qlin[sign].get((lo, hi), {})),
-                    )
-            return out
-
-        def comp(*ops):
-            out = ops[0]
-            for o in ops[1:]:
-                out = op_compose(ring, out, o)
-            return out
-
-        def eq(*signed_terms):
-            acc = op_zero()
-            for s, term in signed_terms:
-                acc = op_add(ring, acc, term, sign=s)
-            return not acc
-
-        # families: (name, slot kinds, checker); slot kind "a" indexes V^sign
-        # basis, "b" indexes V^{-sign} basis
-        families = [
-            (
-                "JP1(3;1)",
-                "ab",
-                lambda a, b: eq(
-                    (1, comp(Dtab[(a, b)], Qd[a])), (-1, comp(Qd[a], Dmtab[(b, a)]))
-                ),
-            ),
-            (
-                "JP1(2,1;1)",
-                "aab",
-                lambda a, c, b: eq(
-                    (1, comp(Dtab[(a, b)], QBt(a, c))),
-                    (1, comp(Dtab[(c, b)], Qd[a])),
-                    (-1, comp(QBt(a, c), Dmtab[(b, a)])),
-                    (-1, comp(Qd[a], Dmtab[(b, c)])),
-                ),
-            ),
-            (
-                "JP1(1,1,1;1)",
-                "aaab",
-                lambda a, c, e, b: eq(
-                    (1, comp(Dtab[(a, b)], QBt(c, e))),
-                    (1, comp(Dtab[(c, b)], QBt(a, e))),
-                    (1, comp(Dtab[(e, b)], QBt(a, c))),
-                    (-1, comp(QBt(c, e), Dmtab[(b, a)])),
-                    (-1, comp(QBt(a, e), Dmtab[(b, c)])),
-                    (-1, comp(QBt(a, c), Dmtab[(b, e)])),
-                ),
-            ),
-            (
-                "JP2(2;2)",
-                "ab",
-                lambda a, b: eq(
-                    (1, Dvec(col(Qd[a], b), b)), (-1, Dvec2(a, col(Qdm[b], a)))
-                ),
-            ),
-            (
-                "JP2(1,1;2)",
-                "aab",
-                lambda a, c, b: eq(
-                    (1, Dvec(col(QBt(a, c), b), b)),
-                    (-1, Dvec2(a, col(Qdm[b], c))),
-                    (-1, Dvec2(c, col(Qdm[b], a))),
-                ),
-            ),
-            (
-                "JP2(2;1,1)",
-                "abb",
-                lambda a, b, d: eq(
-                    (1, Dvec(col(Qd[a], b), d)),
-                    (1, Dvec(col(Qd[a], d), b)),
-                    (-1, Dvec2(a, col(QBmt(b, d), a))),
-                ),
-            ),
-            (
-                "JP2(1,1;1,1)",
-                "aabb",
-                lambda a, c, b, d: eq(
-                    (1, Dvec(col(QBt(a, c), b), d)),
-                    (1, Dvec(col(QBt(a, c), d), b)),
-                    (-1, Dvec2(a, col(QBmt(b, d), c))),
-                    (-1, Dvec2(c, col(QBmt(b, d), a))),
-                ),
-            ),
-            (
-                "JP3(4;2)",
-                "ab",
-                lambda a, b: eq(
-                    (1, Qvec(col(Qd[a], b))), (-1, comp(Qd[a], Qdm[b], Qd[a]))
-                ),
-            ),
-            (
-                "JP3(4;1,1)",
-                "abb",
-                lambda a, b, d: eq(
-                    (1, Qbvec(col(Qd[a], b), col(Qd[a], d))),
-                    (-1, comp(Qd[a], QBmt(b, d), Qd[a])),
-                ),
-            ),
-            (
-                "JP3(3,1;2)",
-                "aab",
-                lambda a, c, b: eq(
-                    (1, Qbvec(col(Qd[a], b), col(QBt(a, c), b))),
-                    (-1, comp(QBt(a, c), Qdm[b], Qd[a])),
-                    (-1, comp(Qd[a], Qdm[b], QBt(a, c))),
-                ),
-            ),
-            (
-                "JP3(3,1;1,1)",
-                "aabb",
-                lambda a, c, b, d: eq(
-                    (1, Qbvec(col(Qd[a], b), col(QBt(a, c), d))),
-                    (1, Qbvec(col(Qd[a], d), col(QBt(a, c), b))),
-                    (-1, comp(QBt(a, c), QBmt(b, d), Qd[a])),
-                    (-1, comp(Qd[a], QBmt(b, d), QBt(a, c))),
-                ),
-            ),
-            (
-                "JP3(2,2;2)",
-                "aab",
-                lambda a, c, b: eq(
-                    (1, Qvec(col(QBt(a, c), b))),
-                    (1, Qbvec(col(Qd[a], b), col(Qd[c], b))),
-                    (-1, comp(Qd[a], Qdm[b], Qd[c])),
-                    (-1, comp(Qd[c], Qdm[b], Qd[a])),
-                    (-1, comp(QBt(a, c), Qdm[b], QBt(a, c))),
-                ),
-            ),
-            (
-                "JP3(2,2;1,1)",
-                "aabb",
-                lambda a, c, b, d: eq(
-                    (1, Qbvec(col(QBt(a, c), b), col(QBt(a, c), d))),
-                    (1, Qbvec(col(Qd[a], b), col(Qd[c], d))),
-                    (1, Qbvec(col(Qd[a], d), col(Qd[c], b))),
-                    (-1, comp(Qd[a], QBmt(b, d), Qd[c])),
-                    (-1, comp(Qd[c], QBmt(b, d), Qd[a])),
-                    (-1, comp(QBt(a, c), QBmt(b, d), QBt(a, c))),
-                ),
-            ),
-            (
-                "JP3(2,1,1;2)",
-                "aaab",
-                lambda a, c, e, b: eq(
-                    (1, Qbvec(col(Qd[a], b), col(QBt(c, e), b))),
-                    (1, Qbvec(col(QBt(a, c), b), col(QBt(a, e), b))),
-                    (-1, comp(Qd[a], Qdm[b], QBt(c, e))),
-                    (-1, comp(QBt(c, e), Qdm[b], Qd[a])),
-                    (-1, comp(QBt(a, c), Qdm[b], QBt(a, e))),
-                    (-1, comp(QBt(a, e), Qdm[b], QBt(a, c))),
-                ),
-            ),
-            (
-                "JP3(2,1,1;1,1)",
-                "aaabb",
-                lambda a, c, e, b, d: eq(
-                    (1, Qbvec(col(Qd[a], b), col(QBt(c, e), d))),
-                    (1, Qbvec(col(Qd[a], d), col(QBt(c, e), b))),
-                    (1, Qbvec(col(QBt(a, c), b), col(QBt(a, e), d))),
-                    (1, Qbvec(col(QBt(a, c), d), col(QBt(a, e), b))),
-                    (-1, comp(Qd[a], QBmt(b, d), QBt(c, e))),
-                    (-1, comp(QBt(c, e), QBmt(b, d), Qd[a])),
-                    (-1, comp(QBt(a, c), QBmt(b, d), QBt(a, e))),
-                    (-1, comp(QBt(a, e), QBmt(b, d), QBt(a, c))),
-                ),
-            ),
-            (
-                "JP3(1,1,1,1;2)",
-                "aaaab",
-                lambda a, c, e, g, b: eq(
-                    *(
-                        term
-                        for (p, q), (r, s) in _pairings(a, c, e, g)
-                        for term in (
-                            (1, Qbvec(col(QBt(p, q), b), col(QBt(r, s), b))),
-                            (-1, comp(QBt(p, q), Qdm[b], QBt(r, s))),
-                            (-1, comp(QBt(r, s), Qdm[b], QBt(p, q))),
-                        )
-                    )
-                ),
-            ),
-            (
-                "JP3(1,1,1,1;1,1)",
-                "aaaabb",
-                lambda a, c, e, g, b, d: eq(
-                    *(
-                        term
-                        for (p, q), (r, s) in _pairings(a, c, e, g)
-                        for term in (
-                            (1, Qbvec(col(QBt(p, q), b), col(QBt(r, s), d))),
-                            (1, Qbvec(col(QBt(p, q), d), col(QBt(r, s), b))),
-                            (-1, comp(QBt(p, q), QBmt(b, d), QBt(r, s))),
-                            (-1, comp(QBt(r, s), QBmt(b, d), QBt(p, q))),
-                        )
-                    )
-                ),
-            ),
-        ]
-
-        for name, slots, checker in families:
-            total = 1
-            for kind in slots:
-                total *= n if kind == "a" else m
+        for name, slots, value in _families(V, sign):
             key = f"{name}@{'+' if sign == 1 else '-'}"
+            groups = _slot_groups(slots)
+            total = prod((n if kind == "a" else m) ** size for kind, size in groups)
             if total <= budget:
-                count = 0
-                for t in product(*(range(n if k == "a" else m) for k in slots)):
-                    count += 1
-                    if not checker(*t):
-                        raise AssertionError(f"Jordan pair identity {key} fails at {t}")
-                report[key] = (count, 0, "exhaustive")
+                grids, mode = [(range(n), range(m))], "exhaustive"
             else:
-                count = 0
-                for wn, wm in product(_index_windows(n, window), _index_windows(m, window)):
-                    for t in product(*((wn if k == "a" else wm) for k in slots)):
-                        count += 1
-                        if not checker(*t):
-                            raise AssertionError(
-                                f"Jordan pair identity {key} fails at {t}"
-                            )
-                report[key] = (count, 0, "windowed")
+                grids = product(_index_windows(n, window), _index_windows(m, window))
+                mode = "windowed"
+            count = 0
+            for wn, wm in grids:
+                pools = [(wn if kind == "a" else wm, size) for kind, size in groups]
+                count += prod(len(pool) ** size for pool, size in pools)
+                # sorted windows: each orbit's least tuple is its sorted one,
+                # and these come in lexicographic order
+                for parts in product(
+                    *(combinations_with_replacement(pool, size) for pool, size in pools)
+                ):
+                    t = tuple(chain.from_iterable(parts))
+                    if value(*t):
+                        raise AssertionError(f"Jordan pair identity {key} fails at {t}")
+            report[key] = (count, 0, mode)
     return report
+
+
+def _slot_groups(slots: str):
+    """Runs of a family's slot string as (kind, size): a bracketed run such
+    as "[aa]" is one group of interchangeable slots, a bare letter a group
+    of one.  "a[aa][bb]" gives [("a", 1), ("a", 2), ("b", 2)]."""
+    runs = (m[1] or m[0] for m in re.finditer(r"\[([ab]+)\]|[ab]", slots))
+    return [(run[0], len(run)) for run in runs]
+
+
+def _families(V: JordanPair, sign: int):
+    """The JP1-JP3 component families on V^sign as (name, slots, value).
+
+    Slot kind "a" indexes the V^sign basis, "b" the V^{-sign} basis, in the
+    order of value's arguments.  value(*t) is the component on the basis
+    tuple t as a sparse operator, {} where the identity holds.  Bracketed
+    slots are interchangeable: permuting them maps the family's terms onto
+    themselves, because Q_{e_k,e_l} = Q_{e_l,e_k} and Q_{x,y} is symmetric.
+    """
+    ring = V.ring
+    n = V.dim(sign)
+    m = V.dim(-sign)
+    Qd = V.Qdiag[sign]
+    Qdm = V.Qdiag[-sign]
+    # Q_{e_i,e_j} for every ordered pair, with the doubled diagonal
+    QB = {(i, j): V.QB_basis(sign, i, j) for i in range(n) for j in range(n)}
+    QBm = {(i, j): V.QB_basis(-sign, i, j) for i in range(m) for j in range(m)}
+    one = ring.coerce(1)
+    Dtab = {(i, j): V.D_op(sign, {i: one}, {j: one}) for i in range(n) for j in range(m)}
+    Dmtab = {(j, i): V.D_op(-sign, {j: one}, {i: one}) for j in range(m) for i in range(n)}
+
+    def col(op, j):
+        return op.get(j, {})
+
+    def Dvec(x: dict, d: int):
+        out = {}
+        for k, c in x.items():
+            _op_add_into(ring, out, Dtab[(k, d)], c)
+        return out
+
+    def Dvec2(i_idx: int, y: dict):
+        # D(e_i, y) for a vector y in V^{-sign}
+        out = {}
+        for k, c in y.items():
+            _op_add_into(ring, out, Dtab[(i_idx, k)], c)
+        return out
+
+    def Qbvec(x: dict, y: dict):
+        out = {}
+        for k, ck in x.items():
+            for l, cl in y.items():
+                _op_add_into(ring, out, QB[(k, l)], ring.mul(ck, cl))
+        return out
+
+    def Qvec(x: dict):
+        out = {}
+        items = sorted(x.items())
+        for idx, (k, ck) in enumerate(items):
+            _op_add_into(ring, out, Qd[k], ring.mul(ck, ck))
+            for l, cl in items[idx + 1 :]:
+                _op_add_into(ring, out, QB[(k, l)], ring.mul(ck, cl))
+        return out
+
+    def comp(*ops):
+        out = ops[0]
+        for o in ops[1:]:
+            out = op_compose(ring, out, o)
+        return out
+
+    def total(*signed_terms):
+        acc = {}
+        for s, term in signed_terms:
+            _op_add_into(ring, acc, term, s)
+        return acc
+
+    return [
+        (
+            "JP1(3;1)",
+            "ab",
+            lambda a, b: total(
+                (1, comp(Dtab[(a, b)], Qd[a])), (-1, comp(Qd[a], Dmtab[(b, a)]))
+            ),
+        ),
+        (
+            "JP1(2,1;1)",
+            "aab",
+            lambda a, c, b: total(
+                (1, comp(Dtab[(a, b)], QB[(a, c)])),
+                (1, comp(Dtab[(c, b)], Qd[a])),
+                (-1, comp(QB[(a, c)], Dmtab[(b, a)])),
+                (-1, comp(Qd[a], Dmtab[(b, c)])),
+            ),
+        ),
+        (
+            "JP1(1,1,1;1)",
+            "[aaa]b",
+            lambda a, c, e, b: total(
+                (1, comp(Dtab[(a, b)], QB[(c, e)])),
+                (1, comp(Dtab[(c, b)], QB[(a, e)])),
+                (1, comp(Dtab[(e, b)], QB[(a, c)])),
+                (-1, comp(QB[(c, e)], Dmtab[(b, a)])),
+                (-1, comp(QB[(a, e)], Dmtab[(b, c)])),
+                (-1, comp(QB[(a, c)], Dmtab[(b, e)])),
+            ),
+        ),
+        (
+            "JP2(2;2)",
+            "ab",
+            lambda a, b: total(
+                (1, Dvec(col(Qd[a], b), b)), (-1, Dvec2(a, col(Qdm[b], a)))
+            ),
+        ),
+        (
+            "JP2(1,1;2)",
+            "[aa]b",
+            lambda a, c, b: total(
+                (1, Dvec(col(QB[(a, c)], b), b)),
+                (-1, Dvec2(a, col(Qdm[b], c))),
+                (-1, Dvec2(c, col(Qdm[b], a))),
+            ),
+        ),
+        (
+            "JP2(2;1,1)",
+            "a[bb]",
+            lambda a, b, d: total(
+                (1, Dvec(col(Qd[a], b), d)),
+                (1, Dvec(col(Qd[a], d), b)),
+                (-1, Dvec2(a, col(QBm[(b, d)], a))),
+            ),
+        ),
+        (
+            "JP2(1,1;1,1)",
+            "[aa][bb]",
+            lambda a, c, b, d: total(
+                (1, Dvec(col(QB[(a, c)], b), d)),
+                (1, Dvec(col(QB[(a, c)], d), b)),
+                (-1, Dvec2(a, col(QBm[(b, d)], c))),
+                (-1, Dvec2(c, col(QBm[(b, d)], a))),
+            ),
+        ),
+        (
+            "JP3(4;2)",
+            "ab",
+            lambda a, b: total(
+                (1, Qvec(col(Qd[a], b))), (-1, comp(Qd[a], Qdm[b], Qd[a]))
+            ),
+        ),
+        (
+            "JP3(4;1,1)",
+            "a[bb]",
+            lambda a, b, d: total(
+                (1, Qbvec(col(Qd[a], b), col(Qd[a], d))),
+                (-1, comp(Qd[a], QBm[(b, d)], Qd[a])),
+            ),
+        ),
+        (
+            "JP3(3,1;2)",
+            "aab",
+            lambda a, c, b: total(
+                (1, Qbvec(col(Qd[a], b), col(QB[(a, c)], b))),
+                (-1, comp(QB[(a, c)], Qdm[b], Qd[a])),
+                (-1, comp(Qd[a], Qdm[b], QB[(a, c)])),
+            ),
+        ),
+        (
+            "JP3(3,1;1,1)",
+            "aa[bb]",
+            lambda a, c, b, d: total(
+                (1, Qbvec(col(Qd[a], b), col(QB[(a, c)], d))),
+                (1, Qbvec(col(Qd[a], d), col(QB[(a, c)], b))),
+                (-1, comp(QB[(a, c)], QBm[(b, d)], Qd[a])),
+                (-1, comp(Qd[a], QBm[(b, d)], QB[(a, c)])),
+            ),
+        ),
+        (
+            "JP3(2,2;2)",
+            "[aa]b",
+            lambda a, c, b: total(
+                (1, Qvec(col(QB[(a, c)], b))),
+                (1, Qbvec(col(Qd[a], b), col(Qd[c], b))),
+                (-1, comp(Qd[a], Qdm[b], Qd[c])),
+                (-1, comp(Qd[c], Qdm[b], Qd[a])),
+                (-1, comp(QB[(a, c)], Qdm[b], QB[(a, c)])),
+            ),
+        ),
+        (
+            "JP3(2,2;1,1)",
+            "[aa][bb]",
+            lambda a, c, b, d: total(
+                (1, Qbvec(col(QB[(a, c)], b), col(QB[(a, c)], d))),
+                (1, Qbvec(col(Qd[a], b), col(Qd[c], d))),
+                (1, Qbvec(col(Qd[a], d), col(Qd[c], b))),
+                (-1, comp(Qd[a], QBm[(b, d)], Qd[c])),
+                (-1, comp(Qd[c], QBm[(b, d)], Qd[a])),
+                (-1, comp(QB[(a, c)], QBm[(b, d)], QB[(a, c)])),
+            ),
+        ),
+        (
+            "JP3(2,1,1;2)",
+            "a[aa]b",
+            lambda a, c, e, b: total(
+                (1, Qbvec(col(Qd[a], b), col(QB[(c, e)], b))),
+                (1, Qbvec(col(QB[(a, c)], b), col(QB[(a, e)], b))),
+                (-1, comp(Qd[a], Qdm[b], QB[(c, e)])),
+                (-1, comp(QB[(c, e)], Qdm[b], Qd[a])),
+                (-1, comp(QB[(a, c)], Qdm[b], QB[(a, e)])),
+                (-1, comp(QB[(a, e)], Qdm[b], QB[(a, c)])),
+            ),
+        ),
+        (
+            "JP3(2,1,1;1,1)",
+            "a[aa][bb]",
+            lambda a, c, e, b, d: total(
+                (1, Qbvec(col(Qd[a], b), col(QB[(c, e)], d))),
+                (1, Qbvec(col(Qd[a], d), col(QB[(c, e)], b))),
+                (1, Qbvec(col(QB[(a, c)], b), col(QB[(a, e)], d))),
+                (1, Qbvec(col(QB[(a, c)], d), col(QB[(a, e)], b))),
+                (-1, comp(Qd[a], QBm[(b, d)], QB[(c, e)])),
+                (-1, comp(QB[(c, e)], QBm[(b, d)], Qd[a])),
+                (-1, comp(QB[(a, c)], QBm[(b, d)], QB[(a, e)])),
+                (-1, comp(QB[(a, e)], QBm[(b, d)], QB[(a, c)])),
+            ),
+        ),
+        (
+            "JP3(1,1,1,1;2)",
+            "[aaaa]b",
+            lambda a, c, e, g, b: total(
+                *(
+                    term
+                    for (p, q), (r, s) in _pairings(a, c, e, g)
+                    for term in (
+                        (1, Qbvec(col(QB[(p, q)], b), col(QB[(r, s)], b))),
+                        (-1, comp(QB[(p, q)], Qdm[b], QB[(r, s)])),
+                        (-1, comp(QB[(r, s)], Qdm[b], QB[(p, q)])),
+                    )
+                )
+            ),
+        ),
+        (
+            "JP3(1,1,1,1;1,1)",
+            "[aaaa][bb]",
+            lambda a, c, e, g, b, d: total(
+                *(
+                    term
+                    for (p, q), (r, s) in _pairings(a, c, e, g)
+                    for term in (
+                        (1, Qbvec(col(QB[(p, q)], b), col(QB[(r, s)], d))),
+                        (1, Qbvec(col(QB[(p, q)], d), col(QB[(r, s)], b))),
+                        (-1, comp(QB[(p, q)], QBm[(b, d)], QB[(r, s)])),
+                        (-1, comp(QB[(r, s)], QBm[(b, d)], QB[(p, q)])),
+                    )
+                )
+            ),
+        ),
+    ]
+
+
+def _op_add_into(ring, acc, op, coef):
+    """acc += coef * op in place, dropping entries and columns that vanish."""
+    for j, col in op.items():
+        tgt = acc.setdefault(j, {})
+        _vec_add_into(ring, tgt, col, coef)
+        if not tgt:
+            del acc[j]
 
 
 def _pairings(w, x, y, z):
@@ -601,7 +632,10 @@ def rectangular_pair(i_size: int, j_size: int, D: StructureAlgebra) -> JordanPai
 
 
 def _pair_from_q(ring, dims, labels, q_funcs) -> JordanPair:
-    """Build the stored tensors from black-box quadratic maps q(x)(y)."""
+    """Build the stored tensors from black-box quadratic maps q(x)(y).
+
+    Entries are stored through ring.coerce, so an integral rational is an
+    int however q computed it."""
     one = ring.coerce(1)
     Qdiag = {}
     Qlin = {}
@@ -614,7 +648,7 @@ def _pair_from_q(ring, dims, labels, q_funcs) -> JordanPair:
             for j in range(m):
                 vec = q({i: one}, {j: one})
                 if vec:
-                    cols[j] = vec
+                    cols[j] = {r: ring.coerce(v) for r, v in vec.items()}
             diag.append(cols)
         lin = {}
         for i in range(n):
@@ -625,12 +659,22 @@ def _pair_from_q(ring, dims, labels, q_funcs) -> JordanPair:
                     v = _vec_sub(ring, v, diag[i].get(j, {}))
                     v = _vec_sub(ring, v, diag[k].get(j, {}))
                     if v:
-                        cols[j] = v
+                        cols[j] = {r: ring.coerce(c) for r, c in v.items()}
                 if cols:
                     lin[(i, k)] = cols
         Qdiag[sign] = diag
         Qlin[sign] = lin
     return JordanPair(ring, dims, labels, Qdiag, Qlin)
+
+
+def _vec_add_into(ring, acc: dict, vec: dict, coef=1):
+    for k, v in vec.items():
+        w = ring.add(acc.get(k, 0), ring.mul(coef, v))
+        if ring.is_zero(w):
+            acc.pop(k, None)
+        else:
+            acc[k] = w
+    return acc
 
 
 def _vec_sub(ring, x: dict, y: dict) -> dict:

@@ -18,6 +18,7 @@ from .algebras import StructureAlgebra, tensor_matrix_algebra
 from .jordan import (
     JordanAlgebra,
     JordanPair,
+    _vec_add_into,
     op_add,
     op_apply,
     op_compose,
@@ -50,16 +51,6 @@ def _scale_row_to_int(row: dict):
     for v in row.values():
         denom = lcm(denom, v.denominator)
     return {c: int(v * denom) for c, v in row.items() if v}
-
-
-def _vec_add_into(ring, acc: dict, vec: dict, coef=1):
-    for k, v in vec.items():
-        w = ring.add(acc.get(k, 0), ring.mul(coef, v))
-        if ring.is_zero(w):
-            acc.pop(k, None)
-        else:
-            acc[k] = w
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +352,20 @@ def instr(V: JordanPair) -> OperatorLieAlgebra:
     """Inner derivation algebra: the span of all delta(x, y).
 
     The span is already bracket-closed ([delta, delta'] = delta(delta x, y)
-    + delta(x, delta' y)); closure is nevertheless verified.
+    + delta(x, delta' y)); closure is nevertheless verified.  The result's
+    deltas attribute maps each basis pair (i, j) to delta(e_i, f_j) as a
+    block op, for tkk and UIDer to reuse.
     """
     one = V.ring.coerce(1)
-    gens = []
-    for i in range(V.dim(1)):
-        for j in range(V.dim(-1)):
-            op = _delta_block_op(V, {i: one}, {j: one})
-            if op:
-                gens.append(op)
+    deltas = {
+        (i, j): _delta_block_op(V, {i: one}, {j: one})
+        for i in range(V.dim(1))
+        for j in range(V.dim(-1))
+    }
     carrier = V.dim(1) + V.dim(-1)
-    return OperatorLieAlgebra(V.ring, carrier, gens)
+    inner = OperatorLieAlgebra(V.ring, carrier, [op for op in deltas.values() if op])
+    inner.deltas = deltas
+    return inner
 
 
 class TKKAlgebra(GradedLieAlgebra):
@@ -408,14 +402,12 @@ def tkk(V: JordanPair) -> TKKAlgebra:
     degrees = [(1,)] * n + [(0,)] * k + [(-1,)] * m
     bracket = {}
     # [x+, y-] = delta(x, y)
-    for i in range(n):
-        for j in range(m):
-            op = _delta_block_op(V, {i: one}, {j: one})
-            coords = inner.express(op) if op else {}
-            if coords is None:
-                raise AssertionError("delta operator escaped instr(V)")
-            if coords:
-                bracket[(i, n + k + j)] = {n + t: c for t, c in coords.items()}
+    for (i, j), op in inner.deltas.items():
+        coords = inner.express(op) if op else {}
+        if coords is None:
+            raise AssertionError("delta operator escaped instr(V)")
+        if coords:
+            bracket[(i, n + k + j)] = {n + t: c for t, c in coords.items()}
     # [T, x+] and [T, y-]
     for t, op in enumerate(inner.basis):
         for i in range(n):
@@ -453,24 +445,21 @@ class UIDer:
     """Universal inner derivation module: V+ (x) V- modulo the A and B
     relation families, with ud onto instr(V) and HC(V) = ker(ud)."""
 
-    def __init__(self, V: JordanPair, inner: OperatorLieAlgebra | None = None):
+    def __init__(self, V: JordanPair):
         self.pair = V
         self.ring = V.ring
-        self.inner = inner if inner is not None else instr(V)
+        self.inner = instr(V)
         self.n = V.dim(1)
         self.m = V.dim(-1)
         self.gens = self.n * self.m
-        one = V.ring.coerce(1)
         # ud matrix: gen (i,j) -> coordinates of delta(e_i, f_j) in instr basis
         self.ud_columns = {}
-        for i in range(self.n):
-            for j in range(self.m):
-                op = _delta_block_op(V, {i: one}, {j: one})
-                coords = self.inner.express(op) if op else {}
-                if coords is None:
-                    raise AssertionError("delta operator escaped instr(V)")
-                if coords:
-                    self.ud_columns[self.gen_index(i, j)] = coords
+        for (i, j), op in self.inner.deltas.items():
+            coords = self.inner.express(op) if op else {}
+            if coords is None:
+                raise AssertionError("delta operator escaped instr(V)")
+            if coords:
+                self.ud_columns[self.gen_index(i, j)] = coords
         self.gen_degrees = None
         if V.degrees is not None:
             # degrees of V^- basis vectors already carry the minus sign
@@ -495,16 +484,18 @@ class UIDer:
                 _vec_add_into(ring, out, col, c)
         return out
 
-    def delta_action_row(self, Dp, Dm, k, l) -> dict:
-        """delta . (e_k (x) f_l) as a sparse generator vector."""
+    def delta_action_row(self, op, k, l) -> dict:
+        """delta . (e_k (x) f_l) as a sparse generator vector, for delta
+        given as a block op on V+ (+) V-."""
         ring = self.ring
+        n = self.n
         row = {}
-        img = Dp.get(k, {})
+        img = op.get(k, {})
         for p, v in img.items():
             row[self.gen_index(p, l)] = ring.add(row.get(self.gen_index(p, l), 0), v)
-        img = Dm.get(l, {})
+        img = op.get(n + l, {})
         for q, v in img.items():
-            g = self.gen_index(k, q)
+            g = self.gen_index(k, q - n)
             w = ring.add(row.get(g, 0), v)
             if ring.is_zero(w):
                 row.pop(g, None)
@@ -514,29 +505,21 @@ class UIDer:
 
     def relation_rows(self):
         """Yield the B rows (basis pairs) then the A rows (basis quadruples)."""
-        V = self.pair
         ring = self.ring
-        one = ring.coerce(1)
-        deltas = {}
+        deltas = self.inner.deltas
         for i in range(self.n):
             for j in range(self.m):
-                deltas[(i, j)] = V.delta({i: one}, {j: one})
-        for i in range(self.n):
-            for j in range(self.m):
-                Dp, Dm = deltas[(i, j)]
-                row = self.delta_action_row(Dp, Dm, i, j)
+                row = self.delta_action_row(deltas[(i, j)], i, j)
                 if row:
                     yield row
         for i in range(self.n):
             for j in range(self.m):
-                Dp, Dm = deltas[(i, j)]
                 for k in range(self.n):
                     for l in range(self.m):
                         if (k, l) <= (i, j):
                             continue
-                        Dp2, Dm2 = deltas[(k, l)]
-                        row = self.delta_action_row(Dp, Dm, k, l)
-                        other = self.delta_action_row(Dp2, Dm2, i, j)
+                        row = self.delta_action_row(deltas[(i, j)], k, l)
+                        other = self.delta_action_row(deltas[(k, l)], i, j)
                         merged = dict(row)
                         _vec_add_into(ring, merged, other)
                         if merged:

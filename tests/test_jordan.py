@@ -1,7 +1,14 @@
+import random
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from rograd.algebras import matrix_algebra, split_octonions
 from rograd.jordan import (
+    JordanPair,
+    _families,
+    _slot_groups,
     albert_algebra,
     hermitian_algebra,
     hermitian_grid,
@@ -262,3 +269,202 @@ class TestOctonionPairPeirce:
         # the V_2 plus-part is exactly the first coordinate cell
         for vec in pp[2][1]:
             assert all(c < 8 for c in vec)
+
+
+# ---------------------------------------------------------------------------
+# the identity verifier: slot-symmetry orbits, reports and failure messages
+# ---------------------------------------------------------------------------
+
+_FAMILY_KEYS = [
+    f"{name}@{s}"
+    for s in "+-"
+    for name in (
+        "JP1(3;1)", "JP1(2,1;1)", "JP1(1,1,1;1)", "JP2(2;2)", "JP2(1,1;2)",
+        "JP2(2;1,1)", "JP2(1,1;1,1)", "JP3(4;2)", "JP3(4;1,1)", "JP3(3,1;2)",
+        "JP3(3,1;1,1)", "JP3(2,2;2)", "JP3(2,2;1,1)", "JP3(2,1,1;2)",
+        "JP3(2,1,1;1,1)", "JP3(1,1,1,1;2)", "JP3(1,1,1,1;1,1)",
+    )
+]
+
+# instances per family on one sign, in _FAMILY_KEYS order, and the mode of
+# each (e = exhaustive, w = windowed)
+_REPORTS = {
+    "M12O": (
+        [256, 4096, 6400, 256, 4096, 4096, 6400, 256, 4096, 4096, 6400, 4096, 6400,
+         6400, 25600, 25600, 102400],
+        "eeweeeweeewewwwww",
+    ),
+    "H4Q": (
+        [100, 1000, 10000, 100, 1000, 1000, 10000, 100, 1000, 1000, 10000, 1000,
+         10000, 10000, 16384, 16384, 65536],
+        "eeeeeeeeeeeeeewww",
+    ),
+    "H3Q": (
+        [36, 216, 1296, 36, 216, 216, 1296, 36, 216, 216, 1296, 216, 1296, 1296,
+         7776, 7776, 36864],
+        "eeeeeeeeeeeeeeeew",
+    ),
+}
+
+
+def _expected(counts, modes):
+    """The report of a pair with dim V+ = dim V-, whose two signs report alike."""
+    return [
+        (key, (count, 0, "exhaustive" if mode == "e" else "windowed"))
+        for key, count, mode in zip(_FAMILY_KEYS, counts * 2, modes * 2)
+    ]
+
+
+def _exhaustive(d):
+    """Report of a pair with dim V+ = dim V- = d checked exhaustively."""
+    # numbers of (a, b) slots per family, in _FAMILY_KEYS order
+    slots = [(1, 1), (2, 1), (3, 1), (1, 1), (2, 1), (1, 2), (2, 2), (1, 1), (1, 2),
+             (2, 1), (2, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
+    return _expected([d ** (a + b) for a, b in slots], "e" * 17)
+
+
+def _random_pair(n, m, seed):
+    """A pair with random integer Q tensors; it satisfies no JP identity."""
+    rng = random.Random(seed)
+    dims = {1: n, -1: m}
+
+    def op(rows, cols):
+        out = {}
+        for j in range(cols):
+            col = {i: rng.randint(-3, 3) for i in range(rows) if rng.random() < 0.6}
+            col = {i: v for i, v in col.items() if v}
+            if col:
+                out[j] = col
+        return out
+
+    Qdiag = {s: [op(dims[s], dims[-s]) for _ in range(dims[s])] for s in (1, -1)}
+    Qlin = {
+        s: {(i, k): op(dims[s], dims[-s]) for i in range(dims[s]) for k in range(i + 1, dims[s])}
+        for s in (1, -1)
+    }
+    labels = {s: [f"e{i}" for i in range(dims[s])] for s in (1, -1)}
+    return JordanPair(QQ, dims, labels, Qdiag, Qlin)
+
+
+class TestIdentityOrbits:
+    def test_slot_groups_parse(self):
+        assert _slot_groups("ab") == [("a", 1), ("b", 1)]
+        assert _slot_groups("a[aa][bb]") == [("a", 1), ("a", 2), ("b", 2)]
+        assert _slot_groups("[aaaa]b") == [("a", 4), ("b", 1)]
+
+    def test_declared_groups_are_exactly_the_symmetries(self):
+        V = _random_pair(4, 3, seed=11)
+        grouped = 0
+        for sign in (1, -1):
+            size = {"a": V.dim(sign), "b": V.dim(-sign)}
+            for name, slots, value in _families(V, sign):
+                groups = _slot_groups(slots)
+                kinds = "".join(kind * k for kind, k in groups)
+                group_of = [g for g, (_, k) in enumerate(groups) for _ in range(k)]
+                tuples = list(product(*(range(size[kind]) for kind in kinds)))
+                values = {t: value(*t) for t in tuples}
+                assert any(values.values()), name
+                for p in range(len(kinds) - 1):
+                    if kinds[p] != kinds[p + 1]:
+                        continue
+
+                    def swap(t):
+                        return t[:p] + (t[p + 1], t[p]) + t[p + 2 :]
+
+                    if group_of[p] == group_of[p + 1]:
+                        grouped += 1
+                        assert all(values[t] == values[swap(t)] for t in tuples), (name, p)
+                    else:
+                        assert any(values[t] != values[swap(t)] for t in tuples), (name, p)
+        # adjacent in-group swaps per sign: 2+1+1+2+1+1+1+2+1+2+3+4
+        assert grouped == 2 * 21
+
+    def test_twelve_families_have_groups(self):
+        V = _random_pair(4, 3, seed=11)
+        names = [n for n, slots, _ in _families(V, 1) if "[" in slots]
+        assert len(names) == 12 and len(_families(V, 1)) == 17
+
+    @pytest.mark.parametrize("i_size,j_size", [(1, 2), (1, 3), (2, 2)])
+    def test_reports_rectangular(self, DQ, i_size, j_size):
+        V = rectangular_pair(i_size, j_size, DQ)
+        rep = verify_pair_identities(V, budget=10_000)
+        assert V.dim(1) == V.dim(-1)
+        assert list(rep.items()) == _exhaustive(V.dim(1))
+
+    def test_report_h3(self, DQ):
+        rep = verify_pair_identities(hermitian_algebra(3, DQ).pair(), budget=8_000)
+        assert list(rep.items()) == _expected(*_REPORTS["H3Q"])
+
+    def test_report_octonion_pair(self):
+        rep = verify_pair_identities(rectangular_pair(1, 2, split_octonions(QQ)))
+        assert list(rep.items()) == _expected(*_REPORTS["M12O"])
+        assert sum(c for c, _, _ in rep.values()) == 421888
+        assert sum(mode == "exhaustive" for _, _, mode in rep.values()) == 18
+
+    def test_report_h4(self, DQ):
+        rep = verify_pair_identities(hermitian_algebra(4, DQ).pair())
+        assert list(rep.items()) == _expected(*_REPORTS["H4Q"])
+        assert sum(c for c, _, _ in rep.values()) == 309208
+        assert sum(mode == "exhaustive" for _, _, mode in rep.values()) == 28
+
+    def test_corrupted_h3(self, DQ):
+        V = hermitian_algebra(3, DQ).pair()
+        V.Qlin[1][(0, 3)][0][1] = 5
+        with pytest.raises(AssertionError) as exc:
+            verify_pair_identities(V, budget=8_000)
+        assert str(exc.value) == "Jordan pair identity JP1(3;1)@+ fails at (3, 0)"
+
+    def test_corrupted_octonion_pair(self):
+        V = rectangular_pair(1, 2, split_octonions(QQ))
+        V.Qlin[-1][max(V.Qlin[-1])].setdefault(3, {})[2] = 7
+        with pytest.raises(AssertionError) as exc:
+            verify_pair_identities(V, budget=8_000)
+        assert str(exc.value) == "Jordan pair identity JP1(2,1;1)@+ fails at (3, 6, 14)"
+
+    def test_corrupted_first_failure_in_a_group(self, DQ):
+        # windowed: the first failing grid's least failing tuple has three
+        # distinct entries in the {a, c, e} group of JP1(1,1,1;1)
+        V = rectangular_pair(2, 3, DQ)
+        V.Qdiag[-1][5].setdefault(2, {})[1] = 5
+        with pytest.raises(AssertionError) as exc:
+            verify_pair_identities(V, budget=100, window=3)
+        assert str(exc.value) == "Jordan pair identity JP1(1,1,1;1)@+ fails at (0, 2, 5, 5)"
+
+    def test_window_below_two_rejected(self, DQ, M12):
+        for window in (1, 0):
+            with pytest.raises(ValueError):
+                verify_pair_identities(M12, window=window)
+            with pytest.raises(ValueError):
+                verify_pair_identities(rectangular_pair(2, 2, DQ), budget=10, window=window)
+
+
+class TestIntegerQTensors:
+    @pytest.mark.parametrize("make", ["h3", "albert"])
+    def test_no_integral_fractions_stored(self, DQ, make):
+        J = hermitian_algebra(3, DQ) if make == "h3" else albert_algebra(QQ)
+        V = J.pair()
+        entries = [
+            v
+            for s in (1, -1)
+            for ops in (V.Qdiag[s], list(V.Qlin[s].values()))
+            for op in ops
+            for col in op.values()
+            for v in col.values()
+        ]
+        assert entries
+        assert not any(isinstance(v, Fraction) and v.denominator == 1 for v in entries)
+
+    def test_d_op_matches_triple(self):
+        # D_op reads Q_{e_a,e_k} columns; the triple product is the reference
+        V = rectangular_pair(1, 2, split_octonions(QQ))
+        rng = random.Random(5)
+        for sign in (1, -1):
+            for _ in range(3):
+                x = {i: rng.randint(-2, 2) for i in rng.sample(range(V.dim(sign)), 3)}
+                y = {j: Fraction(rng.randint(-3, 3), 2) for j in rng.sample(range(V.dim(-sign)), 3)}
+                want = {}
+                for k in range(V.dim(sign)):
+                    vec = V.triple(sign, x, y, {k: 1})
+                    if vec:
+                        want[k] = vec
+                assert V.D_op(sign, x, y) == want
