@@ -133,11 +133,6 @@ class StructureAlgebra:
         return M
 
     # -- norm and trace (involution algebras) ------------------------------
-    def trace_scalar(self, x: dict):
-        """t(x) with x + conj(x) = t(x) * unit; errors if not a unit multiple."""
-        s = self.add(x, self.conj(x))
-        return self._unit_multiple(s)
-
     def norm_scalar(self, x: dict):
         """N(x) with x * conj(x) = N(x) * unit."""
         return self._unit_multiple(self.mul(x, self.conj(x)))

@@ -9,15 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-
-def _cap_threads():
-    cap = os.environ.get("ROGRAD_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _emit(text: str, out_path):
@@ -241,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

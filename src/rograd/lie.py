@@ -3,16 +3,13 @@ J*J for Jordan algebras, root gradings from grids, structural predicates.
 
 Brackets are sparse tensors on a fixed basis; degrees are integer tuples
 (epsilon-coordinates of the root lattice, or a single Z-grading slot).
-Jacobi is verified through the adjoint identity ad[x,y] = [ad x, ad y] on
-all basis pairs, using exact integer numpy arithmetic after clearing
-denominators.
+Jacobi is verified on the basis triples whose Jacobiator can be nonzero,
+in Python integers after clearing denominators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-
-import numpy as np
 
 from .algebras import StructureAlgebra, tensor_matrix_algebra
 from .jordan import (
@@ -51,6 +48,23 @@ def _scale_row_to_int(row: dict):
     for v in row.values():
         denom = lcm(denom, v.denominator)
     return {c: int(v * denom) for c, v in row.items() if v}
+
+
+def _reaches(ad, a, b, c) -> bool:
+    """Whether [[e_a, e_b], e_c] has a nonzero term (support only)."""
+    return any(c in ad[t] for t in ad[a].get(b, ()))
+
+
+def _jacobiator(ad, i, j, k, p) -> bool:
+    """Whether J(e_i, e_j, e_k) is nonzero (mod p when p > 0)."""
+    out = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for t, x in ad[a].get(b, {}).items():
+            for s, y in ad[t].get(c, {}).items():
+                out[s] = out.get(s, 0) + x * y
+    if p:
+        return any(v % p for v in out.values())
+    return any(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +170,11 @@ class GradedLieAlgebra:
         for (i, j), vec in bracket.items():
             if i >= j:
                 raise ValueError("bracket tensor keys must have i < j")
-            clean = {k: ring.coerce(v) for k, v in vec.items() if not ring.is_zero(ring.coerce(v))}
+            clean = {}
+            for k, v in vec.items():
+                v = ring.coerce(v)
+                if not ring.is_zero(v):
+                    clean[k] = v
             if clean:
                 self.bracket[(i, j)] = clean
         self.jacobi_ok = None
@@ -204,40 +222,43 @@ class GradedLieAlgebra:
                     )
 
     def verify_jacobi(self):
-        """Jacobi via ad[x,y] = [ad x, ad y] on all basis pairs (exact).
+        """Jacobi identity on every basis triple, in exact Python integers.
 
-        With denominators cleared, A_i = denom * ad e_i and c = denom * c0,
-        the identity reads [A_i, A_j] = sum_k c_k A_k over Z, or mod p over
-        F_p (on integer representatives).
+        With denominators cleared, ad[i][j] = denom * [e_i, e_j].  The
+        Jacobiator J(e_i, e_j, e_k) is alternating, so only triples
+        i < j < k are checked, and only those where a cyclic term
+        [[e_a, e_b], e_c] can be nonzero: c is bracketed nontrivially by some
+        e_t in the support of [e_a, e_b].  Over F_p the entries are reduced
+        mod p at the end.
         """
         denom = 1
         for vec in self.bracket.values():
             for v in vec.values():
                 denom = lcm(denom, v.denominator)
-        scaled = {
-            key: {k: int(v * denom) for k, v in vec.items()} for key, vec in self.bracket.items()
-        }
-        n = self.dim
-        # every entry of [A_i, A_j] - sum c_k A_k, and every partial sum of
-        # it, is at most 2 n m^2 in size: compute in a dtype that holds that
-        m = max((abs(c) for vec in scaled.values() for c in vec.values()), default=0)
-        bound = 2 * n * m * m
-        dtype = np.float64 if bound < (1 << 53) else np.int64 if bound < (1 << 63) else object
-        A = np.zeros((n, n, n), dtype=dtype)
-        for (i, j), vec in scaled.items():
-            for k, c in vec.items():
-                A[i, k, j] = c
-                A[j, k, i] = -c
+        ad = [{} for _ in range(self.dim)]
+        for (i, j), vec in self.bracket.items():
+            row = {k: int(v * denom) for k, v in vec.items()}
+            ad[i][j] = row
+            ad[j][i] = {k: -c for k, c in row.items()}
         p = self.ring.characteristic
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = A[i] @ A[j] - A[j] @ A[i]
-                for k, c in scaled.get((i, j), {}).items():
-                    diff -= c * A[k]
-                if p:
-                    diff %= p
-                if diff.any():
-                    raise AssertionError("Jacobi identity fails")
+        for i, j in self.bracket:
+            ks = set()
+            for t in ad[i][j]:
+                ks.update(ad[t])
+            ks.discard(i)
+            ks.discard(j)
+            for k in ks:
+                # evaluate the triple a < b < c only from the first of its
+                # pairs (a, b), (a, c), (b, c) whose bracket reaches the
+                # third index; the earlier pairs are {i, k} and, if k < i,
+                # {k, j}
+                if k < j and (_reaches(ad, i, k, j) or (k < i and _reaches(ad, j, k, i))):
+                    continue
+                if _jacobiator(ad, i, j, k, p):
+                    a, b, c = sorted((i, j, k))
+                    raise AssertionError(
+                        f"Jacobi identity fails on basis triple ({a}, {b}, {c})"
+                    )
         self.jacobi_ok = True
 
     # -- predicates ---------------------------------------------------------
@@ -378,15 +399,6 @@ class TKKAlgebra(GradedLieAlgebra):
         self.n_minus = pair.dim(-1)
         super().__init__(pair.ring, labels, degrees, bracket)
 
-    def plus_index(self, i):
-        return i
-
-    def instr_index(self, k):
-        return self.n_plus + k
-
-    def minus_index(self, j):
-        return self.n_plus + self.inner.dim + j
-
 
 def tkk(V: JordanPair) -> TKKAlgebra:
     """Tits-Kantor-Koecher algebra of a Jordan pair; centre checked trivial."""
@@ -473,16 +485,6 @@ class UIDer:
 
     def gen_index(self, i, j) -> int:
         return i * self.m + j
-
-    def ud_of_vec(self, vec: dict) -> dict:
-        """Image in instr coordinates of a raw generator vector."""
-        ring = self.ring
-        out = {}
-        for g, c in vec.items():
-            col = self.ud_columns.get(g)
-            if col:
-                _vec_add_into(ring, out, col, c)
-        return out
 
     def delta_action_row(self, op, k, l) -> dict:
         """delta . (e_k (x) f_l) as a sparse generator vector, for delta

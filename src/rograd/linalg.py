@@ -470,20 +470,6 @@ def module_invariants(m: FinitelyPresentedModule) -> ModuleShape:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_int_row(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    lead = min(row)
-    if row[lead] < 0:
-        row = {c: -v for c, v in row.items()}
-    return row
-
-
 class IntEchelon:
     """Incremental echelon of integer rows; rank is the rank over Q.
 

@@ -105,11 +105,6 @@ class BaseRing:
     def neg(self, a):
         return (-a) % self.p if self.kind == "Fp" else -a
 
-    def is_unit(self, a) -> bool:
-        if self.kind == "Z":
-            return a in (1, -1)
-        return not self.is_zero(a)
-
     def is_zero(self, a) -> bool:
         return (a % self.p == 0) if self.kind == "Fp" else a == 0
 

@@ -344,16 +344,6 @@ class ThreeGrading:
     def minus_one(self):
         return frozenset(vneg(r) for r in self.one)
 
-    def part_of(self, root) -> int:
-        r = tuple(root)
-        if r in self.one:
-            return 1
-        if r in self.minus_one:
-            return -1
-        if r in self.zero:
-            return 0
-        raise ValueError(f"{root} is not a root")
-
 
 _GRADING_KINDS = {
     "A": ("rectangular", "collinear"),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rograd.algebras import matrix_algebra, split_octonions
@@ -228,3 +230,92 @@ class TestPredicates:
         L = tkk(M12)
         data = L.to_json()
         assert data["dim"] == 8 and len(data["degrees"]) == 8
+
+
+def _dense_jacobi_failures(L):
+    """Sorted basis triples on which Jacobi fails, by the dense check
+    ad[e_i, e_j] = [ad e_i, ad e_j] applied to every e_l, in Fractions."""
+    from fractions import Fraction
+
+    n, p = L.dim, L.ring.characteristic
+    br = {(i, j): L.bracket_basis(i, j) for i in range(n) for j in range(n)}
+    bad = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(n):
+                out = {}  # [[e_i,e_j],e_l] - [e_i,[e_j,e_l]] + [e_j,[e_i,e_l]]
+                for a, b, c, sign in ((i, j, l, 1), (j, l, i, 1), (i, l, j, -1)):
+                    for t, x in br[a, b].items():
+                        for s, y in br[t, c].items():
+                            out[s] = out.get(s, 0) + sign * Fraction(x) * y
+                if any(v % p if p else v for v in out.values()):
+                    bad.add(tuple(sorted((i, j, l))))
+    return bad
+
+
+def _jacobi_model(name):
+    from rograd.jordan import hermitian_algebra
+
+    if name == "sl3-Q":
+        return sl_algebra(3, matrix_algebra(1, QQ))
+    if name == "tkk-H3-Q":
+        return tkk(hermitian_algebra(3, matrix_algebra(1, QQ, involution="identity")).pair())
+    if name == "tkk-M12-F5":
+        return tkk(rectangular_pair(1, 2, matrix_algebra(1, GF(5))))
+    return sl_algebra(3, matrix_algebra(1, GF(2**61 - 1)))
+
+
+class TestSparseJacobi:
+    TRIPLE = re.compile(r"Jacobi identity fails on basis triple \((\d+), (\d+), (\d+)\)")
+
+    def _named_triple(self, L):
+        """None when verify_jacobi accepts L, else the triple it names."""
+        try:
+            L.verify_jacobi()
+        except AssertionError as exc:
+            m = self.TRIPLE.fullmatch(str(exc))
+            assert m, str(exc)
+            return tuple(int(g) for g in m.groups())
+        assert L.jacobi_ok
+        return None
+
+    @pytest.mark.parametrize("name", ("sl3-Q", "tkk-H3-Q", "tkk-M12-F5", "sl3-F(2^61-1)"))
+    def test_agrees_with_dense_check_on_corruptions(self, name):
+        import random
+
+        L = _jacobi_model(name)
+        assert self._named_triple(L) is None
+        ring, n = L.ring, L.dim
+        rng = random.Random(f"jacobi-{name}")
+        raised = 0
+        for _ in range(50):
+            bracket = {key: dict(vec) for key, vec in L.bracket.items()}
+            i, j = sorted(rng.sample(range(n), 2))
+            k = rng.randrange(n)
+            vec = bracket.setdefault((i, j), {})
+            vec[k] = ring.add(vec.get(k, 0), ring.coerce(rng.choice((-2, -1, 1, 2))))
+            bad = GradedLieAlgebra(ring, L.labels, L.degrees, bracket, check=False)
+            named = self._named_triple(bad)
+            failures = _dense_jacobi_failures(bad)
+            if failures:
+                assert named in failures
+                raised += 1
+            else:
+                assert named is None
+        assert raised
+
+    @pytest.mark.parametrize("d", (0, 3))
+    @pytest.mark.parametrize("r", (0, 1, 2))
+    def test_single_rotation_violation_caught(self, d, r):
+        # [e_x, e_y] = e_d and [e_d, e_z] = e_d, nothing else: of the three
+        # cyclic terms of J(e_x, e_y, e_z) only [[e_x, e_y], e_z] is nonzero,
+        # and every triple containing d satisfies Jacobi.  r places z first,
+        # middle or last among x, y, z.
+        others = [t for t in range(4) if t != d]
+        z = others.pop(r)
+        x, y = others
+        bracket = {(x, y): {d: 1}, tuple(sorted((d, z))): {d: 1 if d < z else -1}}
+        L = GradedLieAlgebra(QQ, list("abcd"), [(0,)] * 4, bracket, check=False)
+        want = tuple(sorted((x, y, z)))
+        assert _dense_jacobi_failures(L) == {want}
+        assert self._named_triple(L) == want

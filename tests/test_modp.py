@@ -90,6 +90,11 @@ class TestJacobiExactness:
         assert cli.main(["tkk", "--model", "sl", "--n", "3", "--ring", f"Fp:{p}"]) == 0
         assert "jacobi: True" in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("p", BIG_PRIMES)
+    def test_cli_octonion_tkk_at_large_prime(self, p, capsys):
+        assert cli.main(["tkk", "--model", "tkk-oct", "--ring", f"Fp:{p}"]) == 0
+        assert "jacobi: True" in capsys.readouterr().out.splitlines()
+
     @staticmethod
     def _rebuilt(L, ring, scale=1, corrupt=False):
         bracket = {key: {k: v * scale for k, v in vec.items()} for key, vec in L.bracket.items()}
