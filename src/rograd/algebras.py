@@ -9,11 +9,9 @@ valid in every scalar extension, and cached as flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from math import gcd
 
-from .linalg import IntEchelon, _field_rref
+from .linalg import span
 from .rings import BaseRing
 
 
@@ -516,29 +514,10 @@ def is_derivation(A: StructureAlgebra, op) -> bool:
 
 def op_span_dim(ops, ring) -> int:
     """Dimension (over the fraction field) of the span of operator matrices."""
-    if ring.kind == "Fp":
-        rows = [
-            {
-                i * len(op) + j: op[i][j]
-                for i in range(len(op))
-                for j in range(len(op))
-                if not ring.is_zero(op[i][j])
-            }
-            for op in ops
-        ]
-        n2 = len(ops[0]) ** 2 if ops else 0
-        return len(_field_rref(rows, n2, ring)[0])
-    ech = IntEchelon()
+    n = len(ops[0]) if ops else 0
+    ech = span(ring, n * n)
     for op in ops:
-        row = {}
-        denom = 1
-        for i, r in enumerate(op):
-            for j, v in enumerate(r):
-                if v:
-                    f = Fraction(v)
-                    row[i * len(op) + j] = f
-                    denom = denom * f.denominator // gcd(denom, f.denominator)
-        ech.add({k: int(v * denom) for k, v in row.items()})
+        ech.add({i * n + j: v for i, r in enumerate(op) for j, v in enumerate(r) if v})
     return ech.rank
 
 

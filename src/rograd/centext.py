@@ -12,24 +12,19 @@ and the explicit A_2 / A_3 cocycle extensions with their fibers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebras import StructureAlgebra, op_span_dim, standard_derivation
-from .degsums import degenerate_sums_bruteforce, divisor
-from .lie import GradedLieAlgebra, _scale_row_to_int, _vec_add_into
+from .degsums import degenerate_sums_bruteforce
+from .lie import GradedLieAlgebra, _vec_add_into
 from .linalg import (
-    FieldEchelon,
-    FinitelyPresentedModule,
-    IntEchelon,
     LatticeEchelon,
-    ModularEchelon,
     ModuleShape,
     SparseMatrix,
-    _field_rref,
     integer_kernel,
-    integer_kernel_mod_relations,
-    module_invariants,
-    rank_certified,
+    kernel_basis,
+    quotient_shape,
+    span,
     subquotient_invariants,
 )
 from .rings import ZZ
@@ -93,15 +88,16 @@ class UceResult:
             target = basis_blocks.get(d, [])
             self.blocks[d] = self._process_block(d, gens, target)
 
-    def _wedge_into(self, row: dict, a: int, b: int, coef, block_pos):
+    def _wedge_into(self, row: dict, a: int, b: int, coef, block_pos, sign=1):
+        """row += sign * coef * (x_a ^ x_b), in the block's generators."""
         if a == b:
             return
+        if a > b:
+            a, b, sign = b, a, -sign
         ring = self.ring
-        if a < b:
-            key = (a, b)
-        else:
-            key, coef = (b, a), ring.neg(coef)
-        pos = block_pos.get(key)
+        if sign < 0:
+            coef = ring.neg(coef)
+        pos = block_pos.get((a, b))
         if pos is None:
             raise AssertionError("wedge term fell outside its degree block")
         w = ring.add(row.get(pos, 0), coef)
@@ -112,11 +108,10 @@ class UceResult:
 
     def _relation_rows(self, degree, gens):
         """Rows x_i^[x_j,x_k] + x_j^[x_k,x_i] + x_k^[x_i,x_j] of this degree."""
-        L = self.L
-        ring = self.ring
+        br = self.L.bracket  # (a, b) with a < b -> [x_a, x_b], read in place
+        empty = {}
         block_pos = {g: p for p, g in enumerate(gens)}
-        deg_of = L.degrees
-        blocks = L.degree_blocks()
+        blocks = self.L.degree_blocks()
         # iterate triples i<j<k with total degree = degree: choose the pair
         # (j, k) from the generator pairs of every partial degree
         for d_pair, pairs in self._gen_blocks.items():
@@ -125,64 +120,39 @@ class UceResult:
             if not first:
                 continue
             for (j, k) in pairs:
-                br_jk = L.bracket_basis(j, k)
+                br_jk = br.get((j, k), empty)
                 for i in first:
                     if i >= j:
                         continue
                     row = {}
                     for t, v in br_jk.items():
                         self._wedge_into(row, i, t, v, block_pos)
-                    for t, v in L.bracket_basis(k, i).items():
-                        self._wedge_into(row, j, t, v, block_pos)
-                    for t, v in L.bracket_basis(i, j).items():
+                    # [x_k, x_i] = -[x_i, x_k] since i < k
+                    for t, v in br.get((i, k), empty).items():
+                        self._wedge_into(row, j, t, v, block_pos, -1)
+                    for t, v in br.get((i, j), empty).items():
                         self._wedge_into(row, k, t, v, block_pos)
                     if row:
                         yield row
 
     def _process_block(self, degree, gens, target) -> UceBlock:
-        L = self.L
-        ring = self.ring
         m = len(gens)
         tdim = len(target)
         tpos = {b: p for p, b in enumerate(target)}
         # covering map u on this block
         u_cols = {}
         for p, (i, j) in enumerate(gens):
-            vec = L.bracket_basis(i, j)
+            vec = self.L.bracket.get((i, j), {})
             col = {}
             for t, v in vec.items():
                 col[tpos[t]] = v
             if col:
                 u_cols[p] = col
-        if ring.kind == "Z":
-            # L is perfect and brackets are homogeneous, so rank(u) = tdim
-            uce_shape, kernel = integer_kernel_mod_relations(
-                u_cols, tdim, self._relation_rows(degree, gens), m
-            )
-            return UceBlock(degree, m, uce_shape, kernel, tdim)
-        if ring.kind == "Fp":
-            ech = ModularEchelon(m, ring.p)
-            ech.add_batch(self._relation_rows(degree, gens))
-            dim_uce = m - ech.rank
-            return UceBlock(
-                degree,
-                m,
-                ModuleShape(dim_uce, ()),
-                ModuleShape(dim_uce - tdim, ()),
-                tdim,
-            )
-        # Q: certified streaming rank with exact fallback
-        bound = m - tdim
-
-        def factory():
-            for row in self._relation_rows(degree, gens):
-                yield _scale_row_to_int(row)
-
-        rank = rank_certified(factory, m, bound)
-        dim_uce = m - rank
-        return UceBlock(
-            degree, m, ModuleShape(dim_uce, ()), ModuleShape(dim_uce - tdim, ()), tdim
+        # L is perfect and brackets are homogeneous, so rank(u) = tdim
+        uce_shape, kernel = quotient_shape(
+            self.ring, lambda: self._relation_rows(degree, gens), m, u_cols, tdim
         )
+        return UceBlock(degree, m, uce_shape, kernel, tdim)
 
     # -- derived data ---------------------------------------------------
     def total_kernel(self) -> ModuleShape:
@@ -212,19 +182,9 @@ class UceResult:
             raise ValueError("direct perfectness test limited to small algebras")
         for d, gens in self._gen_blocks.items():
             block_pos = {g: p for p, g in enumerate(gens)}
-            m = len(gens)
-            if ring.kind == "Z":
-                lat = LatticeEchelon()
-                add = lat.add
-                full = lambda: len(lat.pivots) == m and all(
-                    r[c] == 1 for c, r in lat.pivots.items()
-                )
-            else:
-                ech = FieldEchelon(ring) if ring.kind == "Fp" else IntEchelon()
-                add = lambda r: ech.add(r if ring.kind == "Fp" else _scale_row_to_int(r))
-                full = lambda: ech.rank == m
+            ech = span(ring, len(gens))
             for row in self._relation_rows(d, gens):
-                add({k: v for k, v in row.items()})
+                ech.add(row)
             # brackets of uce generators: <[e_a,e_b], [e_c,e_d]>
             pairs = [(a, b) for a in range(L.dim) for b in range(a + 1, L.dim)]
             for (a, b) in pairs:
@@ -251,8 +211,8 @@ class UceResult:
                                     row, i, j, ring.mul(vi, vj), block_pos
                                 )
                     if row:
-                        add(row)
-            if not full():
+                        ech.add(row)
+            if not ech.is_full(len(gens)):
                 return False
         return True
 
@@ -368,15 +328,10 @@ class HomologyQuotient:
     kind: str
     module: ModuleShape
     generators: int
-    relation_lattice: object  # LatticeEchelon over Z, FieldEchelon over fields
+    relation_lattice: object  # linalg.span of the relations (a lattice over Z)
 
     def reduces_to_zero(self, vec: dict) -> bool:
-        if hasattr(self.relation_lattice, "contains"):
-            return self.relation_lattice.contains(
-                {k: int(v) for k, v in vec.items() if v}
-            )
-        residual, _ = self.relation_lattice.reduce(vec)
-        return not residual
+        return self.relation_lattice.contains(vec)
 
     def same_class(self, u: dict, v: dict, ring) -> bool:
         diff = dict(u)
@@ -385,21 +340,11 @@ class HomologyQuotient:
 
 
 def _quotient(ring, ngens, rows, kind) -> HomologyQuotient:
-    if ring.kind == "Z":
-        lat = LatticeEchelon()
-        mat_rows = []
-        for r in rows:
-            r = {k: int(v) for k, v in r.items() if v}
-            if r:
-                lat.add(r)
-                mat_rows.append(r)
-        rel = SparseMatrix.from_rows(mat_rows, ngens, ZZ) if mat_rows else SparseMatrix(0, ngens, {}, ZZ)
-        shape = module_invariants(FinitelyPresentedModule(ZZ, ngens, rel))
-        return HomologyQuotient(kind, shape, ngens, lat)
-    ech = FieldEchelon(ring)
+    lat = span(ring, ngens)
     for r in rows:
-        ech.add(r)
-    return HomologyQuotient(kind, ModuleShape(ngens - ech.rank, ()), ngens, ech)
+        lat.add(r)
+    shape, _ = quotient_shape(ring, lambda: iter(rows), ngens, {}, 0)
+    return HomologyQuotient(kind, shape, ngens, lat)
 
 
 def d2(D: StructureAlgebra) -> HomologyQuotient:
@@ -533,18 +478,15 @@ def hc1(D: StructureAlgebra) -> HomologyQuotient:
         return HomologyQuotient(
             "HC1", subquotient_invariants(ZZ, S, inter, ngens), ngens, tw.relation_lattice
         )
-    from .linalg import kernel_basis
-
-    M = SparseMatrix(n, n * n, ent, ring)
-    S = kernel_basis(M)
-    dim_S = len(S)
-    rel_rows = list(_tilde_relation_rows(D))
-    dim_U = len(_field_rref([dict(r) for r in rel_rows], ngens, ring)[0])
-    dim_sum = len(
-        _field_rref([dict(r) for r in rel_rows + S], ngens, ring)[0]
-    )
-    inter_dim = dim_S + dim_U - dim_sum
-    return HomologyQuotient("HC1", ModuleShape(dim_S - inter_dim, ()), ngens, tw.relation_lattice)
+    S = kernel_basis(SparseMatrix(n, n * n, ent, ring))
+    ech = span(ring, ngens)
+    for r in _tilde_relation_rows(D):
+        ech.add(r)
+    dim_U = ech.rank
+    for s in S:
+        ech.add(s)
+    inter_dim = len(S) + dim_U - ech.rank
+    return HomologyQuotient("HC1", ModuleShape(len(S) - inter_dim, ()), ngens, tw.relation_lattice)
 
 
 def _tilde_relation_rows(D: StructureAlgebra):
@@ -699,9 +641,9 @@ def star_kernel(J) -> ModuleShape:
                 if t_vec:
                     t_vecs.append(t_vec)
         # rank gain of the T classes over the relation span = dim span{T} in J*J
-        probe = IntEchelon()
+        probe = span(ring, S.gens)
         probe.pivots = dict(S.relation_echelon().pivots)
-        gained = sum(1 for v in t_vecs if probe.add(_scale_row_to_int(v)))
+        gained = sum(1 for v in t_vecs if probe.add(v))
         if gained != shape.free_rank:
             raise AssertionError(
                 "explicit T(a,b) criterion disagrees with the computed kernel"
@@ -850,30 +792,16 @@ class CocycleExtension:
         """L perfect and every fiber surjected by psi values."""
         if not self.L.is_perfect():
             return False
-        ring = self.ring
         for gamma in self.ds_vectors:
-            if ring.kind == "Z":
-                lat = LatticeEchelon()
-                for row in _lattice_rows(self.fiber.relation_lattice):
-                    lat.add(dict(row))
-                add = lat.add
-                def full():
-                    return len(lat.pivots) == self.D.dim and all(
-                        r[c] == 1 for c, r in lat.pivots.items()
-                    )
-            else:
-                ech = FieldEchelon(ring)
-                for row in _lattice_rows(self.fiber.relation_lattice):
-                    ech.add(dict(row))
-                add = ech.add
-                def full():
-                    return ech.rank == self.D.dim
+            ech = span(self.ring, self.D.dim)
+            for row in self.fiber.relation_lattice.basis_rows():
+                ech.add(row)
             for i in range(self.L.dim):
                 for j in range(self.L.dim):
                     got = self.psi_basis(i, j)
                     if got and got[0] == gamma and got[1]:
-                        add(dict(got[1]))
-            if not full():
+                        ech.add(got[1])
+            if not ech.is_full(self.D.dim):
                 return False
         return True
 
@@ -886,13 +814,6 @@ class CocycleExtension:
             if blk.kernel_shape != self.fiber.module:
                 return False
         return True
-
-
-def _lattice_rows(lattice_obj):
-    if hasattr(lattice_obj, "basis_rows"):
-        return lattice_obj.basis_rows()
-    return [dict(row) for row, _ in
-            (lattice_obj.pivots[c] for c in sorted(lattice_obj.pivots))]
 
 
 def cocycle_extension(L: GradedLieAlgebra, kind: str, D: StructureAlgebra) -> CocycleExtension:

@@ -13,12 +13,12 @@ Operators are kept sparse as dicts column -> (dict row -> scalar).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product
 from math import prod
 
 from .algebras import StructureAlgebra
-from .linalg import _field_rref, kernel_basis, SparseMatrix
+from .linalg import SparseMatrix, field_rank, integer_kernel, kernel_basis, span
 from .rings import BaseRing
 
 
@@ -880,11 +880,7 @@ def _symmetric_basis(D: StructureAlgebra):
         ent[(j, j)] = ring.sub(ent.get((j, j), ring.coerce(0)), ring.coerce(1))
     ent = {k: v for k, v in ent.items() if not ring.is_zero(v)}
     mat = SparseMatrix(D.dim, D.dim, ent, ring)
-    if ring.is_field:
-        return kernel_basis(mat)
-    from .linalg import integer_kernel
-
-    return integer_kernel(mat)
+    return kernel_basis(mat) if ring.is_field else integer_kernel(mat)
 
 
 def _nuclear_involution(D: StructureAlgebra) -> bool:
@@ -934,7 +930,7 @@ def hermitian_algebra(n: int, D: StructureAlgebra) -> JordanAlgebra:
                 index[(i, j, t)] = len(labels)
                 labels.append(f"{D.labels[t]}[{i + 1}{j + 1}]")
                 basis_payload.append((i, j, {t: ring.coerce(1)}))
-    sym_ech = _Expander(ring, sym)
+    sym_coords = _coords_in(ring, sym, D.dim)
 
     def normalize(i, j, d):
         """d[ij] with arbitrary i, j into the stored (i <= j) convention."""
@@ -995,7 +991,7 @@ def hermitian_algebra(n: int, D: StructureAlgebra) -> JordanAlgebra:
             if not dvec:
                 continue
             if r == s:
-                for s_idx, coef in sym_ech.coords(dvec):
+                for s_idx, coef in sym_coords(dvec):
                     key = index[(r, r, s_idx)]
                     w = ring.add(out.get(key, 0), coef)
                     if ring.is_zero(w):
@@ -1022,7 +1018,7 @@ def hermitian_algebra(n: int, D: StructureAlgebra) -> JordanAlgebra:
                     circ[(q_idx, p_idx)] = vec
     unit = {}
     for i in range(n):
-        for s_idx, coef in sym_ech.coords(D.unit):
+        for s_idx, coef in sym_coords(D.unit):
             unit[index[(i, i, s_idx)]] = coef
     J = JordanAlgebra(ring, labels, circ, unit)
     J.hermitian_data = {
@@ -1035,39 +1031,20 @@ def hermitian_algebra(n: int, D: StructureAlgebra) -> JordanAlgebra:
     return J
 
 
-class _Expander:
-    """Expresses vectors in the span of a fixed basis (field scalars)."""
+def _coords_in(ring, basis, dim):
+    """Coordinates in an independent basis: vec -> sorted (index, coef)
+    pairs with nonzero coef; raises ValueError outside the span."""
+    ech = span(ring, dim, track=True)
+    for b in basis:
+        ech.add(b)
 
-    def __init__(self, ring, basis):
-        self.ring = ring
-        self.basis = [dict(b) for b in basis]
-
-    def coords(self, vec):
-        ring = self.ring
-        residual = {k: ring.coerce(v) for k, v in vec.items() if not ring.is_zero(ring.coerce(v))}
-        out = []
-        # basis is echelon-friendly in our uses (small), do gaussian solve
-        work = [dict(b) for b in self.basis]
-        coeffs = [ring.coerce(0)] * len(work)
-        for idx in range(len(work)):
-            row = work[idx]
-            if not row:
-                continue
-            lead = min(row)
-            if lead in residual:
-                c = ring.div(residual[lead], row[lead]) if ring.kind == "Z" else ring.mul(
-                    residual[lead], ring.inv(row[lead])
-                )
-                coeffs[idx] = c
-                for k, v in row.items():
-                    w = ring.sub(residual.get(k, ring.coerce(0)), ring.mul(c, v))
-                    if ring.is_zero(w):
-                        residual.pop(k, None)
-                    else:
-                        residual[k] = w
+    def coords(vec):
+        residual, found = ech.reduce(vec)
         if residual:
             raise ValueError("vector not in the symmetric-part span")
-        return [(i, c) for i, c in enumerate(coeffs) if not ring.is_zero(c)]
+        return sorted((i, ring.coerce(c)) for i, c in found.items() if c)
+
+    return coords
 
 
 def albert_algebra(ring: BaseRing) -> JordanAlgebra:
@@ -1206,32 +1183,12 @@ def peirce(J: JordanAlgebra, idempotents) -> PeirceDecomposition:
         raise ValueError(
             f"family fails to decompose J: Peirce spaces span {found} of {J.dim}"
         )
-    rows = [dict(v) for vs in spaces.values() for v in vs]
-    if len(_field_rref(rows, J.dim, ring)[0]) != J.dim:
+    rows = [v for vs in spaces.values() for v in vs]
+    if field_rank(SparseMatrix.from_rows(rows, J.dim, ring)) != J.dim:
         raise ValueError("Peirce spaces are not independent")
     dec = PeirceDecomposition(J, es, spaces)
     _verify_peirce_rules(J, dec)
     return dec
-
-
-def _membership_tester(ring, vectors, dim):
-    pivots, rows = _field_rref([dict(v) for v in vectors], dim, ring)
-
-    def contains(vec):
-        residual = {k: ring.coerce(v) for k, v in vec.items() if not ring.is_zero(ring.coerce(v))}
-        for pc, prow in zip(pivots, rows):
-            c = residual.get(pc)
-            if c is None or ring.is_zero(c):
-                continue
-            for k, v in prow.items():
-                w = ring.sub(residual.get(k, ring.coerce(0)), ring.mul(c, v))
-                if ring.is_zero(w):
-                    residual.pop(k, None)
-                else:
-                    residual[k] = w
-        return not residual
-
-    return contains
 
 
 def _verify_peirce_rules(J: JordanAlgebra, dec: PeirceDecomposition):
@@ -1243,10 +1200,11 @@ def _verify_peirce_rules(J: JordanAlgebra, dec: PeirceDecomposition):
     def tester_for(keys):
         keys = tuple(sorted(keys))
         if keys not in testers:
-            vecs = []
+            ech = span(ring, J.dim)
             for key in keys:
-                vecs.extend(dec.spaces.get(key, []))
-            testers[keys] = _membership_tester(ring, vecs, J.dim)
+                for v in dec.spaces.get(key, []):
+                    ech.add(v)
+            testers[keys] = ech.contains
         return testers[keys]
 
     items = sorted(dec.spaces)
@@ -1306,17 +1264,10 @@ def pair_idempotent_peirce(V: JordanPair, e):
         Q_other = V.Q_of(-sign, eother)  # V^{sign} -> V^{-sign}
         D_e = V.D_op(sign, esig, eother)
         # V_2: column span of Q_e
-        cols = [dict(c) for c in Q_e.values()]
-        pivots, rows = _field_rref(cols, n, ring) if ring.is_field else (None, None)
-        if ring.is_field:
-            v2 = [dict(r) for r in rows]
-        else:
-            from .linalg import LatticeEchelon
-
-            lat = LatticeEchelon()
-            for c in cols:
-                lat.add(c)
-            v2 = lat.basis_rows()
+        image = span(ring, n)
+        for c in Q_e.values():
+            image.add(c)
+        v2 = [dict(r) for r in image.basis_rows()]
         # V_1: kernel of (D_e - id)
         ent = {}
         for j, colv in D_e.items():
@@ -1429,8 +1380,8 @@ def verify_grid(V: JordanPair, family: dict, grading) -> GridReport:
                 failures.append(
                     f"joint Peirce spaces span {total} of {V.dim(sign)} on sign {sign}"
                 )
-            rows = [dict(v) for g in roots for v in joint[g][sign]]
-            if len(_field_rref(rows, V.dim(sign), ring)[0]) != min(
+            rows = [v for g in roots for v in joint[g][sign]]
+            if field_rank(SparseMatrix.from_rows(rows, V.dim(sign), ring)) != min(
                 total, V.dim(sign)
             ):
                 failures.append("joint Peirce spaces are not independent")
@@ -1465,12 +1416,12 @@ def hermitian_grid(J: JordanAlgebra):
     index = data["index"]
     sym = data["sym_basis"]
     ring = J.ring
-    sym_ech = _Expander(ring, sym)
+    sym_coords = _coords_in(ring, sym, D.dim)
     family = {}
     for i in range(n):
         root = tuple(2 * int(t == i) for t in range(n))
         vec = {}
-        for s_idx, coef in sym_ech.coords(D.unit):
+        for s_idx, coef in sym_coords(D.unit):
             vec[index[(i, i, s_idx)]] = coef
         family[root] = (dict(vec), dict(vec))
     for i in range(n):

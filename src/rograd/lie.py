@@ -8,7 +8,6 @@ in Python integers after clearing denominators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .algebras import StructureAlgebra, tensor_matrix_algebra
@@ -22,32 +21,23 @@ from .jordan import (
     op_scale,
 )
 from .linalg import (
-    FieldEchelon,
-    IntEchelon,
     LatticeEchelon,
-    ModularEchelon,
     ModuleShape,
-    _field_rref,
-    integer_kernel,
-    integer_kernel_mod_relations,
-    rank_certified,
     SparseMatrix,
+    field_rank,
+    integer_kernel,
     kernel_basis,
+    lattice_span,
+    quotient_shape,
+    rank_certified,
+    span,
 )
-from .rings import BaseRing, QQ, ZZ
+from .rings import BaseRing, ZZ
 
 
 # ---------------------------------------------------------------------------
-# small vector / scaling helpers
+# Jacobi helpers
 # ---------------------------------------------------------------------------
-
-
-def _scale_row_to_int(row: dict):
-    """Scale a sparse rational row to a primitive integer row (span-safe)."""
-    denom = 1
-    for v in row.values():
-        denom = lcm(denom, v.denominator)
-    return {c: int(v * denom) for c, v in row.items() if v}
 
 
 def _reaches(ad, a, b, c) -> bool:
@@ -75,34 +65,25 @@ def _jacobiator(ad, i, j, k, p) -> bool:
 class OperatorLieAlgebra:
     """Lie span of operator generators on a carrier module.
 
-    Generators are sparse ops (dict col -> dict row -> scalar).  A basis of
-    the span is extracted by integer echelon after clearing denominators;
-    closure under brackets is verified (rank stabilization).
+    Generators are sparse ops (dict col -> dict row -> scalar).  The basis
+    is the staircase of linalg.lattice_span on the flattened generators
+    (integral in characteristic 0, so coordinates mostly stay integral);
+    coordinates come from the ring's tracked span.  Closure under brackets
+    is verified (rank stabilization).
     """
 
     def __init__(self, ring: BaseRing, carrier_dim: int, generators, closure_check=True):
         self.ring = ring
         self.carrier_dim = carrier_dim
         self.generators = list(generators)
-        if ring.kind == "Fp":
-            ech = FieldEchelon(ring)
-            for op in self.generators:
-                ech.add(self._flatten_raw(op))
-            rows = [dict(r) for r, _ in (ech.pivots[c] for c in sorted(ech.pivots))]
-            self.basis = [self._unflatten(row) for row in rows]
-            self._coord_ech = FieldEchelon(ring, track=True)
-            for row in rows:
-                self._coord_ech.add(dict(row))
-        else:
-            # primitive integer echelon rows of the flattened generators
-            # (a lattice staircase keeps later coordinates integral mostly)
-            lat = LatticeEchelon()
-            for op in self.generators:
-                lat.add(self._flatten(op))
-            self.basis = [self._unflatten(row) for row in lat.basis_rows()]
-            self._coord_ech = IntEchelon(track=True)
-            for op in self.basis:
-                self._coord_ech.add(self._flatten(op))
+        width = carrier_dim * carrier_dim
+        gen = lattice_span(ring, width)
+        for op in self.generators:
+            gen.add(self._flatten(op))
+        self.basis = [self._unflatten(row) for row in gen.basis_rows()]
+        self._coord_ech = span(ring, width, track=True)
+        for op in self.basis:
+            self._coord_ech.add(self._flatten(op))
         if closure_check:
             self._verify_closed()
 
@@ -110,14 +91,11 @@ class OperatorLieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _flatten_raw(self, op) -> dict:
+    def _flatten(self, op) -> dict:
         n = self.carrier_dim
         return {
             i * n + j: v for j, col in op.items() for i, v in col.items()
         }
-
-    def _flatten(self, op) -> dict:
-        return _scale_row_to_int(self._flatten_raw(op))
 
     def _unflatten(self, row: dict):
         n = self.carrier_dim
@@ -129,8 +107,7 @@ class OperatorLieAlgebra:
 
     def express(self, op):
         """Coordinates of op in the chosen basis, or None if outside."""
-        raw = self._flatten_raw(op)
-        residual, coords = self._coord_ech.reduce(raw)
+        residual, coords = self._coord_ech.reduce(self._flatten(op))
         if residual:
             return None
         out = {}
@@ -267,22 +244,13 @@ class GradedLieAlgebra:
             yield dict(vec)
 
     def is_perfect(self) -> bool:
-        ring = self.ring
-        if ring.kind == "Z":
-            lat = LatticeEchelon()
-            for row in self.derived_rows():
-                lat.add(row)
-            if len(lat.pivots) != self.dim:
-                return False
-            # full staircase with all leads 1 <=> the derived lattice is Z^n
-            return all(row[c] == 1 for c, row in lat.pivots.items())
-        if ring.kind == "Fp":
-            ech = ModularEchelon(self.dim, p=ring.p)
-            ech.add_batch(self.derived_rows())
-            return ech.rank == self.dim
-        rows = [_scale_row_to_int(r) for r in self.derived_rows()]
-        rank = rank_certified(lambda: iter(rows), self.dim, self.dim)
-        return rank == self.dim
+        """Whether the brackets span L (over Z: the whole lattice)."""
+        ech = span(self.ring, self.dim)
+        for row in self.derived_rows():
+            if ech.is_full(self.dim):
+                break
+            ech.add(row)
+        return ech.is_full(self.dim)
 
     def centre_basis(self):
         """Basis of {z : [z, L] = 0} (exact; pure lattice over Z)."""
@@ -295,21 +263,10 @@ class GradedLieAlgebra:
                 for k, v in vec.items():
                     rows.setdefault((j, k), {})[i] = v
         row_list = list(rows.values())
-        if ring.kind == "Z":
-            ent = {}
-            for r, row in enumerate(row_list):
-                for c, v in row.items():
-                    ent[(r, c)] = v
-            return integer_kernel(SparseMatrix(len(row_list), n, ent, ZZ))
-        if ring.kind == "Q":
-            int_rows = [_scale_row_to_int(r) for r in row_list]
-            if rank_certified(lambda: iter(int_rows), n, n) == n:
-                return []
-        ent = {}
-        for r, row in enumerate(row_list):
-            for c, v in row.items():
-                ent[(r, c)] = v
-        return kernel_basis(SparseMatrix(len(row_list), n, ent, ring))
+        if rank_certified(lambda: iter(row_list), n, n, ring) == n:
+            return []
+        M = SparseMatrix.from_rows(row_list, n, ring)
+        return integer_kernel(M) if ring.kind == "Z" else kernel_basis(M)
 
     # -- reports ------------------------------------------------------------
     def to_json(self) -> dict:
@@ -529,25 +486,11 @@ class UIDer:
 
     def hc(self):
         """Normal form of HC(V) = ker(ud), the centre of the covering."""
-        ring = self.ring
-        if ring.kind == "Z":
-            # instr(V) is spanned by the deltas, so rank(ud) = inner.dim
-            _, kernel = integer_kernel_mod_relations(
-                self.ud_columns, self.inner.dim, self.relation_rows(), self.gens
-            )
-            return kernel
-        if ring.kind == "Fp":
-            ech = ModularEchelon(self.gens, ring.p)
-            ech.add_batch(self.relation_rows())
-            return ModuleShape(self.gens - ech.rank - self.inner.dim, ())
-        bound = self.gens - self.inner.dim
-
-        def factory():
-            for row in self.relation_rows():
-                yield _scale_row_to_int(row)
-
-        rank = rank_certified(factory, self.gens, bound)
-        return ModuleShape(self.gens - rank - self.inner.dim, ())
+        # instr(V) is spanned by the deltas, so rank(ud) = inner.dim
+        _, kernel = quotient_shape(
+            self.ring, self.relation_rows, self.gens, self.ud_columns, self.inner.dim
+        )
+        return kernel
 
     def dim_over_field(self) -> int:
         """dim of uider(V) over a field."""
@@ -569,13 +512,9 @@ class UIDer:
             d = self.gen_degrees[next(iter(row))]
             if any(self.gen_degrees[g] != d for g in row):
                 raise AssertionError("inhomogeneous uider relation")
-            ech = rel_ech.setdefault(
-                d,
-                FieldEchelon(self.ring)
-                if self.ring.kind == "Fp"
-                else IntEchelon(),
-            )
-            ech.add(row if self.ring.kind == "Fp" else _scale_row_to_int(row))
+            if d not in rel_ech:
+                rel_ech[d] = span(self.ring, self.gens)
+            rel_ech[d].add(row)
         out = {}
         for d, gens in gen_block.items():
             rank = rel_ech[d].rank if d in rel_ech else 0
@@ -653,20 +592,12 @@ def sl_algebra(k_size: int, D: StructureAlgebra) -> GradedLieAlgebra:
                     gens.append({amb_idx(i, j, t): ring.coerce(1)})
 
     # closure under brackets inside the ambient associative algebra
-    if ring.kind == "Fp":
-        ech = FieldEchelon(ring)
-        to_row = lambda vec: dict(vec)
-    elif ring.kind == "Z":
-        ech = LatticeEchelon()
-        to_row = lambda vec: {c: int(v) for c, v in vec.items()}
-    else:
-        ech = IntEchelon()
-        to_row = _scale_row_to_int
-
+    width = k_size * k_size * dd
+    ech = span(ring, width)
     basis_vecs = []
     frontier = []
     for g in gens:
-        if ech.add(to_row(g)):
+        if ech.add(g):
             frontier.append(g)
     basis_vecs.extend(frontier)
     while frontier:
@@ -674,44 +605,26 @@ def sl_algebra(k_size: int, D: StructureAlgebra) -> GradedLieAlgebra:
         for x in frontier:
             for y in basis_vecs:
                 br = amb.commutator(x, y)
-                if br and ech.add(to_row(br)):
+                if br and ech.add(br):
                     new.append(br)
                     basis_vecs.append(br)
         frontier = new
 
-    if ring.kind == "Fp":
-        rows = [dict(row) for row, _ in (ech.pivots[c] for c in sorted(ech.pivots))]
-    elif ring.kind == "Z":
-        rows = ech.basis_rows()
-    else:
-        rows = [dict(row) for row, _ in (ech.pivots[c] for c in sorted(ech.pivots))]
-    rows = sorted(rows, key=lambda r: (degree_of(min(r)), min(r)))
+    rows = sorted(ech.basis_rows(), key=lambda r: (degree_of(min(r)), min(r)))
     basis = [{c: ring.coerce(v) for c, v in row.items()} for row in rows]
     degrees = [degree_of(min(r)) for r in rows]
     for vec, deg in zip(basis, degrees):
         assert all(degree_of(c) == deg for c in vec), "inhomogeneous basis vector"
 
-    if ring.kind == "Fp":
-        coord = FieldEchelon(ring, track=True)
-        for row in basis:
-            coord.add(dict(row))
+    coord = span(ring, width, track=True)
+    for row in basis:
+        coord.add(row)
 
-        def coords_of(vec):
-            residual, coords = coord.reduce(vec)
-            if residual:
-                raise AssertionError("bracket left the generated span")
-            return {k: v for k, v in coords.items() if not ring.is_zero(v)}
-
-    else:
-        coord = IntEchelon(track=True)
-        for row in rows:
-            coord.add(dict(row))
-
-        def coords_of(vec):
-            residual, coords = coord.reduce(vec)
-            if residual:
-                raise AssertionError("bracket left the generated span")
-            return {k: ring.coerce(c) for k, c in coords.items() if c}
+    def coords_of(vec):
+        residual, coords = coord.reduce(vec)
+        if residual:
+            raise AssertionError("bracket left the generated span")
+        return {k: ring.coerce(c) for k, c in coords.items() if c}
 
     bracket = {}
     nbasis = len(basis)
@@ -787,7 +700,7 @@ def _verify_sl_zero_part(L, D, k_size, amb_idx, rows, ring):
             raise AssertionError("sl_K degree-0 part mismatch")
     else:
         # dimension check: (k-1)*dim D + dim[D,D]
-        comm_dim = len(_field_rref([{k: ring.coerce(v) for k, v in c.items()} for c in commutators], dd, ring if ring.is_field else QQ)[0])
+        comm_dim = field_rank(SparseMatrix.from_rows(commutators, dd, ring))
         expect = (k_size - 1) * dd + comm_dim
         if len(zero_rows) != expect:
             raise AssertionError("sl_K degree-0 dimension mismatch")
@@ -900,30 +813,21 @@ class StarModule:
 
     def dim_and_kernel(self):
         """(dim J*J, HC(J) shape) over a field, exactly."""
-        ring = self.ring
+        # the relations lie in ker ud_JA, of dimension gens - dim IDer(J)
         bound = self.gens - self.inner.dim
-        if ring.kind == "Fp":
-            rank = len(
-                _field_rref(list(self.relation_rows()), self.gens, ring)[0]
-            )
-        else:
-            def factory():
-                for row in self.relation_rows():
-                    yield _scale_row_to_int(row)
-
-            rank = rank_certified(factory, self.gens, bound)
+        rank = rank_certified(self.relation_rows, self.gens, bound, self.ring)
         dim = self.gens - rank
         return dim, ModuleShape(dim - self.inner.dim, ())
 
     def hc(self):
         return self.dim_and_kernel()[1]
 
-    def relation_echelon(self) -> IntEchelon:
-        """Exact echelon of the relation rows (for membership checks)."""
+    def relation_echelon(self):
+        """Exact span of the relation rows (for membership checks)."""
         if self._rel_ech is None:
-            ech = IntEchelon()
+            ech = span(self.ring, self.gens)
             for row in self.relation_rows():
-                ech.add(_scale_row_to_int(row))
+                ech.add(row)
             self._rel_ech = ech
         return self._rel_ech
 
@@ -934,9 +838,7 @@ class StarModule:
         _vec_add_into(ring, diff, v, ring.coerce(-1))
         if not diff:
             return True
-        ech = self.relation_echelon()
-        residual, _ = ech.reduce(_scale_row_to_int(diff))
-        return not residual
+        return self.relation_echelon().contains(diff)
 
     def bracket(self, u: dict, v: dict) -> dict:
         """[u, v] = ud(u).v acting on the tensor slots (raw representative)."""
@@ -1066,21 +968,17 @@ def assign_root_grading(L: TKKAlgebra, family: dict, grading) -> GradedLieAlgebr
                             )
                         continue
                     if coords:
-                        ech = mid_ech.setdefault(
-                            mu, FieldEchelon(ring, track=False)
-                            if ring.is_field
-                            else IntEchelon()
-                        )
-                        row = coords if ring.is_field else _scale_row_to_int(coords)
-                        ech.add(row)
+                        if mu not in mid_ech:
+                            mid_ech[mu] = span(ring, k)
+                        mid_ech[mu].add(coords)
     mid_total = 0
     for mu in sorted(mid_ech):
-        ech = mid_ech[mu]
-        rows = [dict(r) for r, _ in (ech.pivots[c] for c in sorted(ech.pivots))]
         if not R.is_root(tuple(mu)):
             raise AssertionError(f"instr component at non-root degree {mu}")
-        for t, row in enumerate(rows):
-            vec = {n + c: ring.coerce(v) for c, v in row.items()}
+        for t, row in enumerate(mid_ech[mu].basis_rows()):
+            # echelon rows scaled to lead 1
+            lead = row[min(row)]
+            vec = {n + c: ring.coerce(ring.div(v, lead)) for c, v in row.items()}
             new_basis.append(vec)
             new_degrees.append(tuple(mu))
             new_labels.append(f"L0[{mu}]{t}")
@@ -1096,11 +994,9 @@ def assign_root_grading(L: TKKAlgebra, family: dict, grading) -> GradedLieAlgebr
             new_degrees.append(neg)
             new_labels.append(f"V-[{alpha}]{t}")
     # change of basis
-    coord = (
-        FieldEchelon(ring, track=True) if ring.is_field else IntEchelon(track=True)
-    )
+    coord = span(ring, L.dim, track=True)
     for vec in new_basis:
-        if not coord.add(dict(vec)):
+        if not coord.add(vec):
             raise AssertionError("graded basis is not independent")
 
     def coords_of(vec):

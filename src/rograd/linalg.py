@@ -1,20 +1,23 @@
 """Exact sparse linear algebra over Z, Q and F_p.
 
-Provides Smith normal form with unimodular transforms, field kernels,
-finitely presented module normalization, integer lattice echelons, and a
-streaming mod-p row echelon used to certify ranks of large integer
-matrices (a mod-p rank is a lower bound for the rank over Q, so reaching
-a known upper bound proves the exact value).
+Callers reach it through two entry points that pick the algorithm from the
+ring: span(ring, ncols) returns the ring's one echelon backend, and
+quotient_shape(ring, ...) reads R^m/R and ker(u)/R off a relation stream
+(one Smith normal form over Z, a certified rank over a field).  Also Smith
+normal form with unimodular transforms, finitely presented module
+normalization, and rank_certified, which streams rows through a mod-p
+echelon (a mod-p rank is a lower bound for the rank over Q, so reaching a
+known upper bound proves the exact value).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from .rings import QQ, ZZ, BaseRing, _is_prime
+from .rings import GF, QQ, ZZ, BaseRing, _is_prime
 
 # ---------------------------------------------------------------------------
 # sparse matrices
@@ -328,91 +331,6 @@ def solve_integer(M: SparseMatrix, b: dict):
 
 
 # ---------------------------------------------------------------------------
-# field echelon / kernels
-# ---------------------------------------------------------------------------
-
-
-def _field_rref(rows, ncols, ring):
-    """Reduced row echelon of dict-rows over a field; returns (pivots, rows).
-
-    pivots: ordered list of pivot columns; rows: matching reduced dict-rows
-    with pivot entry 1.  Deterministic: scans columns left to right.
-    """
-    work = [dict(r) for r in rows]
-    ech = {}  # pivot col -> row (pivot entry 1, no other pivot columns)
-    for row in work:
-        row = {c: v for c, v in row.items() if not ring.is_zero(v)}
-        while row:
-            lead = min(row)
-            if lead in ech:
-                coef = row[lead]
-                for c, v in ech[lead].items():
-                    w = ring.sub(row.get(c, ring.coerce(0)), ring.mul(coef, v))
-                    if ring.is_zero(w):
-                        row.pop(c, None)
-                    else:
-                        row[c] = w
-            else:
-                inv = ring.inv(row[lead])
-                row = {c: ring.mul(inv, v) for c, v in row.items()}
-                # clear every remaining pivot column from the new row (its
-                # lead is free, but its tail may hit existing pivots)
-                for pc in sorted(set(row) & set(ech)):
-                    coef = row.get(pc)
-                    if coef is None or ring.is_zero(coef):
-                        continue
-                    for c, v in ech[pc].items():
-                        w = ring.sub(row.get(c, ring.coerce(0)), ring.mul(coef, v))
-                        if ring.is_zero(w):
-                            row.pop(c, None)
-                        else:
-                            row[c] = w
-                # back-substitute into the existing rows
-                for pc, prow in ech.items():
-                    if lead in prow:
-                        coef = prow[lead]
-                        for c, v in row.items():
-                            w = ring.sub(prow.get(c, ring.coerce(0)), ring.mul(coef, v))
-                            if ring.is_zero(w):
-                                prow.pop(c, None)
-                            else:
-                                prow[c] = w
-                ech[lead] = row
-                break
-    pivots = sorted(ech)
-    return pivots, [ech[c] for c in pivots]
-
-
-def kernel_basis(M: SparseMatrix):
-    """Basis of the null space of M over a field, as dict-vectors.
-
-    Deterministic: reduced echelon pivots with the natural column order;
-    each basis vector has entry 1 at its free column.
-    """
-    ring = M.ring
-    if not ring.is_field:
-        raise ValueError("kernel_basis requires field coefficients")
-    pivots, rows = _field_rref(M.row_dicts(), M.cols, ring)
-    pivset = set(pivots)
-    basis = []
-    for free in range(M.cols):
-        if free in pivset:
-            continue
-        vec = {free: ring.coerce(1)}
-        for pc, prow in zip(pivots, rows):
-            v = prow.get(free)
-            if v is not None and not ring.is_zero(v):
-                vec[pc] = ring.neg(v)
-        basis.append(vec)
-    return basis
-
-
-def field_rank(M: SparseMatrix) -> int:
-    pivots, _ = _field_rref(M.row_dicts(), M.cols, M.ring)
-    return len(pivots)
-
-
-# ---------------------------------------------------------------------------
 # finitely presented modules
 # ---------------------------------------------------------------------------
 
@@ -466,33 +384,58 @@ def module_invariants(m: FinitelyPresentedModule) -> ModuleShape:
 
 
 # ---------------------------------------------------------------------------
-# exact integer echelon (rank over Q, spans, coordinate solves)
+# one span interface, one backend per ring
 # ---------------------------------------------------------------------------
+#
+# span(ring, ncols) returns the backend of the ring: LatticeEchelon over Z,
+# IntEchelon over Q, ModularEchelon over F_p.  Every backend has add(row)
+# (True when the span grew), rank, reduce(vec) -> (residual, coords),
+# contains(vec), basis_rows() (sorted by lead column) and is_full(n) (the
+# span is all of R^n).  FieldEchelon is the generic-ring reference the
+# backends are tested against; no computation uses it.
+
+
+def _cleared(row: dict):
+    """(integer row, d): row scaled by the lcm d of its denominators."""
+    d = 1
+    for v in row.values():
+        d = lcm(d, v.denominator)
+    if d == 1:
+        return {c: int(v) for c, v in row.items() if v}, 1
+    return {c: int(v * d) for c, v in row.items() if v}, d
 
 
 class IntEchelon:
-    """Incremental echelon of integer rows; rank is the rank over Q.
+    """Incremental echelon of rational rows over Q, kept as integer rows.
 
-    Rows are kept primitive (gcd 1, positive leading entry).  With
-    track=True each echelon row remembers an exact rational combination
-    of the inserted rows, enabling coordinate solves.
+    Rows are cleared of denominators and kept primitive (gcd 1, positive
+    leading entry), so rank is the rank over Q.  With track=True each
+    echelon row remembers an exact rational combination of the inserted
+    rows, enabling coordinate solves.
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self, track: bool = False, ncols: int = 0):
         self.pivots = {}  # lead col -> (row dict, combo dict | None)
         self.track = track
+        self.ncols = ncols
         self.count = 0  # rows inserted so far (for combo indexing)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    def basis_rows(self):
+        return [self.pivots[c][0] for c in sorted(self.pivots)]
+
+    def is_full(self, n: int) -> bool:
+        return self.rank == n
+
     def add(self, row: dict) -> bool:
         """Insert a row; returns True if it increased the rank."""
         idx = self.count
         self.count += 1
-        row = {c: int(v) for c, v in row.items() if v}
-        combo = {idx: Fraction(1)} if self.track else None
+        row, d = _cleared(row)
+        combo = {idx: Fraction(d)} if self.track else None
         while row:
             lead = min(row)
             hit = self.pivots.get(lead)
@@ -574,9 +517,16 @@ class IntEchelon:
         residual, _ = self.reduce(vec)
         return not residual
 
+    def kernel(self) -> list:
+        """Kernel basis over Q, one vector per free column (entry 1 there),
+        read off the reduced row echelon form."""
+        rows = {lead: row for lead, (row, _) in self.pivots.items()}
+        return _rref_kernel(rows, self.ncols, QQ)
+
 
 class FieldEchelon:
-    """Incremental row echelon over a field, with optional combo tracking."""
+    """Incremental row echelon over any field ring, with optional combo
+    tracking: the generic reference for the per-ring backends."""
 
     def __init__(self, ring, track: bool = False):
         self.ring = ring
@@ -651,7 +601,8 @@ class FieldEchelon:
 
 
 class LatticeEchelon:
-    """Incremental staircase basis of the lattice spanned by integer rows."""
+    """Incremental staircase basis of the lattice spanned by integer rows
+    (rational rows are cleared of denominators first)."""
 
     def __init__(self):
         self.pivots = {}  # lead col -> row dict
@@ -663,9 +614,13 @@ class LatticeEchelon:
     def basis_rows(self):
         return [self.pivots[c] for c in sorted(self.pivots)]
 
+    def is_full(self, n: int) -> bool:
+        """Whether the lattice is all of Z^n: rank n and every lead 1."""
+        return self.rank == n and all(row[c] == 1 for c, row in self.pivots.items())
+
     def add(self, row: dict) -> bool:
         """Insert a row into the lattice; True if the lattice grew."""
-        row = {c: int(v) for c, v in row.items() if v}
+        row, _ = _cleared(row)
         grew = False
         while row:
             lead = min(row)
@@ -704,13 +659,16 @@ class LatticeEchelon:
                 row = new
         return grew
 
-    def contains(self, vec: dict) -> bool:
+    def reduce(self, vec: dict):
+        """(residual, {}): vec minus the lattice vector that clears its leads
+        while each lead is a multiple of the pivot's; the lattice keeps no
+        coordinates."""
         vec = {c: int(v) for c, v in vec.items() if v}
         while vec:
             lead = min(vec)
             prow = self.pivots.get(lead)
             if prow is None or vec[lead] % prow[lead] != 0:
-                return False
+                break
             q = vec[lead] // prow[lead]
             new = {}
             for c in set(vec) | set(prow):
@@ -718,7 +676,11 @@ class LatticeEchelon:
                 if v:
                     new[c] = v
             vec = new
-        return True
+        return vec, {}
+
+    def contains(self, vec: dict) -> bool:
+        residual, _ = self.reduce(vec)
+        return not residual
 
     def equals(self, other: "LatticeEchelon") -> bool:
         return all(other.contains(r) for r in self.basis_rows()) and all(
@@ -737,10 +699,6 @@ def _xgcd(a: int, b: int):
     return a, x0, y0
 
 
-# ---------------------------------------------------------------------------
-# streaming mod-p echelon (rank certificates, F_p linear algebra)
-# ---------------------------------------------------------------------------
-
 CERT_PRIMES = (999983, 999979, 999961)
 for _q in CERT_PRIMES:
     assert _is_prime(_q)
@@ -754,77 +712,196 @@ class ModularEchelon:
     for every prime p.  Over F_p this is exact linear algebra; over Z or Q
     it yields a lower bound on the rank (reduction mod p cannot increase
     rank), which certifies the exact rank whenever a structural upper bound
-    is hit.
+    is hit.  With track=True each pivot row remembers its combination of the
+    inserted rows (mod p), enabling coordinate solves.
     """
 
-    def __init__(self, ncols: int, p: int = CERT_PRIMES[0]):
+    def __init__(self, ncols: int, p: int = CERT_PRIMES[0], track: bool = False):
         self.ncols = ncols
         self.p = p
         self.pivots = {}  # lead col -> row dict with lead entry 1
+        self.combos = {} if track else None  # lead col -> combo dict
+        self.count = 0  # rows inserted so far (for combo indexing)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add_batch(self, batch) -> int:
-        """Reduce rows (an iterable of sparse dicts, or a 2-D int array)
-        against the pivot rows and keep those that stay nonzero; returns the
-        rank gain."""
-        if isinstance(batch, np.ndarray):
-            batch = [{c: int(v) for c, v in enumerate(row) if v} for row in np.atleast_2d(batch)]
+    def basis_rows(self):
+        return [self.pivots[c] for c in sorted(self.pivots)]
+
+    def is_full(self, n: int) -> bool:
+        return self.rank == n
+
+    def add(self, row: dict) -> bool:
+        """Insert a row; returns True if it increased the rank."""
         p = self.p
         pivots = self.pivots
-        before = len(pivots)
+        combos = self.combos
+        combo = None if combos is None else {self.count: 1}
+        self.count += 1
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                if combo is not None:
+                    combos[lead] = {k: v * inv % p for k, v in combo.items()}
+                return True
+            f = row[lead]
+            for c, v in prow.items():
+                w = (row.get(c, 0) - f * v) % p
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+            if combo is not None:
+                _axpy_mod(combo, combos[lead], -f, p)
+        return False
+
+    def add_batch(self, batch) -> int:
+        """Insert rows (an iterable of sparse dicts, or a 2-D int array);
+        returns the rank gain."""
+        if isinstance(batch, np.ndarray):
+            batch = [{c: int(v) for c, v in enumerate(row) if v} for row in np.atleast_2d(batch)]
+        before = len(self.pivots)
         for row in batch:
-            row = {c: v % p for c, v in row.items() if v % p}
-            while row:
-                lead = min(row)
-                prow = pivots.get(lead)
-                if prow is None:
-                    inv = pow(row[lead], p - 2, p)
-                    pivots[lead] = {c: v * inv % p for c, v in row.items()}
-                    break
-                f = row[lead]
-                for c, v in prow.items():
-                    w = (row.get(c, 0) - f * v) % p
-                    if w:
-                        row[c] = w
-                    else:
-                        del row[c]
-        return len(pivots) - before
+            self.add(row)
+        return len(self.pivots) - before
+
+    def reduce(self, vec: dict):
+        """Return (residual, coords) with vec = sum(coords * inserted rows)
+        + residual mod p, the residual having no support on pivot columns;
+        coords needs track=True."""
+        p = self.p
+        residual = {c: v % p for c, v in vec.items() if v % p}
+        coords = {}
+        while residual:
+            lead = min(residual)
+            prow = self.pivots.get(lead)
+            if prow is None:
+                break
+            f = residual[lead]
+            for c, v in prow.items():
+                w = (residual.get(c, 0) - f * v) % p
+                if w:
+                    residual[c] = w
+                else:
+                    del residual[c]
+            if self.combos is not None:
+                _axpy_mod(coords, self.combos[lead], f, p)
+        return residual, coords
+
+    def contains(self, vec: dict) -> bool:
+        residual, _ = self.reduce(vec)
+        return not residual
 
     def kernel(self) -> list:
         """Kernel basis (valid when p is the base field characteristic), one
         vector per free column, read off the reduced row echelon form."""
-        p = self.p
-        reduced = {}  # back-substitution: no pivot row keeps another pivot column
-        for lead in sorted(self.pivots, reverse=True):
-            row = dict(self.pivots[lead])
-            for c in [c for c in row if c in reduced and c != lead]:
-                f = row.pop(c)
-                for k, v in reduced[c].items():
-                    if k != c:
-                        w = (row.get(k, 0) - f * v) % p
-                        if w:
-                            row[k] = w
-                        else:
-                            del row[k]
-            reduced[lead] = row
-        basis = {free: {free: 1} for free in range(self.ncols) if free not in reduced}
-        for lead in sorted(reduced):
-            for c, v in reduced[lead].items():
-                if c != lead:
-                    basis[c][lead] = (-v) % p
-        return list(basis.values())
+        return _rref_kernel(self.pivots, self.ncols, GF(self.p))
 
 
-def rank_certified(rows_factory, ncols: int, upper_bound: int, batch: int = 1024):
-    """Exact rank over Q of integer rows known to have rank <= upper_bound.
+def _axpy_mod(dst: dict, src: dict, f: int, p: int):
+    """dst += f * src over F_p, dropping zeros."""
+    for k, v in src.items():
+        w = (dst.get(k, 0) + f * v) % p
+        if w:
+            dst[k] = w
+        else:
+            dst.pop(k, None)
+
+
+def _rref_kernel(rows: dict, ncols: int, ring) -> list:
+    """Kernel basis of echelon rows (lead col -> row) over a field ring, one
+    vector per free column with entry 1 there, in free-column order."""
+    reduced = {}  # back-substitution: no row keeps another pivot column
+    for lead in sorted(rows, reverse=True):
+        row = rows[lead]
+        inv = ring.inv(row[lead])
+        row = {c: ring.mul(inv, v) for c, v in row.items()}
+        for c in [c for c in row if c in reduced and c != lead]:
+            f = row.pop(c)
+            for k, v in reduced[c].items():
+                if k != c:
+                    w = ring.sub(row.get(k, 0), ring.mul(f, v))
+                    if ring.is_zero(w):
+                        row.pop(k, None)
+                    else:
+                        row[k] = w
+        reduced[lead] = row
+    one = ring.coerce(1)
+    basis = {free: {free: one} for free in range(ncols) if free not in reduced}
+    for lead in sorted(reduced):
+        for c, v in reduced[lead].items():
+            if c != lead:
+                basis[c][lead] = ring.coerce(ring.neg(v))
+    return list(basis.values())
+
+
+def span(ring: BaseRing, ncols: int, track: bool = False):
+    """The span backend of the ring on rows of width ncols.
+
+    F_p: ModularEchelon.  Q: IntEchelon (rational rows, cleared).  Z:
+    LatticeEchelon; with track=True, Z gets the rational IntEchelon, whose
+    coordinates the caller coerces into Z (which raises if they are not
+    integral).
+    """
+    if ring.kind == "Fp":
+        return ModularEchelon(ncols, ring.p, track=track)
+    if ring.kind == "Z" and not track:
+        return LatticeEchelon()
+    return IntEchelon(track=track, ncols=ncols)
+
+
+def lattice_span(ring: BaseRing, ncols: int):
+    """A span whose basis rows are integral wherever the ring allows: the
+    lattice staircase of the cleared rows in characteristic 0 (over Q as
+    over Z), the ring's own echelon over F_p.  Operator algebras take their
+    bases from it, so that their structure constants mostly stay integral."""
+    return span(ring if ring.characteristic else ZZ, ncols)
+
+
+def kernel_basis(M: SparseMatrix):
+    """Basis of the null space of M over a field, as dict-vectors.
+
+    Deterministic: reduced echelon pivots with the natural column order;
+    each basis vector has entry 1 at its free column.
+    """
+    if not M.ring.is_field:
+        raise ValueError("kernel_basis requires field coefficients")
+    ech = span(M.ring, M.cols)
+    for row in M.row_dicts():
+        ech.add(row)
+    return ech.kernel()
+
+
+def field_rank(M: SparseMatrix) -> int:
+    """Rank of M over the fraction field of its ring."""
+    ech = span(M.ring, M.cols)
+    for row in M.row_dicts():
+        ech.add(row)
+    return ech.rank
+
+
+# ---------------------------------------------------------------------------
+# ranks and quotients of relation streams
+# ---------------------------------------------------------------------------
+
+_BATCH = 1024  # rows per ModularEchelon.add_batch call in rank_certified
+
+
+def rank_certified(rows_factory, ncols: int, upper_bound: int, ring: BaseRing = QQ):
+    """Exact rank of rows known to have rank <= upper_bound; Z and Q rows
+    have their rank over Q, F_p rows their rank over F_p.
 
     Streams rows through a mod-p echelon, stopping as soon as the bound is
-    reached (then rank_p = rank_Q = bound exactly).  Falls back to a second
-    prime and finally to exact integer elimination when the bound is not
-    attained, so the result is exact in every case.
+    reached.  Over F_p that is one exact pass.  Over Q it proves rank =
+    bound (a mod-p rank is a lower bound); when the bound is not attained it
+    falls back to a second prime and finally to exact integer elimination,
+    so the result is exact in every case.  A rank above the bound raises.
     """
     def _hit(rank):
         if rank > upper_bound:
@@ -833,26 +910,42 @@ def rank_certified(rows_factory, ncols: int, upper_bound: int, batch: int = 1024
             raise AssertionError("rank exceeds its structural upper bound")
         return rank == upper_bound
 
-    for p in CERT_PRIMES[:2]:
+    modular = ring.kind == "Fp"
+    for p in (ring.p,) if modular else CERT_PRIMES[:2]:
         ech = ModularEchelon(ncols, p)
         buf = []
         for row in rows_factory():
-            buf.append(row)
-            if len(buf) >= batch:
+            buf.append(row if modular else _cleared(row)[0])
+            if len(buf) >= _BATCH:
                 ech.add_batch(buf)
                 buf = []
                 if _hit(ech.rank):
                     return upper_bound
         if buf:
             ech.add_batch(buf)
-        if _hit(ech.rank):
-            return upper_bound
+        if _hit(ech.rank) or modular:
+            return ech.rank
     exact = IntEchelon()
     for row in rows_factory():
         exact.add(row)
         if _hit(exact.rank):
             return upper_bound
     return exact.rank
+
+
+def quotient_shape(ring: BaseRing, rel_rows_factory, ncols: int, u_cols: dict, rank_u: int):
+    """(R^ncols/R, ker(u)/R) for the relations R of rel_rows_factory() and a
+    map u given by its columns (col -> {row: value}) of rank rank_u, with R
+    inside ker u.
+
+    Over Z: one SNF of Z^ncols/R, each relation row checked to lie in ker u
+    (integer_kernel_mod_relations).  Over a field: dimensions from the
+    certified rank of R, bounded by dim ker u = ncols - rank_u.
+    """
+    if ring.kind == "Z":
+        return integer_kernel_mod_relations(u_cols, rank_u, rel_rows_factory(), ncols)
+    rank = rank_certified(rel_rows_factory, ncols, ncols - rank_u, ring)
+    return ModuleShape(ncols - rank, ()), ModuleShape(ncols - rank - rank_u, ())
 
 
 # ---------------------------------------------------------------------------
@@ -896,14 +989,14 @@ def subquotient_invariants(ring, sub_basis, rel_rows, ncols) -> ModuleShape:
             rels = SparseMatrix(0, k, {}, ZZ)
         return module_invariants(FinitelyPresentedModule(ZZ, k, rels))
     # field: dimension of sub minus rank of relations inside it
-    sub_rank = len(_field_rref([dict(r) for r in sub_basis], ncols, ring)[0])
-    both = _field_rref(
-        [dict(r) for r in sub_basis] + [dict(r) for r in rel_rows], ncols, ring
-    )
-    if len(both[0]) != sub_rank:
-        raise ValueError("relation outside submodule span")
-    rel_rank = len(_field_rref([dict(r) for r in rel_rows], ncols, ring)[0])
-    return ModuleShape(sub_rank - rel_rank, ())
+    sub, rels = span(ring, ncols), span(ring, ncols)
+    for r in sub_basis:
+        sub.add(r)
+    for r in rel_rows:
+        if not sub.contains(r):
+            raise ValueError("relation outside submodule span")
+        rels.add(r)
+    return ModuleShape(sub.rank - rels.rank, ())
 
 
 def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int):

@@ -225,11 +225,13 @@ class RootSystem:
     def _validate_base(self, simple):
         if len(simple) != self.rank:
             raise ValueError("base has wrong size")
-        ech_rows = [dict((i, Fraction(v)) for i, v in enumerate(b) if v) for b in simple]
-        from .linalg import _field_rref
+        from .linalg import span
         from .rings import QQ
 
-        if len(_field_rref(ech_rows, self.ambient_dim, QQ)[0]) != self.rank:
+        ech = span(QQ, self.ambient_dim)
+        for b in simple:
+            ech.add({i: v for i, v in enumerate(b) if v})
+        if ech.rank != self.rank:
             raise ValueError("base is not linearly independent")
         for a in simple:
             if a not in self.roots:
@@ -246,10 +248,11 @@ class RootSystem:
                 raise ValueError("base is not a root basis")
 
     def _span_basis(self):
-        from .linalg import IntEchelon
+        from .linalg import span
+        from .rings import QQ
 
         basis = []
-        ech = IntEchelon()
+        ech = span(QQ, self.ambient_dim)
         for r in self._nonzero:
             if ech.add(dict((i, v) for i, v in enumerate(r) if v)):
                 basis.append(r)

@@ -325,7 +325,7 @@ def suite_lie():
         # ad e_beta^- : L_alpha -> L_{alpha-beta} is an isomorphism whenever
         # <alpha, beta-check> = 1 (checked in TKK coordinates)
         from .jordan import verify_grid
-        from .linalg import FieldEchelon
+        from .linalg import span
 
         DQ = matrix_algebra(1, QQ, involution="identity")
         cases = [
@@ -361,7 +361,7 @@ def suite_lie():
                     tgt = blocks.get(target, [])
                     assert len(src) == len(tgt), "graded component dims differ"
                     fm = {n + k + j: v for j, v in fam[beta][1].items()}
-                    ech = FieldEchelon(ring)
+                    ech = span(ring, L.dim)
                     count = sum(
                         1
                         for x in src

@@ -1,0 +1,62 @@
+"""Byte identity of CLI outputs and of one root regrade.
+
+Each case runs ``rograd.cli.main`` in process and compares the sha256 of
+its stdout and its exit code with a recorded digest.  The outputs expose
+every basis an echelon picks (instr, sl_K, the regrade) and every rank, so
+a change to the exact linear algebra that picks a different basis or rank
+changes a digest.
+"""
+import hashlib
+import json
+
+import pytest
+
+from rograd.algebras import matrix_algebra
+from rograd.cli import main
+from rograd.jordan import rectangular_grid, rectangular_pair
+from rograd.lie import assign_root_grading, tkk
+from rograd.rings import QQ
+from rograd.roots import build, three_grading
+
+GOLDEN = [
+    (('tkk', '--model', 'sl', '--n', '3', '--ring', 'Z', '--format', 'json'), 0, "809a7ea515da3dc750f6006b039146178fd7d9da8b5a65813ef2e577595a445e"),
+    (('tkk', '--model', 'sl', '--n', '3', '--ring', 'Q', '--format', 'json'), 0, "7587e3b2ba9dbe036b1ea711ef401f408dbd4871d76aacb352a52ee71a612fe7"),
+    (('tkk', '--model', 'sl', '--n', '3', '--ring', 'Fp:5', '--format', 'json'), 0, "bc75e57847cc25d79a25ec70edb8c45b8c86c347c5e92ff30f667d879e51172a"),
+    (('tkk', '--model', 'tkk-rect', '--n', '3', '--ring', 'Z', '--format', 'json'), 0, "7dee2d0ae81cd3b56015c4bf4497e7f6c912ca4557cb7750fd046f0732a6104b"),
+    (('tkk', '--model', 'tkk-hermitian', '--n', '3', '--ring', 'Q', '--format', 'json'), 0, "017ab186ff00af2755063d01916b211ed97ad7bfcedf73ba00b42e43279db5f3"),
+    (('tkk', '--model', 'tkk-hermitian', '--n', '3', '--ring', 'Fp:7', '--format', 'json'), 0, "a307e1347881f06e3ba4dc83e6b4b6c75a7b798670bd444d8d36fb7ec9c3c737"),
+    (('tkk', '--model', 'tkk-oct', '--ring', 'Q', '--format', 'json'), 0, "11139a87e65c37f09bf9af8253370c28f0971257cebc9ea0bdc656b4d1b22dc3"),
+    (('tkk', '--model', 'tkk-oct', '--ring', 'Fp:5', '--format', 'json'), 0, "bcf94ea82dbaaa66fd0634e4fbbd26c5495fe09b935367e7d13d74ca3a8fdb30"),
+    (('uce', '--model', 'sl', '--n', '3', '--ring', 'Z', '--format', 'json'), 0, "1fc59d1249576029168833fcbc2b7013dc9f502856becc33e532ad1ee6bb1bdc"),
+    (('uce', '--model', 'sl', '--n', '3', '--ring', 'Q', '--format', 'json'), 0, "311a1a40ccfc69f89d742e5e759fa34a74d58c1b88cde71198927112b18117c6"),
+    (('uce', '--model', 'sl', '--n', '3', '--ring', 'Fp:5', '--format', 'json'), 0, "48562e162da419702975fe0fd4ad2461742cf1a291d2c833f461e184dfe95940"),
+    (('uce', '--model', 'tkk-rect', '--n', '3', '--ring', 'Z', '--format', 'json'), 0, "bd1322f7e7ab6d67377aa8166d24a5937e873255944d922d2db5bca24e535265"),
+    (('uce', '--model', 'tkk-hermitian', '--n', '3', '--ring', 'Q', '--format', 'json'), 0, "896ed20116cdab6bdfc16cfd41b227f8908db73c9c9a991dca9f898a6ec7924a"),
+    (('uce', '--model', 'tkk-hermitian', '--n', '3', '--ring', 'Fp:7', '--format', 'json'), 0, "d11fff7867ae40fb10563ec1423b73bc083d250f6d0a4952ce1765f2172d7cd7"),
+    (('uce', '--model', 'tkk-oct', '--ring', 'Q', '--format', 'json'), 0, "39d1ce99bb57810f81777824f414276432b59dc662c9458d8b680968164b5bab"),
+    (('uce', '--model', 'tkk-oct', '--ring', 'Fp:5', '--format', 'json'), 0, "2b8d228ea78103b73a6a6aa38969bacaeaad4630cdfeee9a19c0a1fc52817b62"),
+    (('uce', '--model', 'sl', '--n', '4', '--ring', 'Z', '--format', 'table'), 0, "20988f05d256ae4db275bb54b589fd5cddf74777308c6c62f83c0116f84956b4"),
+    (('dims', '--model', 'tkk-oct', '--ring', 'Q'), 0, "b1d638520ef39e7880032e8fa30cd90e638b712ec3851d804804d6bb9f3925f7"),
+    (('dims', '--model', 'tkk-oct', '--ring', 'Fp:5'), 0, "b1d638520ef39e7880032e8fa30cd90e638b712ec3851d804804d6bb9f3925f7"),
+]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(c[0]) for c in GOLDEN])
+def test_cli_digest(capsys, argv, code, digest):
+    assert main(list(argv)) == code
+    assert _sha(capsys.readouterr().out) == digest
+
+
+def test_rectangular_regrade_json():
+    DQ = matrix_algebra(1, QQ, involution="identity")
+    G = assign_root_grading(
+        tkk(rectangular_pair(1, 2, DQ)),
+        rectangular_grid(1, 2, DQ),
+        three_grading(build("A", 2), "collinear"),
+    )
+    text = json.dumps(G.to_json(), sort_keys=True)
+    assert _sha(text) == "434b25e922986fe3b5c2c9c0ec04d73fe50e139304ac29553c16c80d1ca25d41"

@@ -102,10 +102,12 @@ class TestPairIdempotentPeirce:
         fam = rectangular_grid(1, 2, DQ)
         e, f = fam[(1, -1, 0)], fam[(1, 0, -1)]
         pp_e = pair_idempotent_peirce(M12, e)
-        from rograd.jordan import _membership_tester
+        from rograd.linalg import span
 
-        in_v1_plus = _membership_tester(QQ, pp_e[1][1], M12.dim(1))
-        assert in_v1_plus(f[0])
+        v1_plus = span(QQ, M12.dim(1))
+        for v in pp_e[1][1]:
+            v1_plus.add(v)
+        assert v1_plus.contains(f[0])
 
 
 class TestHermitianAlgebra:
@@ -151,7 +153,7 @@ class TestHermitianAlgebra:
         J = hermitian_algebra(3, DQ)
         es = [J.basis_vec(i) for i in range(3)]
         dec = peirce(J, es)
-        from rograd.jordan import _membership_tester
+        from rograd.linalg import span
 
         off = []
         for (a, b), vecs in dec.spaces.items():
@@ -159,10 +161,12 @@ class TestHermitianAlgebra:
                 for x in vecs:
                     for y in vecs:
                         off.append(J.mul(x, y))
-        tester = _membership_tester(QQ, off, J.dim)
+        squares = span(QQ, J.dim)
+        for v in off:
+            squares.add(v)
         for i in range(3):
             for v in dec.spaces[(i + 1, i + 1)]:
-                assert tester(v)
+                assert squares.contains(v)
 
     def test_hermitian_grid_c4(self):
         D = matrix_algebra(1, QQ, involution="identity")

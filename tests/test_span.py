@@ -1,0 +1,265 @@
+"""The one span interface of linalg: each ring's backend against the generic
+references (FieldEchelon over fields, SNF over Z), kernels read off the
+spans, quotient_shape against the per-ring computations it replaced, and
+the structural bound of rank_certified over F_p."""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rograd.algebras import matrix_algebra
+from rograd.centext import uce
+from rograd.lie import sl_algebra
+from rograd.linalg import (
+    FieldEchelon,
+    FinitelyPresentedModule,
+    IntEchelon,
+    ModularEchelon,
+    ModuleShape,
+    SparseMatrix,
+    field_rank,
+    integer_kernel_mod_relations,
+    kernel_basis,
+    module_invariants,
+    quotient_shape,
+    rank_certified,
+    solve_integer,
+    span,
+)
+from rograd.rings import GF, QQ, ZZ
+
+PRIMES = (2, 5, 2**61 - 1)
+
+
+def sparse_rows(value, max_cols=10, max_rows=14):
+    """(ncols, rows, probe): random sparse rows (0-3 entries each) and one
+    extra vector to test for membership."""
+    row = lambda n: st.dictionaries(st.integers(0, n - 1), value, max_size=3)
+    return st.integers(1, max_cols).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(row(n), max_size=max_rows), row(n))
+    )
+
+
+INTS = st.one_of(st.integers(-6, 6), st.integers(-(10**20), 10**20))
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+def _reference(ring, ncols, rows):
+    ref = FieldEchelon(ring)
+    for row in rows:
+        ref.add(row)
+    return ref
+
+
+def _ref_contains(ref, vec):
+    residual, _ = ref.reduce(vec)
+    return not residual
+
+
+def _rebuilds(ring, rows, vec, residual, coords):
+    """vec == sum(coords[k] * rows[k]) + residual, mod p over F_p."""
+    total = dict(residual)
+    for k, coef in coords.items():
+        for c, v in rows[k].items():
+            total[c] = total.get(c, 0) + coef * v
+    diff = [Fraction(vec.get(c, 0)) - total.get(c, 0) for c in set(vec) | set(total)]
+    if ring.kind == "Fp":
+        return all(d % ring.p == 0 for d in diff)
+    return not any(diff)
+
+
+class TestFieldBackends:
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=sparse_rows(INTS))
+    def test_fp_matches_field_echelon(self, p, data):
+        ncols, rows, probe = data
+        ring = GF(p)
+        ech = span(ring, ncols)
+        assert isinstance(ech, ModularEchelon)
+        grew = [ech.add(row) for row in rows]
+        ref = FieldEchelon(ring)
+        assert grew == [ref.add(row) for row in rows]
+        assert ech.rank == ref.rank
+        assert ech.basis_rows() == [ref.pivots[c][0] for c in sorted(ref.pivots)]
+        assert ech.is_full(ncols) == (ref.rank == ncols)
+        assert ech.contains(probe) == _ref_contains(ref, probe)
+        for row in rows:
+            assert ech.contains(row)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=sparse_rows(RATIONALS))
+    def test_q_matches_field_echelon(self, data):
+        ncols, rows, probe = data
+        ech = span(QQ, ncols)
+        assert isinstance(ech, IntEchelon)
+        grew = [ech.add(row) for row in rows]
+        ref = _reference(QQ, ncols, [])
+        assert grew == [ref.add(row) for row in rows]
+        assert ech.rank == ref.rank
+        # primitive integer rows; divided by their lead they are the
+        # lead-1 rows of the generic echelon
+        lead_one = [
+            {c: Fraction(v, row[min(row)]) for c, v in row.items()}
+            for row in ech.basis_rows()
+        ]
+        assert lead_one == [ref.pivots[c][0] for c in sorted(ref.pivots)]
+        assert ech.is_full(ncols) == (ref.rank == ncols)
+        assert ech.contains(probe) == _ref_contains(ref, probe)
+
+    @pytest.mark.parametrize("ring", [QQ, GF(5), GF(2**61 - 1)], ids=str)
+    @settings(max_examples=50, deadline=None)
+    @given(data=sparse_rows(RATIONALS))
+    def test_tracked_reduce_rebuilds_the_vector(self, ring, data):
+        ncols, rows, probe = data
+        if ring.kind == "Fp":
+            rows = [{c: ring.coerce(v.numerator) for c, v in r.items()} for r in rows]
+            probe = {c: ring.coerce(v.numerator) for c, v in probe.items()}
+        ech = span(ring, ncols, track=True)
+        for row in rows:
+            ech.add(row)
+        for vec in rows + [probe]:
+            residual, coords = ech.reduce(vec)
+            assert _rebuilds(ring, rows, vec, residual, coords)
+            assert (not residual) == ech.contains(vec)
+
+
+class TestLatticeBackend:
+    @settings(max_examples=80, deadline=None)
+    @given(data=sparse_rows(INTS))
+    def test_z_matches_snf(self, data):
+        ncols, rows, probe = data
+        lat = span(ZZ, ncols)
+        for row in rows:
+            lat.add(row)
+        # rank over Q
+        assert lat.rank == _reference(QQ, ncols, rows).rank
+        # all of Z^n exactly when Z^n / lattice is trivial
+        rel = SparseMatrix.from_rows(rows, ncols, ZZ) if rows else SparseMatrix(0, ncols, {})
+        quotient = module_invariants(FinitelyPresentedModule(ZZ, ncols, rel))
+        assert lat.is_full(ncols) == quotient.is_trivial
+        # membership: probe is an integer combination of the rows
+        if rows:
+            in_lattice = solve_integer(rel.transpose(), {c: v for c, v in probe.items() if v})
+            assert lat.contains(probe) == (in_lattice is not None)
+            for row in lat.basis_rows():
+                assert solve_integer(rel.transpose(), row) is not None
+        for row in rows:
+            assert lat.contains(row)
+        leads = [min(row) for row in lat.basis_rows()]
+        assert leads == sorted(leads)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=sparse_rows(INTS))
+    def test_z_tracked_coordinates_are_rational(self, data):
+        ncols, rows, probe = data
+        ech = span(ZZ, ncols, track=True)
+        for row in rows:
+            ech.add(row)
+        for vec in rows + [probe]:
+            residual, coords = ech.reduce(vec)
+            assert _rebuilds(QQ, rows, vec, residual, coords)
+
+    def test_z_tracked_coordinates_need_not_be_integral(self):
+        ech = span(ZZ, 1, track=True)
+        ech.add({0: 2})
+        residual, coords = ech.reduce({0: 1})
+        assert not residual and coords == {0: Fraction(1, 2)}
+        with pytest.raises(ValueError):
+            ZZ.coerce(coords[0])
+
+
+class TestKernels:
+    @pytest.mark.parametrize("ring", [QQ, GF(2), GF(5), GF(2**61 - 1)], ids=str)
+    @settings(max_examples=50, deadline=None)
+    @given(data=sparse_rows(RATIONALS))
+    def test_kernel_basis(self, ring, data):
+        ncols, rows, _ = data
+        if ring.kind == "Fp":
+            rows = [{c: v.numerator for c, v in r.items()} for r in rows]
+        M = SparseMatrix.from_rows(rows, ncols, ring) if rows else SparseMatrix(0, ncols, {}, ring)
+        ker = kernel_basis(M)
+        ref = _reference(ring, ncols, M.row_dicts())
+        assert len(ker) == ncols - ref.rank == ncols - field_rank(M)
+        free = []
+        for vec in ker:
+            own = [c for c in vec if c not in ref.pivots]
+            assert len(own) == 1 and vec[own[0]] == 1
+            free.append(own[0])
+            for row in M.row_dicts():
+                dot = sum(Fraction(v) * vec.get(c, 0) for c, v in row.items())
+                assert ring.is_zero(ring.coerce(dot)) if ring.kind == "Q" else dot % ring.p == 0
+        assert free == sorted(set(free))
+
+    def test_kernel_basis_rejects_z(self):
+        with pytest.raises(ValueError, match="field"):
+            kernel_basis(SparseMatrix.identity(2, ZZ))
+
+
+class TestQuotientShape:
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=str)
+    def test_every_uce_sl3_block_matches_the_per_ring_result(self, ring):
+        L = sl_algebra(3, matrix_algebra(1, ring))
+        u = uce(L)
+        blocks = L.degree_blocks()
+        for d, gens in u._gen_blocks.items():
+            m = len(gens)
+            target = blocks.get(d, [])
+            tpos = {b: p for p, b in enumerate(target)}
+            u_cols = {}
+            for p, (i, j) in enumerate(gens):
+                col = {tpos[t]: v for t, v in L.bracket_basis(i, j).items()}
+                if col:
+                    u_cols[p] = col
+            rows = list(u._relation_rows(d, gens))
+            got = quotient_shape(ring, lambda: iter(rows), m, u_cols, len(target))
+            if ring.kind == "Z":
+                want = integer_kernel_mod_relations(u_cols, len(target), rows, m)
+            else:
+                if ring.kind == "Fp":
+                    ech = ModularEchelon(m, ring.p)
+                    ech.add_batch(rows)
+                else:
+                    ech = IntEchelon()
+                    for row in rows:
+                        ech.add(row)
+                dim = m - ech.rank
+                want = (ModuleShape(dim), ModuleShape(dim - len(target)))
+            assert got == want, d
+            assert (u.blocks[d].uce_shape, u.blocks[d].kernel_shape) == got
+
+
+    @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=str)
+    def test_relations_beyond_ker_u_raise_over_a_field(self, ring):
+        # u has rank 1 on two generators, so R fits in a line; two
+        # independent relations cannot lie in ker u
+        rows = [{0: 1}, {1: 1}]
+        with pytest.raises(AssertionError, match="upper bound"):
+            quotient_shape(ring, lambda: iter(rows), 2, {0: {0: 1}}, 1)
+
+
+class TestRankCertifiedOverFp:
+    def test_too_small_a_bound_raises(self):
+        rows = [{0: 1}, {1: 1}, {0: 1, 1: 1}]
+        with pytest.raises(AssertionError, match="rank exceeds its structural upper bound"):
+            rank_certified(lambda: iter(rows), 2, 1, GF(5))
+
+    def test_rank_mod_p_not_over_q(self):
+        rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {0: 5}]
+        # over F_5 the rows span only the line of (1, 2)
+        assert rank_certified(lambda: iter(rows), 2, 2, GF(5)) == 1
+        assert rank_certified(lambda: iter(rows), 2, 2) == 2
+
+    def test_stops_at_the_bound(self):
+        # the bound is checked after each batch of rows: the stream is not
+        # read past the batch that reaches it
+        def rows():
+            for _ in range(2048):
+                yield {0: 1}
+            yield {1: 1}
+            for _ in range(2048):
+                yield {0: 1, 1: 3}
+            raise AssertionError("streamed past the bound")
+
+        assert rank_certified(rows, 2, 2, GF(7)) == 2
