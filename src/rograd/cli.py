@@ -139,13 +139,13 @@ def cmd_dims(args) -> str:
     elif args.model == "tkk-oct":
         from .algebras import split_octonions
         from .jordan import rectangular_pair
-        from .lie import instr, tkk
+        from .lie import tkk
 
         O = split_octonions(ring)
-        V = rectangular_pair(1, 2, O)
+        L = tkk(rectangular_pair(1, 2, O))
         out["octonions"] = O.dim
-        out["instr"] = instr(V).dim
-        out["dim"] = tkk(V).dim
+        out["instr"] = L.inner.dim
+        out["dim"] = L.dim
     elif args.model == "sl":
         from .algebras import matrix_algebra
         from .lie import sl_algebra

@@ -795,13 +795,70 @@ class JordanAlgebra:
     def pair(self) -> JordanPair:
         """The Jordan pair (J, J) with Q = U on both sides.
 
-        For hermitian/Albert algebras the C_n root degrees eps_i + eps_j of
-        the Peirce-aligned basis are attached.
+        The Q tensors are read straight off the circle constants by the
+        linearized U-operator (McCrimmon, A Taste of Jordan Algebras, 2004;
+        Loos, Jordan Pairs, LNM 460):
+
+            Q_{e_i} e_j     = 1/2 e_i o (e_i o e_j) - 1/4 (e_i o e_i) o e_j
+            Q_{e_i,e_k} e_j = 1/2 (e_i o (e_k o e_j) + e_k o (e_i o e_j)
+                                   - (e_i o e_k) o e_j)
+
+        They are computed once; V^- gets its own copy.  For hermitian/Albert
+        algebras the C_n root degrees eps_i + eps_j of the Peirce-aligned
+        basis are attached.
         """
-        dims = {1: self.dim, -1: self.dim}
-        labels = {1: list(self.labels), -1: list(self.labels)}
-        q = lambda x, y: self.U_apply(x, y)
-        V = _pair_from_q(self.ring, dims, labels, {1: q, -1: q})
+        ring = self.ring
+        n = self.dim
+        half = ring.inv(ring.coerce(2))
+        quarter = ring.mul(half, half)
+        circ = [
+            [self.circ.get((a, b)) or self.circ.get((b, a)) or {} for b in range(n)]
+            for a in range(n)
+        ]
+
+        def add_circ(acc, a, vec, coef):
+            # acc += coef * (e_a o vec)
+            row = circ[a]
+            for t, c in vec.items():
+                _vec_add_into(ring, acc, row[t], ring.mul(coef, c))
+
+        def stored(vec, scale):
+            return {r: ring.coerce(ring.mul(scale, v)) for r, v in vec.items()}
+
+        diag = []
+        for i in range(n):
+            cols = {}
+            for j in range(n):
+                acc = {}  # 4 Q_{e_i} e_j
+                add_circ(acc, i, circ[i][j], 2)
+                add_circ(acc, j, circ[i][i], -1)
+                if acc:
+                    cols[j] = stored(acc, quarter)
+            diag.append(cols)
+        lin = {}
+        for i in range(n):
+            for k in range(i + 1, n):
+                cols = {}
+                for j in range(n):
+                    acc = {}  # 2 Q_{e_i,e_k} e_j
+                    add_circ(acc, i, circ[k][j], 1)
+                    add_circ(acc, k, circ[i][j], 1)
+                    add_circ(acc, j, circ[i][k], -1)
+                    if acc:
+                        cols[j] = stored(acc, half)
+                if cols:
+                    lin[(i, k)] = cols
+
+        def copy(op):
+            return {j: dict(col) for j, col in op.items()}
+
+        V = JordanPair(
+            ring,
+            {1: n, -1: n},
+            {1: list(self.labels), -1: list(self.labels)},
+            {1: diag, -1: [copy(op) for op in diag]},
+            {1: lin, -1: {key: copy(op) for key, op in lin.items()}},
+        )
         roots = self._basis_roots()
         if roots is not None:
             V.degrees = {

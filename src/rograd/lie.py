@@ -68,8 +68,8 @@ class OperatorLieAlgebra:
     Generators are sparse ops (dict col -> dict row -> scalar).  The basis
     is the staircase of linalg.lattice_span on the flattened generators
     (integral in characteristic 0, so coordinates mostly stay integral);
-    coordinates come from the ring's tracked span.  Closure under brackets
-    is verified (rank stabilization).
+    coordinates come from the ring's tracked span.  With closure_check the
+    bracket of every basis pair a < b is checked to lie in the span.
     """
 
     def __init__(self, ring: BaseRing, carrier_dim: int, generators, closure_check=True):
@@ -330,10 +330,18 @@ def instr(V: JordanPair) -> OperatorLieAlgebra:
     """Inner derivation algebra: the span of all delta(x, y).
 
     The span is already bracket-closed ([delta, delta'] = delta(delta x, y)
-    + delta(x, delta' y)); closure is nevertheless verified.  The result's
-    deltas attribute maps each basis pair (i, j) to delta(e_i, f_j) as a
-    block op, for tkk and UIDer to reuse.
+    + delta(x, delta' y)); closure is nevertheless verified.  tkk performs
+    that check in its [T, S] loop instead, which brackets the same basis
+    pairs.  The result's deltas attribute maps each basis pair (i, j) to
+    delta(e_i, f_j) as a block op, for tkk and UIDer to reuse.
     """
+    inner = _instr(V)
+    inner._verify_closed()
+    return inner
+
+
+def _instr(V: JordanPair) -> OperatorLieAlgebra:
+    """instr(V) without the closure check."""
     one = V.ring.coerce(1)
     deltas = {
         (i, j): _delta_block_op(V, {i: one}, {j: one})
@@ -341,7 +349,9 @@ def instr(V: JordanPair) -> OperatorLieAlgebra:
         for j in range(V.dim(-1))
     }
     carrier = V.dim(1) + V.dim(-1)
-    inner = OperatorLieAlgebra(V.ring, carrier, [op for op in deltas.values() if op])
+    inner = OperatorLieAlgebra(
+        V.ring, carrier, [op for op in deltas.values() if op], closure_check=False
+    )
     inner.deltas = deltas
     return inner
 
@@ -358,9 +368,13 @@ class TKKAlgebra(GradedLieAlgebra):
 
 
 def tkk(V: JordanPair) -> TKKAlgebra:
-    """Tits-Kantor-Koecher algebra of a Jordan pair; centre checked trivial."""
+    """Tits-Kantor-Koecher algebra of a Jordan pair; centre checked trivial.
+
+    instr(V) is built unchecked: the [T, S] loop brackets every basis pair
+    a < b once and raises if a bracket leaves the span.
+    """
     ring = V.ring
-    inner = instr(V)
+    inner = _instr(V)
     n, m, k = V.dim(1), V.dim(-1), inner.dim
     one = ring.coerce(1)
     labels = (

@@ -36,6 +36,9 @@ GOLDEN = [
     (('uce', '--model', 'tkk-oct', '--ring', 'Q', '--format', 'json'), 0, "39d1ce99bb57810f81777824f414276432b59dc662c9458d8b680968164b5bab"),
     (('uce', '--model', 'tkk-oct', '--ring', 'Fp:5', '--format', 'json'), 0, "2b8d228ea78103b73a6a6aa38969bacaeaad4630cdfeee9a19c0a1fc52817b62"),
     (('uce', '--model', 'sl', '--n', '4', '--ring', 'Z', '--format', 'table'), 0, "20988f05d256ae4db275bb54b589fd5cddf74777308c6c62f83c0116f84956b4"),
+    (('tkk', '--model', 'tkk-albert', '--ring', 'Q', '--format', 'json'), 0, "f6a568372dbc480383fc7baa2c2b3b957414591b63613e44d6884b6bb976e4b9"),
+    (('uce', '--model', 'tkk-albert', '--ring', 'Q', '--format', 'json'), 0, "8a09be68f9f0001efbf041822dc31fc386f9a9a903963d1c06b2867ba4093a85"),
+    (('tkk', '--model', 'tkk-hermitian', '--n', '4', '--ring', 'Fp:5', '--format', 'json'), 0, "36c308180ad874e5afc3b4099542836461e0a3b52c44c555836aad52849cb032"),
     (('dims', '--model', 'tkk-oct', '--ring', 'Q'), 0, "b1d638520ef39e7880032e8fa30cd90e638b712ec3851d804804d6bb9f3925f7"),
     (('dims', '--model', 'tkk-oct', '--ring', 'Fp:5'), 0, "b1d638520ef39e7880032e8fa30cd90e638b712ec3851d804804d6bb9f3925f7"),
 ]

@@ -3,11 +3,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rograd.algebras import matrix_algebra, split_octonions
 from rograd.jordan import (
+    JordanAlgebra,
     JordanPair,
     _families,
+    _pair_from_q,
     _slot_groups,
     albert_algebra,
     hermitian_algebra,
@@ -472,3 +476,83 @@ class TestIntegerQTensors:
                     if vec:
                         want[k] = vec
                 assert V.D_op(sign, x, y) == want
+
+
+def _u_polarization_pair(J):
+    """The (J, J) tensors as Q_x y = U_x y and its polarization, through
+    U_apply: the construction JordanAlgebra.pair() reads off circ instead."""
+    q = lambda x, y: J.U_apply(x, y)
+    return _pair_from_q(J.ring, {1: J.dim, -1: J.dim}, None, {1: q, -1: q})
+
+
+def _same_tensors(V, W):
+    return all(V.Qdiag[s] == W.Qdiag[s] and V.Qlin[s] == W.Qlin[s] for s in (1, -1))
+
+
+def _stored_entries(V):
+    return [
+        v
+        for s in (1, -1)
+        for ops in (V.Qdiag[s], list(V.Qlin[s].values()))
+        for op in ops
+        for col in op.values()
+        for v in col.values()
+    ]
+
+
+@st.composite
+def commutative_circ_algebras(draw):
+    """Random commutative circle constants with 1/2 in the ring; not Jordan
+    in general, which the polarization identity does not need."""
+    ring = draw(st.sampled_from((QQ, GF(3), GF(5), GF(7))))
+    if ring is QQ:
+        scalar = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        scalar = st.integers(0, ring.p - 1)
+    n = draw(st.integers(1, 4))
+    circ = {
+        (i, j): draw(st.dictionaries(st.integers(0, n - 1), scalar, max_size=n))
+        for i in range(n)
+        for j in range(i, n)
+    }
+    labels = [f"e{i}" for i in range(n)]
+    return JordanAlgebra(ring, labels, circ, {0: 1}, check=False)
+
+
+class TestPairTensorsFromCirc:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: albert_algebra(QQ),
+            lambda: albert_algebra(GF(5)),
+            lambda: albert_algebra(GF(7)),
+            lambda: hermitian_algebra(3, matrix_algebra(1, QQ, involution="identity")),
+            lambda: hermitian_algebra(4, matrix_algebra(1, QQ, involution="identity")),
+            lambda: hermitian_algebra(3, matrix_algebra(2, QQ, involution="transpose")),
+        ],
+        ids=["albert-Q", "albert-F5", "albert-F7", "H3-Q", "H4-Q", "H3-M2Q"],
+    )
+    def test_equal_to_u_polarization(self, make):
+        J = make()
+        assert _same_tensors(J.pair(), _u_polarization_pair(J))
+
+    @settings(max_examples=60, deadline=None)
+    @given(J=commutative_circ_algebras())
+    def test_polarization_on_random_commutative_circ(self, J):
+        assert _same_tensors(J.pair(), _u_polarization_pair(J))
+
+    @pytest.mark.parametrize("make", ["albert", "H3", "H4"])
+    def test_albert_and_hermitian_entries_are_ints(self, DQ, make):
+        J = albert_algebra(QQ) if make == "albert" else hermitian_algebra(int(make[1]), DQ)
+        entries = _stored_entries(J.pair())
+        assert entries and all(type(v) is int for v in entries)
+
+    def test_minus_side_is_a_copy(self):
+        V = albert_algebra(QQ).pair()
+        assert V.Qdiag[1] == V.Qdiag[-1] and V.Qlin[1] == V.Qlin[-1]
+        col = next(iter(V.Qdiag[1][0].values()))
+        col[next(iter(col))] += 1
+        assert V.Qdiag[1] != V.Qdiag[-1]
+        op = next(iter(V.Qlin[-1].values()))
+        op.clear()
+        assert V.Qlin[1] != V.Qlin[-1]

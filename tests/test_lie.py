@@ -68,6 +68,30 @@ class TestInstrAndTKK:
             for k in vec:
                 assert L.degrees[k] == want
 
+    def test_closure_check_fires_on_non_jordan_pair(self):
+        # random sign tensors on a 2+2 pair: not a Jordan pair, and the
+        # delta span is not closed under brackets
+        import random
+
+        from rograd.jordan import JordanPair
+
+        rng = random.Random(0)
+
+        def op():
+            return {
+                j: {r: rng.choice((-1, 1)) for r in rng.sample(range(2), rng.randint(1, 2))}
+                for j in range(2)
+                if rng.random() < 0.7
+            }
+
+        Qdiag = {s: [op(), op()] for s in (1, -1)}
+        Qlin = {s: {(0, 1): op()} for s in (1, -1)}
+        V = JordanPair(QQ, {1: 2, -1: 2}, {1: ["a", "b"], -1: ["a", "b"]}, Qdiag, Qlin)
+        with pytest.raises(AssertionError, match=re.escape("instr(V) is not bracket-closed")):
+            tkk(V)
+        with pytest.raises(AssertionError, match="operator span is not bracket-closed"):
+            instr(V)
+
 
 class TestUIDer:
     def test_hc_trivial_m12(self, M12):
