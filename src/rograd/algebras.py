@@ -2,16 +2,17 @@
 
 Full matrix algebras, the split octonions in the Zorn vector-matrix model,
 commutators and associators, multiplication operators, standard derivations
-and trialities.  Laws (associative / alternative / commutative) are checked
-eagerly at construction, including the linearizations that make the checks
-valid in every scalar extension, and cached as flags.
+and trialities, all operators sparse and column-major (see linalg).  Laws
+(associative / alternative / commutative) are checked eagerly at
+construction, including the linearizations that make the checks valid in
+every scalar extension, and cached as flags.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import span
+from .linalg import _op_apply, _op_axpy, _op_bracket, _op_scale, _vec_axpy
 from .rings import BaseRing
 
 
@@ -36,7 +37,8 @@ class StructureAlgebra:
             for key, vec in mult.items()
         }
         self.unit = None if unit is None else self._vec(unit)
-        self.involution = involution  # dim x dim matrix (list of rows) or None
+        # sparse operator or None, entries as given (to_json writes them back)
+        self.involution = involution
         self.flags = {}
         if check:
             self._verify()
@@ -53,53 +55,23 @@ class StructureAlgebra:
         for i, a in x.items():
             for j, b in y.items():
                 vec = self.mult.get((i, j))
-                if not vec:
-                    continue
-                ab = ring.mul(a, b)
-                for k, c in vec.items():
-                    w = ring.add(out.get(k, 0), ring.mul(ab, c))
-                    if ring.is_zero(w):
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
+                if vec:
+                    _vec_axpy(ring, out, vec, ring.mul(a, b))
         return out
 
     def add(self, x: dict, y: dict) -> dict:
-        ring = self.ring
-        out = dict(x)
-        for k, v in y.items():
-            w = ring.add(out.get(k, 0), v)
-            if ring.is_zero(w):
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return out
+        return _vec_axpy(self.ring, dict(x), y)
 
     def sub(self, x: dict, y: dict) -> dict:
-        return self.add(x, {k: self.ring.neg(v) for k, v in y.items()})
+        return _vec_axpy(self.ring, dict(x), y, -1)
 
     def smul(self, c, x: dict) -> dict:
-        ring = self.ring
-        c = ring.coerce(c)
-        if ring.is_zero(c):
-            return {}
-        return {k: ring.mul(c, v) for k, v in x.items()}
+        return _vec_axpy(self.ring, {}, x, self.ring.coerce(c))
 
     def conj(self, x: dict) -> dict:
         if self.involution is None:
             raise ValueError("algebra has no involution")
-        ring = self.ring
-        out = {}
-        for j, v in x.items():
-            for i in range(self.dim):
-                c = self.involution[i][j]
-                if not ring.is_zero(c):
-                    w = ring.add(out.get(i, 0), ring.mul(c, v))
-                    if ring.is_zero(w):
-                        out.pop(i, None)
-                    else:
-                        out[i] = w
-        return out
+        return _op_apply(self.ring, self.involution, x)
 
     def basis_vec(self, i: int) -> dict:
         return {i: self.ring.coerce(1)}
@@ -111,24 +83,15 @@ class StructureAlgebra:
         return self.sub(self.mul(self.mul(x, y), z), self.mul(x, self.mul(y, z)))
 
     # -- multiplication operators ----------------------------------------
-    def L(self, a: dict):
-        """Left multiplication by a, as a dense matrix (rows = output)."""
-        ring = self.ring
-        M = [[ring.coerce(0)] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            out = self.mul(a, self.basis_vec(j))
-            for i, v in out.items():
-                M[i][j] = v
-        return M
+    def L(self, a: dict) -> dict:
+        """Left multiplication by a, as a sparse operator."""
+        cols = ((j, self.mul(a, self.basis_vec(j))) for j in range(self.dim))
+        return {j: col for j, col in cols if col}
 
-    def R(self, a: dict):
-        ring = self.ring
-        M = [[ring.coerce(0)] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            out = self.mul(self.basis_vec(j), a)
-            for i, v in out.items():
-                M[i][j] = v
-        return M
+    def R(self, a: dict) -> dict:
+        """Right multiplication by a, as a sparse operator."""
+        cols = ((j, self.mul(self.basis_vec(j), a)) for j in range(self.dim))
+        return {j: col for j, col in cols if col}
 
     # -- norm and trace (involution algebras) ------------------------------
     def norm_scalar(self, x: dict):
@@ -231,8 +194,9 @@ class StructureAlgebra:
             "table": table,
         }
         if self.involution is not None:
+            cols = [self.involution.get(j, {}) for j in range(self.dim)]
             data["involution"] = [
-                [ring.scalar_str(v) for v in row] for row in self.involution
+                [ring.scalar_str(col.get(i, 0)) for col in cols] for i in range(self.dim)
             ]
         return data
 
@@ -246,7 +210,12 @@ class StructureAlgebra:
             unit = {k: ring.parse_scalar(s) for k, s in data["unit"]}
         inv = None
         if data.get("involution") is not None:
-            inv = [[ring.parse_scalar(s) for s in row] for row in data["involution"]]
+            inv = {}
+            for i, row in enumerate(data["involution"]):
+                for j, s in enumerate(row):
+                    v = ring.parse_scalar(s)
+                    if not ring.is_zero(v):
+                        inv.setdefault(j, {})[i] = v
         return cls(ring, data["labels"], mult, unit=unit, involution=inv)
 
     def __repr__(self):
@@ -322,9 +291,7 @@ def matrix_algebra(n: int, ring: BaseRing, involution: str | None = None) -> Str
     unit = {idx[(i, i)]: 1 for i in range(n)}
     inv = None
     if involution == "transpose" or (involution == "identity" and n == 1):
-        inv = [[0] * (n * n) for _ in range(n * n)]
-        for (i, j), a in idx.items():
-            inv[idx[(j, i)]][a] = 1
+        inv = {a: {idx[(j, i)]: 1} for (i, j), a in idx.items()}
     elif involution is not None:
         raise ValueError(f"unknown involution {involution!r}")
     return StructureAlgebra(ring, labels, mult, unit=unit, involution=inv)
@@ -432,13 +399,8 @@ def split_octonions(ring: BaseRing) -> StructureAlgebra:
             out = {k: v for k, v in prod.items() if v}
             mult[(a, b)] = out
     unit = {0: 1, 4: 1}
-    inv = [[0] * 8 for _ in range(8)]
-    # zbar = (a1 + a2) * 1 - z
-    for j in range(8):
-        tcoef = 1 if j in (0, 4) else 0
-        for i in (0, 4):
-            inv[i][j] = tcoef
-        inv[j][j] += -1
+    # zbar = (a1 + a2) * 1 - z: swaps x1 = e11 and y1 = e22, negates the rest
+    inv = {j: {4 - j: 1} if j in (0, 4) else {j: -1} for j in range(8)}
     alg = StructureAlgebra(ring, labels, mult, unit=unit, involution=inv)
     if not alg.flags["alternative"]:
         raise AssertionError("Zorn model failed alternativity")
@@ -450,78 +412,20 @@ def split_octonions(ring: BaseRing) -> StructureAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def mat_add(A, B, ring, sign=1):
-    return [
-        [ring.add(a, ring.mul(sign, b)) for a, b in zip(ra, rb)]
-        for ra, rb in zip(A, B)
-    ]
-
-
-def mat_mul(A, B, ring):
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
-    out = [[ring.coerce(0)] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if ring.is_zero(a):
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(m):
-                b = Bt[j]
-                if not ring.is_zero(b):
-                    row[j] = ring.add(row[j], ring.mul(a, b))
-    return out
-
-
-def mat_bracket(A, B, ring):
-    return mat_add(mat_mul(A, B, ring), mat_mul(B, A, ring), ring, sign=-1)
-
-
-def mat_apply(A, x: dict, ring) -> dict:
-    out = {}
-    for j, v in x.items():
-        for i in range(len(A)):
-            c = A[i][j]
-            if not ring.is_zero(c):
-                w = ring.add(out.get(i, 0), ring.mul(c, v))
-                if ring.is_zero(w):
-                    out.pop(i, None)
-                else:
-                    out[i] = w
-    return out
-
-
-def mat_scale(c, A, ring):
-    return [[ring.mul(c, v) for v in row] for row in A]
-
-
 def is_derivation(A: StructureAlgebra, op) -> bool:
     ring = A.ring
     for i, j in product(range(A.dim), repeat=2):
         ei, ej = A.basis_vec(i), A.basis_vec(j)
-        lhs = mat_apply(op, A.mul(ei, ej), ring)
+        lhs = _op_apply(ring, op, A.mul(ei, ej))
         rhs = A.add(
-            A.mul(mat_apply(op, ei, ring), ej), A.mul(ei, mat_apply(op, ej, ring))
+            A.mul(_op_apply(ring, op, ei), ej), A.mul(ei, _op_apply(ring, op, ej))
         )
         if lhs != rhs:
             return False
     return True
 
 
-def op_span_dim(ops, ring) -> int:
-    """Dimension (over the fraction field) of the span of operator matrices."""
-    n = len(ops[0]) if ops else 0
-    ech = span(ring, n * n)
-    for op in ops:
-        ech.add({i * n + j: v for i, r in enumerate(op) for j, v in enumerate(r) if v})
-    return ech.rank
-
-
-def standard_derivation(A: StructureAlgebra, a: dict, b: dict):
+def standard_derivation(A: StructureAlgebra, a: dict, b: dict) -> dict:
     """SD(a,b) = L_[a,b] - R_[a,b] + 3[L_b, R_a] for alternative algebras.
 
     This is the form satisfying the inner-derivation condition
@@ -532,10 +436,8 @@ def standard_derivation(A: StructureAlgebra, a: dict, b: dict):
         raise ValueError("standard derivations need an alternative algebra")
     ring = A.ring
     ab = A.commutator(a, b)
-    op = mat_add(A.L(ab), A.R(ab), ring, sign=-1)
-    br = mat_bracket(A.L(a), A.R(b), ring)
-    op = mat_add(op, mat_scale(ring.coerce(-3), br, ring), ring)
-    return op
+    op = _op_axpy(ring, A.L(ab), A.R(ab), -1)
+    return _op_axpy(ring, op, _op_bracket(ring, A.L(a), A.R(b)), -3)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +449,9 @@ def standard_derivation(A: StructureAlgebra, a: dict, b: dict):
 class Triality:
     """Operator triple with t1(ab) = t2(a) b + a t3(b)."""
 
-    t1: list
-    t2: list
-    t3: list
+    t1: dict
+    t2: dict
+    t3: dict
 
     def components(self):
         return (self.t1, self.t2, self.t3)
@@ -559,10 +461,10 @@ def check_triality(A: StructureAlgebra, T: Triality) -> bool:
     ring = A.ring
     for i, j in product(range(A.dim), repeat=2):
         ei, ej = A.basis_vec(i), A.basis_vec(j)
-        lhs = mat_apply(T.t1, A.mul(ei, ej), ring)
+        lhs = _op_apply(ring, T.t1, A.mul(ei, ej))
         rhs = A.add(
-            A.mul(mat_apply(T.t2, ei, ring), ej),
-            A.mul(ei, mat_apply(T.t3, ej, ring)),
+            A.mul(_op_apply(ring, T.t2, ei), ej),
+            A.mul(ei, _op_apply(ring, T.t3, ej)),
         )
         if lhs != rhs:
             return False
@@ -570,19 +472,16 @@ def check_triality(A: StructureAlgebra, T: Triality) -> bool:
 
 
 def triality_add(S: Triality, T: Triality, ring, sign=1) -> Triality:
-    return Triality(
-        mat_add(S.t1, T.t1, ring, sign),
-        mat_add(S.t2, T.t2, ring, sign),
-        mat_add(S.t3, T.t3, ring, sign),
-    )
+    return Triality(*(
+        _op_axpy(ring, _op_axpy(ring, {}, s), t, sign)
+        for s, t in zip(S.components(), T.components())
+    ))
 
 
 def triality_bracket(S: Triality, T: Triality, ring) -> Triality:
-    return Triality(
-        mat_bracket(S.t1, T.t1, ring),
-        mat_bracket(S.t2, T.t2, ring),
-        mat_bracket(S.t3, T.t3, ring),
-    )
+    return Triality(*(
+        _op_bracket(ring, s, t) for s, t in zip(S.components(), T.components())
+    ))
 
 
 def lam(A: StructureAlgebra, a: dict) -> Triality:
@@ -590,8 +489,8 @@ def lam(A: StructureAlgebra, a: dict) -> Triality:
     if not A.flags.get("alternative"):
         raise ValueError("trialities need an alternative algebra")
     ring = A.ring
-    La, Ra = A.L(a), A.R(a)
-    return Triality(La, mat_add(La, Ra, ring), mat_scale(ring.coerce(-1), La, ring))
+    La = A.L(a)
+    return Triality(La, _op_axpy(ring, A.R(a), La), _op_scale(ring, -1, La))
 
 
 def rho(A: StructureAlgebra, b: dict) -> Triality:
@@ -599,8 +498,8 @@ def rho(A: StructureAlgebra, b: dict) -> Triality:
     if not A.flags.get("alternative"):
         raise ValueError("trialities need an alternative algebra")
     ring = A.ring
-    Lb, Rb = A.L(b), A.R(b)
-    return Triality(Rb, mat_scale(ring.coerce(-1), Rb, ring), mat_add(Lb, Rb, ring))
+    Rb = A.R(b)
+    return Triality(Rb, _op_scale(ring, -1, Rb), _op_axpy(ring, A.L(b), Rb))
 
 
 def sigma(A: StructureAlgebra, a: dict, b: dict) -> Triality:
@@ -613,8 +512,7 @@ def triality_h(A: StructureAlgebra, delta, a: dict, b: dict) -> Triality:
     if not A.ring.has_inverse_of(3):
         raise ValueError("triality decomposition needs 1/3 in the ring")
     ring = A.ring
-    T = Triality([row[:] for row in delta], [row[:] for row in delta], [row[:] for row in delta])
-    T = triality_add(T, lam(A, a), ring)
+    T = triality_add(Triality(delta, delta, delta), lam(A, a), ring)
     return triality_add(T, rho(A, b), ring, sign=-1)
 
 
@@ -626,12 +524,12 @@ def triality_h_inverse(A: StructureAlgebra, T: Triality):
     if A.unit is None:
         raise ValueError("need a unit")
     third = ring.inv(ring.coerce(3))
-    t2_1 = mat_apply(T.t2, A.unit, ring)
-    t3_1 = mat_apply(T.t3, A.unit, ring)
+    t2_1 = _op_apply(ring, T.t2, A.unit)
+    t3_1 = _op_apply(ring, T.t3, A.unit)
     a = A.smul(third, A.add(A.smul(2, t2_1), t3_1))
     b = A.smul(third, A.sub(A.smul(-1, t2_1), A.smul(2, t3_1)))
-    delta = mat_add(T.t1, A.L(a), ring, sign=-1)
-    delta = mat_add(delta, A.R(b), ring)
+    # Delta = t1 - L_a + R_b
+    delta = _op_axpy(ring, _op_axpy(ring, A.R(b), A.L(a), -1), T.t1)
     return delta, a, b
 
 
@@ -640,20 +538,16 @@ def triality_h_inverse(A: StructureAlgebra, T: Triality):
 # ---------------------------------------------------------------------------
 
 
-def g1_operator(A: StructureAlgebra, a: dict, b: dict):
+def g1_operator(A: StructureAlgebra, a: dict, b: dict) -> dict:
     """g1(a (x) b)(c) = 2(a,b,c) + L_{a bbar - b abar} c - R_{abar b - bbar a} c."""
     if A.involution is None:
         raise ValueError("g1 needs an involution")
     ring = A.ring
     abb = A.sub(A.mul(a, A.conj(b)), A.mul(b, A.conj(a)))
     bba = A.sub(A.mul(A.conj(a), b), A.mul(A.conj(b), a))
-    n = A.dim
-    op = mat_add(A.L(abb), A.R(bba), ring, sign=-1)
-    for j in range(n):
-        col = A.smul(2, A.associator(a, b, A.basis_vec(j)))
-        for i, v in col.items():
-            op[i][j] = ring.add(op[i][j], v)
-    return op
+    op = _op_axpy(ring, A.L(abb), A.R(bba), -1)
+    assoc = ((j, A.associator(a, b, A.basis_vec(j))) for j in range(A.dim))
+    return _op_axpy(ring, op, {j: col for j, col in assoc if col}, 2)
 
 
 def g1_span(A: StructureAlgebra):

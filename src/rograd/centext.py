@@ -13,16 +13,20 @@ and the explicit A_2 / A_3 cocycle extensions with their fibers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .algebras import StructureAlgebra, op_span_dim, standard_derivation
+from .algebras import StructureAlgebra, standard_derivation
 from .degsums import degenerate_sums_bruteforce
-from .lie import GradedLieAlgebra, _vec_add_into
+from .lie import GradedLieAlgebra
 from .linalg import (
     LatticeEchelon,
     ModuleShape,
     SparseMatrix,
+    _op_axpy,
+    _vec_axpy,
     integer_kernel,
     kernel_basis,
+    op_span_dim,
     quotient_shape,
     span,
     subquotient_invariants,
@@ -73,15 +77,11 @@ class UceResult:
         deg_of = L.degrees
         n = L.dim
         gen_blocks = {}
-        gen_pos = {}
         for i in range(n):
             for j in range(i + 1, n):
                 d = tuple(a + b for a, b in zip(deg_of[i], deg_of[j]))
-                lst = gen_blocks.setdefault(d, [])
-                gen_pos[(i, j)] = len(lst)
-                lst.append((i, j))
+                gen_blocks.setdefault(d, []).append((i, j))
         self._gen_blocks = gen_blocks
-        self._gen_pos = gen_pos
         basis_blocks = L.degree_blocks()
         for d in sorted(gen_blocks):
             gens = gen_blocks[d]
@@ -334,8 +334,7 @@ class HomologyQuotient:
         return self.relation_lattice.contains(vec)
 
     def same_class(self, u: dict, v: dict, ring) -> bool:
-        diff = dict(u)
-        _vec_add_into(ring, diff, v, ring.coerce(-1))
+        diff = _vec_axpy(ring, dict(u), v, -1)
         return not diff or self.reduces_to_zero(diff)
 
 
@@ -417,33 +416,11 @@ def _tensor_index(D, i, j):
 
 def angle(D: StructureAlgebra) -> HomologyQuotient:
     """<D, D> = D(x)D / (a(x)b + b(x)a, ab(x)c + bc(x)a + ca(x)b)."""
-    ring = D.ring
-    n = D.dim
-    rows = []
-    one = ring.coerce(1)
-    for i in range(n):
-        for j in range(i, n):
-            row = {_tensor_index(D, i, j): one}
-            key = _tensor_index(D, j, i)
-            row[key] = ring.add(row.get(key, 0), one)
-            rows.append(row)
-    basis = [D.basis_vec(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = {}
-                for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-                    prod = D.mul(basis[p], basis[q])
-                    for t, v in prod.items():
-                        key = _tensor_index(D, t, r)
-                        w = ring.add(row.get(key, 0), v)
-                        if ring.is_zero(w):
-                            row.pop(key, None)
-                        else:
-                            row[key] = w
-                if row:
-                    rows.append(row)
-    return _quotient(ring, n * n, rows, "AngleBracket")
+    n2 = D.dim * D.dim
+    rows = (
+        {k: v for k, v in row.items() if k < n2} for row in _tilde_relation_rows(D)
+    )
+    return _quotient(D.ring, n2, [row for row in rows if row], "AngleBracket")
 
 
 def tilde_wedge(D: StructureAlgebra) -> HomologyQuotient:
@@ -471,7 +448,6 @@ def hc1(D: StructureAlgebra) -> HomologyQuotient:
     if ring.kind == "Z":
         M = SparseMatrix(n, n * n, ent, ZZ)
         S = integer_kernel(M)
-        S = [{k: v for k, v in s.items()} for s in S]
         # intersect with the relation lattice, then take the subquotient
         U_rows = _tilde_relation_rows(D)
         inter = _lattice_intersection(S, U_rows, ngens)
@@ -490,6 +466,9 @@ def hc1(D: StructureAlgebra) -> HomologyQuotient:
 
 
 def _tilde_relation_rows(D: StructureAlgebra):
+    """Rows a(x)b + b(x)a and ab(x)c + bc(x)a + ca(x)b - (a,b,c)_{j0} -
+    (a,b,c)_j on basis elements; on the D(x)D columns alone they are the
+    <D, D> relations."""
     ring = D.ring
     n = D.dim
     one = ring.coerce(1)
@@ -501,30 +480,16 @@ def _tilde_relation_rows(D: StructureAlgebra):
             row[key] = ring.add(row.get(key, 0), one)
             rows.append(row)
     basis = [D.basis_vec(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = {}
-                for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-                    prod = D.mul(basis[p], basis[q])
-                    for t, v in prod.items():
-                        key = _tensor_index(D, t, r)
-                        w = ring.add(row.get(key, 0), v)
-                        if ring.is_zero(w):
-                            row.pop(key, None)
-                        else:
-                            row[key] = w
-                assoc = D.associator(basis[i], basis[j], basis[k])
-                for t, v in assoc.items():
-                    for off in (n * n, n * n + n):
-                        key = off + t
-                        w = ring.sub(row.get(key, 0), v)
-                        if ring.is_zero(w):
-                            row.pop(key, None)
-                        else:
-                            row[key] = w
-                if row:
-                    rows.append(row)
+    for i, j, k in product(range(n), repeat=3):
+        row = {}
+        for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
+            prod = D.mul(basis[p], basis[q])
+            _vec_axpy(ring, row, {_tensor_index(D, t, r): v for t, v in prod.items()})
+        assoc = D.associator(basis[i], basis[j], basis[k])
+        for off in (n * n, n * n + n):
+            _vec_axpy(ring, row, {off + t: v for t, v in assoc.items()}, -1)
+        if row:
+            rows.append(row)
     return rows
 
 
@@ -546,9 +511,7 @@ def _lattice_intersection(A_rows, B_rows, ncols):
         comb = {}
         for idx, c in vec.items():
             if idx < ka:
-                for col, v in A_rows[idx].items():
-                    comb[col] = comb.get(col, 0) + c * int(v)
-        comb = {k: v for k, v in comb.items() if v}
+                _vec_axpy(ZZ, comb, A_rows[idx], c)
         if comb:
             lat.add(comb)
     return lat.basis_rows()
@@ -564,30 +527,14 @@ def octonion_angle_kernel(D: StructureAlgebra):
     kernel dim) after verifying the map is well-defined on the relations."""
     ring = D.ring
     basis = [D.basis_vec(i) for i in range(D.dim)]
-    zero = [[ring.coerce(0)] * D.dim for _ in range(D.dim)]
-    from .algebras import mat_add
-
-    for a in basis:
-        for b in basis:
-            s = mat_add(
-                standard_derivation(D, a, b), standard_derivation(D, b, a), ring
-            )
-            if s != zero:
-                raise AssertionError("SD is not antisymmetric")
-    for a in basis:
-        for b in basis:
-            for c in basis:
-                s = mat_add(
-                    standard_derivation(D, D.mul(a, b), c),
-                    mat_add(
-                        standard_derivation(D, D.mul(b, c), a),
-                        standard_derivation(D, D.mul(c, a), b),
-                        ring,
-                    ),
-                    ring,
-                )
-                if s != zero:
-                    raise AssertionError("SD does not kill the cyclic relation")
+    for a, b in product(basis, repeat=2):
+        if _op_axpy(ring, standard_derivation(D, a, b), standard_derivation(D, b, a)):
+            raise AssertionError("SD is not antisymmetric")
+    for a, b, c in product(basis, repeat=3):
+        s = standard_derivation(D, D.mul(a, b), c)
+        _op_axpy(ring, s, standard_derivation(D, D.mul(b, c), a))
+        if _op_axpy(ring, s, standard_derivation(D, D.mul(c, a), b)):
+            raise AssertionError("SD does not kill the cyclic relation")
     quot = angle(D)
     sd_ops = [
         standard_derivation(D, basis[i], basis[j])
@@ -637,7 +584,7 @@ def star_kernel(J) -> ModuleShape:
                 prod = D.mul(D.conj(D.basis_vec(a_idx)), D.basis_vec(b_idx))
                 for t, coef in prod.items():
                     sub = S.star_vec(unit_01, {index[(0, 1, t)]: ring.coerce(1)})
-                    _vec_add_into(ring, t_vec, sub, ring.neg(coef))
+                    _vec_axpy(ring, t_vec, sub, ring.neg(coef))
                 if t_vec:
                     t_vecs.append(t_vec)
         # rank gain of the T classes over the relation span = dim span{T} in J*J
@@ -727,11 +674,10 @@ class CocycleExtension:
                     continue
                 gamma, vec = got
                 tgt = out.setdefault(gamma, {})
-                c = ring.mul(ci, cj)
-                _vec_add_into(ring, tgt, vec, c)
+                _vec_axpy(ring, tgt, vec, ring.mul(ci, cj))
                 if not tgt:
-                    out.pop(gamma, None)
-        return {g: v for g, v in out.items() if v}
+                    del out[gamma]
+        return out
 
     def bracket(self, x, y):
         """[(x, m), (y, m')] = ([x, y], psi(x, y)) in L (+)_psi Z."""
@@ -760,12 +706,9 @@ class CocycleExtension:
                 a = self.psi_basis(i, j)
                 b = self.psi_basis(j, i)
                 merged = {}
-                if a:
-                    merged.setdefault(a[0], {})
-                    _vec_add_into(ring, merged[a[0]], a[1])
-                if b:
-                    merged.setdefault(b[0], {})
-                    _vec_add_into(ring, merged[b[0]], b[1])
+                for part in (a, b):
+                    if part:
+                        _vec_axpy(ring, merged.setdefault(part[0], {}), part[1])
                 if not self._fiber_zero({g: v for g, v in merged.items() if v}):
                     raise AssertionError("psi is not alternating")
                 count += 1
@@ -778,8 +721,7 @@ class CocycleExtension:
                         br = L.bracket_basis(y, z)
                         fv = self.psi_vec({x: one}, br)
                         for g, vec in fv.items():
-                            tgt = total.setdefault(g, {})
-                            _vec_add_into(ring, tgt, vec)
+                            _vec_axpy(ring, total.setdefault(g, {}), vec)
                     total = {g: v for g, v in total.items() if v}
                     if not self._fiber_zero(total):
                         raise AssertionError(

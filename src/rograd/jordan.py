@@ -8,7 +8,8 @@ on arbitrary elements without dividing by 2.  Stored entries go through
 ring.coerce, so integral rational entries are plain ints, not Fraction(k, 1),
 and the products built from them stay integer arithmetic.
 
-Operators are kept sparse as dicts column -> (dict row -> scalar).
+Operators are kept sparse as dicts column -> (dict row -> scalar), with the
+helpers of linalg.
 """
 from __future__ import annotations
 
@@ -18,72 +19,19 @@ from itertools import chain, combinations_with_replacement, product
 from math import prod
 
 from .algebras import StructureAlgebra
-from .linalg import SparseMatrix, field_rank, integer_kernel, kernel_basis, span
+from .linalg import (
+    SparseMatrix,
+    _op_apply,
+    _op_axpy,
+    _op_compose,
+    _op_scale,
+    _vec_axpy,
+    field_rank,
+    integer_kernel,
+    kernel_basis,
+    span,
+)
 from .rings import BaseRing
-
-
-# ---------------------------------------------------------------------------
-# sparse operator helpers (column-major dicts)
-# ---------------------------------------------------------------------------
-
-
-def op_zero():
-    return {}
-
-
-def op_add(ring, A, B, sign=1):
-    out = {j: dict(col) for j, col in A.items()}
-    for j, col in B.items():
-        tgt = out.setdefault(j, {})
-        for i, v in col.items():
-            w = ring.add(tgt.get(i, 0), ring.mul(sign, v))
-            if ring.is_zero(w):
-                tgt.pop(i, None)
-            else:
-                tgt[i] = w
-        if not tgt:
-            out.pop(j, None)
-    return out
-
-
-def op_scale(ring, c, A):
-    c = ring.coerce(c)
-    if ring.is_zero(c):
-        return {}
-    return {j: {i: ring.mul(c, v) for i, v in col.items()} for j, col in A.items()}
-
-
-def op_apply(ring, A, x: dict) -> dict:
-    out = {}
-    for j, c in x.items():
-        col = A.get(j)
-        if not col:
-            continue
-        for i, v in col.items():
-            w = ring.add(out.get(i, 0), ring.mul(c, v))
-            if ring.is_zero(w):
-                out.pop(i, None)
-            else:
-                out[i] = w
-    return out
-
-
-def op_compose(ring, A, B):
-    """A after B."""
-    out = {}
-    for j, col in B.items():
-        res = op_apply(ring, A, col)
-        if res:
-            out[j] = res
-    return out
-
-
-def op_to_matrix(ring, A, nrows, ncols):
-    M = [[ring.coerce(0)] * ncols for _ in range(nrows)]
-    for j, col in A.items():
-        for i, v in col.items():
-            M[i][j] = v
-    return M
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +60,7 @@ class JordanPair:
     # Q_{e_i,e_j} with the convention Q_{e_i,e_i} = 2 Q_{e_i}
     def QB_basis(self, sign, i, j):
         if i == j:
-            return op_scale(self.ring, 2, self.Qdiag[sign][i])
+            return _op_scale(self.ring, 2, self.Qdiag[sign][i])
         key = (i, j) if i < j else (j, i)
         return self.Qlin[sign].get(key, {})
 
@@ -122,11 +70,10 @@ class JordanPair:
         out = {}
         items = sorted(x.items())
         for idx, (i, xi) in enumerate(items):
-            sq = ring.mul(xi, xi)
-            out = op_add(ring, out, op_scale(ring, sq, self.Qdiag[sign][i]))
+            _op_axpy(ring, out, self.Qdiag[sign][i], ring.coerce(ring.mul(xi, xi)))
             for k, xk in items[idx + 1 :]:
-                c = ring.mul(xi, xk)
-                out = op_add(ring, out, op_scale(ring, c, self.Qlin[sign].get((i, k), {})))
+                c = ring.coerce(ring.mul(xi, xk))
+                _op_axpy(ring, out, self.Qlin[sign].get((i, k), {}), c)
         return out
 
     def Qb_of(self, sign, x: dict, y: dict):
@@ -135,13 +82,13 @@ class JordanPair:
         out = {}
         for i, xi in x.items():
             for j, yj in y.items():
-                c = ring.mul(xi, yj)
-                out = op_add(ring, out, op_scale(ring, c, self.QB_basis(sign, i, j)))
+                c = ring.coerce(ring.mul(xi, yj))
+                _op_axpy(ring, out, self.QB_basis(sign, i, j), c)
         return out
 
     def triple(self, sign, x, y, z) -> dict:
         """{x y z} = Q_{x,z} y for x, z in V^sign, y in V^{-sign}."""
-        return op_apply(self.ring, self.Qb_of(sign, x, z), y)
+        return _op_apply(self.ring, self.Qb_of(sign, x, z), y)
 
     def D_op(self, sign, x, y):
         """D_{x,y} acting on V^sign: column k is {x y e_k}, which is
@@ -155,7 +102,7 @@ class JordanPair:
                 for b, yb in y.items():
                     col = qb.get(b)
                     if col:
-                        _vec_add_into(ring, vec, col, ring.mul(xa, yb))
+                        _vec_axpy(ring, vec, col, ring.mul(xa, yb))
             if vec:
                 cols[k] = vec
         return cols
@@ -163,14 +110,14 @@ class JordanPair:
     def delta(self, x, y):
         """delta(x,y) = (D_{x,y} on V^+, -D_{y,x} on V^-) for (x,y) in V."""
         Dp = self.D_op(1, x, y)
-        Dm = op_scale(self.ring, -1, self.D_op(-1, y, x))
+        Dm = _op_scale(self.ring, -1, self.D_op(-1, y, x))
         return (Dp, Dm)
 
     def is_idempotent(self, e) -> bool:
         ep, em = e
         return (
-            op_apply(self.ring, self.Q_of(1, ep), em) == ep
-            and op_apply(self.ring, self.Q_of(-1, em), ep) == em
+            _op_apply(self.ring, self.Q_of(1, ep), em) == ep
+            and _op_apply(self.ring, self.Q_of(-1, em), ep) == em
         )
 
 
@@ -274,42 +221,42 @@ def _families(V: JordanPair, sign: int):
     def Dvec(x: dict, d: int):
         out = {}
         for k, c in x.items():
-            _op_add_into(ring, out, Dtab[(k, d)], c)
+            _op_axpy(ring, out, Dtab[(k, d)], c)
         return out
 
     def Dvec2(i_idx: int, y: dict):
         # D(e_i, y) for a vector y in V^{-sign}
         out = {}
         for k, c in y.items():
-            _op_add_into(ring, out, Dtab[(i_idx, k)], c)
+            _op_axpy(ring, out, Dtab[(i_idx, k)], c)
         return out
 
     def Qbvec(x: dict, y: dict):
         out = {}
         for k, ck in x.items():
             for l, cl in y.items():
-                _op_add_into(ring, out, QB[(k, l)], ring.mul(ck, cl))
+                _op_axpy(ring, out, QB[(k, l)], ring.mul(ck, cl))
         return out
 
     def Qvec(x: dict):
         out = {}
         items = sorted(x.items())
         for idx, (k, ck) in enumerate(items):
-            _op_add_into(ring, out, Qd[k], ring.mul(ck, ck))
+            _op_axpy(ring, out, Qd[k], ring.mul(ck, ck))
             for l, cl in items[idx + 1 :]:
-                _op_add_into(ring, out, QB[(k, l)], ring.mul(ck, cl))
+                _op_axpy(ring, out, QB[(k, l)], ring.mul(ck, cl))
         return out
 
     def comp(*ops):
         out = ops[0]
         for o in ops[1:]:
-            out = op_compose(ring, out, o)
+            out = _op_compose(ring, out, o)
         return out
 
     def total(*signed_terms):
         acc = {}
         for s, term in signed_terms:
-            _op_add_into(ring, acc, term, s)
+            _op_axpy(ring, acc, term, s)
         return acc
 
     return [
@@ -494,15 +441,6 @@ def _families(V: JordanPair, sign: int):
     ]
 
 
-def _op_add_into(ring, acc, op, coef):
-    """acc += coef * op in place, dropping entries and columns that vanish."""
-    for j, col in op.items():
-        tgt = acc.setdefault(j, {})
-        _vec_add_into(ring, tgt, col, coef)
-        if not tgt:
-            del acc[j]
-
-
 def _pairings(w, x, y, z):
     return [((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))]
 
@@ -512,8 +450,9 @@ def _pairings(w, x, y, z):
 # ---------------------------------------------------------------------------
 
 
-def _dmat_mul(D: StructureAlgebra, A, B, rows, mid, cols):
-    """Multiply matrices over D given as dicts (r,c) -> D-vector."""
+def _dmatrix_mul(D: StructureAlgebra, A, B, cols):
+    """Multiply matrices over D given as dicts (r,c) -> D-vector; B has
+    cols columns."""
     out = {}
     for (r, k), x in A.items():
         for c in range(cols):
@@ -540,65 +479,33 @@ def rectangular_pair(i_size: int, j_size: int, D: StructureAlgebra) -> JordanPai
         raise ValueError("card K >= 4 needs associative coordinates")
     ring = D.ring
     dd = D.dim
-    np_dim = i_size * j_size * dd
 
-    def plus_idx(i, j, t):
-        return (i * j_size + j) * dd + t
-
-    def minus_idx(j, i, t):
-        return (j * i_size + i) * dd + t
-
-    def plus_vec_to_dmat(x: dict):
+    def to_dmat(vec: dict, width: int):
+        # index (r * width + c) * dd + t is coordinate t of cell (r, c)
         out = {}
-        for p, c in x.items():
-            t = p % dd
-            ij = p // dd
-            i, j = divmod(ij, j_size)
-            cell = out.setdefault((i, j), {})
-            cell[t] = ring.add(cell.get(t, 0), c)
-        return {k: {t: v for t, v in cell.items() if not ring.is_zero(v)} for k, cell in out.items()}
-
-    def minus_vec_to_dmat(y: dict):
-        out = {}
-        for p, c in y.items():
-            t = p % dd
-            ji = p // dd
-            j, i = divmod(ji, i_size)
-            cell = out.setdefault((j, i), {})
-            cell[t] = ring.add(cell.get(t, 0), c)
-        return {k: {t: v for t, v in cell.items() if not ring.is_zero(v)} for k, cell in out.items()}
-
-    def dmat_to_plus(M):
-        out = {}
-        for (i, j), cell in M.items():
-            for t, v in cell.items():
-                if not ring.is_zero(v):
-                    out[plus_idx(i, j, t)] = v
+        for p, v in vec.items():
+            cell, t = divmod(p, dd)
+            out.setdefault(divmod(cell, width), {})[t] = v
         return out
 
-    def dmat_to_minus(M):
-        out = {}
-        for (j, i), cell in M.items():
-            for t, v in cell.items():
-                if not ring.is_zero(v):
-                    out[minus_idx(j, i, t)] = v
-        return out
+    def from_dmat(M, width: int) -> dict:
+        return {
+            (r * width + c) * dd + t: v for (r, c), cell in M.items() for t, v in cell.items()
+        }
 
     def q_plus(x: dict, y: dict) -> dict:
         # x (y x), shapes (I x J)(J x I)(I x J)
-        X = plus_vec_to_dmat(x)
-        Y = minus_vec_to_dmat(y)
-        YX = _dmat_mul(D, Y, X, j_size, i_size, j_size)
-        return dmat_to_plus(_dmat_mul(D, X, YX, i_size, j_size, j_size))
+        X = to_dmat(x, j_size)
+        YX = _dmatrix_mul(D, to_dmat(y, i_size), X, j_size)
+        return from_dmat(_dmatrix_mul(D, X, YX, j_size), j_size)
 
     def q_minus(y: dict, x: dict) -> dict:
         # (y x) y
-        X = plus_vec_to_dmat(x)
-        Y = minus_vec_to_dmat(y)
-        YX = _dmat_mul(D, Y, X, j_size, i_size, j_size)
-        return dmat_to_minus(_dmat_mul(D, YX, Y, j_size, j_size, i_size))
+        Y = to_dmat(y, i_size)
+        YX = _dmatrix_mul(D, Y, to_dmat(x, j_size), j_size)
+        return from_dmat(_dmatrix_mul(D, YX, Y, i_size), i_size)
 
-    dims = {1: np_dim, -1: j_size * i_size * dd}
+    dims = {1: i_size * j_size * dd, -1: j_size * i_size * dd}
     labels = {
         1: [
             f"E[{i + 1},{i_size + j + 1}]{D.labels[t]}"
@@ -656,8 +563,8 @@ def _pair_from_q(ring, dims, labels, q_funcs) -> JordanPair:
                 cols = {}
                 for j in range(m):
                     v = q({i: one, k: one}, {j: one})
-                    v = _vec_sub(ring, v, diag[i].get(j, {}))
-                    v = _vec_sub(ring, v, diag[k].get(j, {}))
+                    _vec_axpy(ring, v, diag[i].get(j, {}), -1)
+                    _vec_axpy(ring, v, diag[k].get(j, {}), -1)
                     if v:
                         cols[j] = {r: ring.coerce(c) for r, c in v.items()}
                 if cols:
@@ -667,27 +574,6 @@ def _pair_from_q(ring, dims, labels, q_funcs) -> JordanPair:
     return JordanPair(ring, dims, labels, Qdiag, Qlin)
 
 
-def _vec_add_into(ring, acc: dict, vec: dict, coef=1):
-    for k, v in vec.items():
-        w = ring.add(acc.get(k, 0), ring.mul(coef, v))
-        if ring.is_zero(w):
-            acc.pop(k, None)
-        else:
-            acc[k] = w
-    return acc
-
-
-def _vec_sub(ring, x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, v in y.items():
-        w = ring.sub(out.get(k, 0), v)
-        if ring.is_zero(w):
-            out.pop(k, None)
-        else:
-            out[k] = w
-    return out
-
-
 def rectangular_grid(i_size: int, j_size: int, D: StructureAlgebra):
     """Grid idempotents (E_ij, E_ji) indexed by the roots eps_i - eps_j.
 
@@ -695,7 +581,6 @@ def rectangular_grid(i_size: int, j_size: int, D: StructureAlgebra):
     {0..i_size-1}, the minus one {i_size..i_size+j_size-1}.
     """
     dd = D.dim
-    unit_idx = [t for t, v in D.unit.items()]
     family = {}
     n = i_size + j_size
     for i in range(i_size):
@@ -745,29 +630,18 @@ class JordanAlgebra:
         for i, a in x.items():
             for j, b in y.items():
                 vec = self.circ.get((i, j)) or self.circ.get((j, i))
-                if not vec:
-                    continue
-                ab = ring.mul(a, b)
-                for k, c in vec.items():
-                    w = ring.add(out.get(k, 0), ring.mul(ab, c))
-                    if ring.is_zero(w):
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
+                if vec:
+                    _vec_axpy(ring, out, vec, ring.mul(a, b))
         return out
 
     def add(self, x, y):
-        return _vec_sub(self.ring, x, {k: self.ring.neg(v) for k, v in y.items()})
+        return _vec_axpy(self.ring, dict(x), y)
 
     def sub(self, x, y):
-        return _vec_sub(self.ring, x, y)
+        return _vec_axpy(self.ring, dict(x), y, -1)
 
     def smul(self, c, x):
-        ring = self.ring
-        c = ring.coerce(c)
-        if ring.is_zero(c):
-            return {}
-        return {k: ring.mul(c, v) for k, v in x.items()}
+        return _vec_axpy(self.ring, {}, x, self.ring.coerce(c))
 
     def basis_vec(self, i):
         return {i: self.ring.coerce(1)}
@@ -820,7 +694,7 @@ class JordanAlgebra:
             # acc += coef * (e_a o vec)
             row = circ[a]
             for t, c in vec.items():
-                _vec_add_into(ring, acc, row[t], ring.mul(coef, c))
+                _vec_axpy(ring, acc, row[t], ring.mul(coef, c))
 
         def stored(vec, scale):
             return {r: ring.coerce(ring.mul(scale, v)) for r, v in vec.items()}
@@ -1045,24 +919,11 @@ def hermitian_algebra(n: int, D: StructureAlgebra) -> JordanAlgebra:
     def _collect(terms):
         out = {}
         for (r, s), dvec in terms.items():
-            if not dvec:
-                continue
             if r == s:
-                for s_idx, coef in sym_coords(dvec):
-                    key = index[(r, r, s_idx)]
-                    w = ring.add(out.get(key, 0), coef)
-                    if ring.is_zero(w):
-                        out.pop(key, None)
-                    else:
-                        out[key] = w
+                coords = {index[(r, r, k)]: c for k, c in sym_coords(dvec)}
             else:
-                for t, coef in dvec.items():
-                    key = index[(r, s, t)]
-                    w = ring.add(out.get(key, 0), coef)
-                    if ring.is_zero(w):
-                        out.pop(key, None)
-                    else:
-                        out[key] = w
+                coords = {index[(r, s, t)]: c for t, c in dvec.items()}
+            _vec_axpy(ring, out, coords)
         return out
 
     circ = {}
@@ -1200,23 +1061,12 @@ def peirce(J: JordanAlgebra, idempotents) -> PeirceDecomposition:
     for e in es:
         total = J.add(total, e)
     complete = total == J.unit
-    ops = [op_to_matrix(ring, J.L_op(e), J.dim, J.dim) for e in es]
-
-    def eigen_rows(op, val):
-        rows = []
-        for i in range(J.dim):
-            row = {j: op[i][j] for j in range(J.dim) if not ring.is_zero(op[i][j])}
-            if val:
-                row[i] = ring.sub(row.get(i, ring.coerce(0)), ring.coerce(val))
-                row = {k: v for k, v in row.items() if not ring.is_zero(v)}
-            rows.append(row)
-        return rows
-
+    ops = [J.L_op(e) for e in es]
     indices = list(range(1, m + 1)) if complete else list(range(0, m + 1))
     spaces = {}
     for a_pos, a in enumerate(indices):
         for b in indices[a_pos:]:
-            stacked = []
+            conditions = []
             for t, e in enumerate(es, start=1):
                 if t == a == b:
                     val = 2
@@ -1224,15 +1074,8 @@ def peirce(J: JordanAlgebra, idempotents) -> PeirceDecomposition:
                     val = 1
                 else:
                     val = 0
-                stacked.extend(eigen_rows(ops[t - 1], val))
-            ent = {}
-            r = 0
-            for row in stacked:
-                for c, v in row.items():
-                    ent[(r, c)] = v
-                r += 1
-            mat = SparseMatrix(r, J.dim, ent, ring)
-            basis = kernel_basis(mat)
+                conditions.append((ops[t - 1], val))
+            basis = _eigenspace(ring, J.dim, conditions)
             if basis:
                 spaces[(a, b)] = basis
     found = sum(len(v) for v in spaces.values())
@@ -1246,6 +1089,22 @@ def peirce(J: JordanAlgebra, idempotents) -> PeirceDecomposition:
     dec = PeirceDecomposition(J, es, spaces)
     _verify_peirce_rules(J, dec)
     return dec
+
+
+def _eigenspace(ring, n: int, conditions):
+    """Basis of {x in ring^n : A x = val x for every (A, val) in conditions},
+    over a field; A may be any sparse operator on ring^n when val is 0."""
+    rows = []
+    for op, val in conditions:
+        by_row = {}
+        for j, col in op.items():
+            for i, v in col.items():
+                by_row.setdefault(i, {})[j] = v
+        if val:
+            for i in range(n):
+                _vec_axpy(ring, by_row.setdefault(i, {}), {i: ring.coerce(val)}, -1)
+        rows.extend(by_row.values())
+    return kernel_basis(SparseMatrix.from_rows(rows, n, ring))
 
 
 def _verify_peirce_rules(J: JordanAlgebra, dec: PeirceDecomposition):
@@ -1325,30 +1184,8 @@ def pair_idempotent_peirce(V: JordanPair, e):
         for c in Q_e.values():
             image.add(c)
         v2 = [dict(r) for r in image.basis_rows()]
-        # V_1: kernel of (D_e - id)
-        ent = {}
-        for j, colv in D_e.items():
-            for i, v in colv.items():
-                ent[(i, j)] = v
-        for i in range(n):
-            ent[(i, i)] = ring.sub(ent.get((i, i), ring.coerce(0)), ring.coerce(1))
-        ent = {k: v for k, v in ent.items() if not ring.is_zero(v)}
-        v1 = kernel_basis(SparseMatrix(n, n, ent, ring))
-        # V_0: ker D_e cap ker Q_other
-        ent = {}
-        r = 0
-        for i in range(n):
-            for j, colv in D_e.items():
-                v = colv.get(i)
-                if v is not None and not ring.is_zero(v):
-                    ent[(i, j)] = v
-        m_other = V.dim(-sign)
-        for i in range(m_other):
-            for j, colv in Q_other.items():
-                v = colv.get(i)
-                if v is not None and not ring.is_zero(v):
-                    ent[(n + i, j)] = v
-        v0 = kernel_basis(SparseMatrix(n + m_other, n, ent, ring))
+        v1 = _eigenspace(ring, n, [(D_e, 1)])
+        v0 = _eigenspace(ring, n, [(D_e, 0), (Q_other, 0)])
         out[2][sign] = v2
         out[1][sign] = v1
         out[0][sign] = v0
@@ -1396,7 +1233,7 @@ def verify_grid(V: JordanPair, family: dict, grading) -> GridReport:
             expected = R.pairing(alpha, beta)
             ea = family[alpha]
             for sign, vec in ((1, ea[0]), (-1, ea[1])):
-                img = op_apply(ring, d_ops[beta][sign], vec)
+                img = _op_apply(ring, d_ops[beta][sign], vec)
                 want = {k: ring.mul(ring.coerce(expected), v) for k, v in vec.items()}
                 want = {k: v for k, v in want.items() if not ring.is_zero(v)}
                 if img != want:
@@ -1410,27 +1247,12 @@ def verify_grid(V: JordanPair, family: dict, grading) -> GridReport:
         for gamma in roots:
             joint[gamma] = {}
             for sign in (1, -1):
-                n = V.dim(sign)
-                ent = {}
-                r_off = 0
-                for beta in roots:
-                    if beta == gamma:
-                        continue
-                    i_val = R.pairing(gamma, beta)
-                    op = d_ops[beta][sign]
-                    for j, colv in op.items():
-                        for i, v in colv.items():
-                            ent[(r_off + i, j)] = v
-                    if not ring.is_zero(ring.coerce(i_val)):
-                        for j in range(n):
-                            key = (r_off + j, j)
-                            ent[key] = ring.sub(
-                                ent.get(key, ring.coerce(0)), ring.coerce(i_val)
-                            )
-                    r_off += n
-                ent = {k: v for k, v in ent.items() if not ring.is_zero(v)}
-                basis = kernel_basis(SparseMatrix(r_off, n, ent, ring))
-                joint[gamma][sign] = basis
+                conditions = [
+                    (d_ops[beta][sign], R.pairing(gamma, beta))
+                    for beta in roots
+                    if beta != gamma
+                ]
+                joint[gamma][sign] = _eigenspace(ring, V.dim(sign), conditions)
         for sign in (1, -1):
             total = sum(len(joint[g][sign]) for g in roots)
             if total != V.dim(sign):

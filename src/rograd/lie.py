@@ -11,19 +11,17 @@ from __future__ import annotations
 from math import lcm
 
 from .algebras import StructureAlgebra, tensor_matrix_algebra
-from .jordan import (
-    JordanAlgebra,
-    JordanPair,
-    _vec_add_into,
-    op_add,
-    op_apply,
-    op_compose,
-    op_scale,
-)
+from .jordan import JordanAlgebra, JordanPair
 from .linalg import (
     LatticeEchelon,
     ModuleShape,
     SparseMatrix,
+    _op_apply,
+    _op_axpy,
+    _op_bracket,
+    _op_flatten,
+    _op_scale,
+    _vec_axpy,
     field_rank,
     integer_kernel,
     kernel_basis,
@@ -79,23 +77,17 @@ class OperatorLieAlgebra:
         width = carrier_dim * carrier_dim
         gen = lattice_span(ring, width)
         for op in self.generators:
-            gen.add(self._flatten(op))
+            gen.add(_op_flatten(op, carrier_dim))
         self.basis = [self._unflatten(row) for row in gen.basis_rows()]
         self._coord_ech = span(ring, width, track=True)
         for op in self.basis:
-            self._coord_ech.add(self._flatten(op))
+            self._coord_ech.add(_op_flatten(op, carrier_dim))
         if closure_check:
             self._verify_closed()
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def _flatten(self, op) -> dict:
-        n = self.carrier_dim
-        return {
-            i * n + j: v for j, col in op.items() for i, v in col.items()
-        }
 
     def _unflatten(self, row: dict):
         n = self.carrier_dim
@@ -107,7 +99,7 @@ class OperatorLieAlgebra:
 
     def express(self, op):
         """Coordinates of op in the chosen basis, or None if outside."""
-        residual, coords = self._coord_ech.reduce(self._flatten(op))
+        residual, coords = self._coord_ech.reduce(_op_flatten(op, self.carrier_dim))
         if residual:
             return None
         out = {}
@@ -118,8 +110,7 @@ class OperatorLieAlgebra:
         return out
 
     def bracket_ops(self, A, B):
-        ring = self.ring
-        return op_add(ring, op_compose(ring, A, B), op_compose(ring, B, A), sign=-1)
+        return _op_bracket(self.ring, A, B)
 
     def _verify_closed(self):
         for a in range(len(self.basis)):
@@ -175,8 +166,7 @@ class GradedLieAlgebra:
             for j, b in y.items():
                 vec = self.bracket_basis(i, j)
                 if vec:
-                    c = ring.mul(a, b)
-                    _vec_add_into(ring, out, vec, c)
+                    _vec_axpy(ring, out, vec, ring.mul(a, b))
         return out
 
     def degree_blocks(self):
@@ -394,12 +384,12 @@ def tkk(V: JordanPair) -> TKKAlgebra:
     # [T, x+] and [T, y-]
     for t, op in enumerate(inner.basis):
         for i in range(n):
-            img = op_apply(ring, op, {i: one})
+            img = _op_apply(ring, op, {i: one})
             vec = {p: v for p, v in img.items() if p < n}
             if vec:
                 bracket[(i, n + t)] = {p: ring.neg(v) for p, v in vec.items()}
         for j in range(m):
-            img = op_apply(ring, op, {n + j: one})
+            img = _op_apply(ring, op, {n + j: one})
             vec = {p - n: v for p, v in img.items() if p >= n}
             if vec:
                 bracket[(n + t, n + k + j)] = {n + k + q: v for q, v in vec.items()}
@@ -460,21 +450,10 @@ class UIDer:
     def delta_action_row(self, op, k, l) -> dict:
         """delta . (e_k (x) f_l) as a sparse generator vector, for delta
         given as a block op on V+ (+) V-."""
-        ring = self.ring
         n = self.n
-        row = {}
-        img = op.get(k, {})
-        for p, v in img.items():
-            row[self.gen_index(p, l)] = ring.add(row.get(self.gen_index(p, l), 0), v)
-        img = op.get(n + l, {})
-        for q, v in img.items():
-            g = self.gen_index(k, q - n)
-            w = ring.add(row.get(g, 0), v)
-            if ring.is_zero(w):
-                row.pop(g, None)
-            else:
-                row[g] = w
-        return {g: v for g, v in row.items() if not ring.is_zero(v)}
+        row = {self.gen_index(p, l): v for p, v in op.get(k, {}).items()}
+        tail = {self.gen_index(k, q - n): v for q, v in op.get(n + l, {}).items()}
+        return _vec_axpy(self.ring, row, tail)
 
     def relation_rows(self):
         """Yield the B rows (basis pairs) then the A rows (basis quadruples)."""
@@ -491,10 +470,11 @@ class UIDer:
                     for l in range(self.m):
                         if (k, l) <= (i, j):
                             continue
-                        row = self.delta_action_row(deltas[(i, j)], k, l)
-                        other = self.delta_action_row(deltas[(k, l)], i, j)
-                        merged = dict(row)
-                        _vec_add_into(ring, merged, other)
+                        merged = _vec_axpy(
+                            ring,
+                            self.delta_action_row(deltas[(i, j)], k, l),
+                            self.delta_action_row(deltas[(k, l)], i, j),
+                        )
                         if merged:
                             yield merged
 
@@ -734,17 +714,9 @@ def ider(J: JordanAlgebra) -> OperatorLieAlgebra:
     for i in range(J.dim):
         for j in range(i + 1, J.dim):
             # 2[L_i, L_j] with L = circle/2, i.e. (1/2)[Lcirc_i, Lcirc_j]
-            br = op_add(
-                ring,
-                op_compose(ring, Lops[i], Lops[j]),
-                op_compose(ring, Lops[j], Lops[i]),
-                sign=-1,
-            )
-            op = op_scale(ring, half, br)
+            op = _op_scale(ring, half, _op_bracket(ring, Lops[i], Lops[j]))
             if op:
                 ops.append(op)
-    if not ops:
-        return OperatorLieAlgebra(ring, J.dim, [])
     return OperatorLieAlgebra(ring, J.dim, ops)
 
 
@@ -769,16 +741,9 @@ class StarModule:
         return i * self.n + j
 
     def star_vec(self, x: dict, y: dict) -> dict:
-        ring = self.ring
         out = {}
         for i, a in x.items():
-            for j, b in y.items():
-                g = self.gen_index(i, j)
-                w = ring.add(out.get(g, 0), ring.mul(a, b))
-                if ring.is_zero(w):
-                    out.pop(g, None)
-                else:
-                    out[g] = w
+            _vec_axpy(self.ring, out, {self.gen_index(i, j): b for j, b in y.items()}, a)
         return out
 
     def relation_rows(self):
@@ -799,14 +764,9 @@ class StarModule:
                     # a(x)(bc) + b(x)(ca) + c(x)(ab) with linear products
                     row = {}
                     for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-                        prod = J.smul(half, J.mul(J.basis_vec(q), J.basis_vec(r)))
-                        for t, v in prod.items():
-                            g = self.gen_index(p, t)
-                            w = ring.add(row.get(g, 0), v)
-                            if ring.is_zero(w):
-                                row.pop(g, None)
-                            else:
-                                row[g] = w
+                        prod = J.mul(J.basis_vec(q), J.basis_vec(r))
+                        terms = {self.gen_index(p, t): v for t, v in prod.items()}
+                        _vec_axpy(ring, row, terms, half)
                     if row:
                         yield row
 
@@ -816,13 +776,8 @@ class StarModule:
         out = {}
         for g, c in vec.items():
             i, j = divmod(g, self.n)
-            br = op_add(
-                ring,
-                op_compose(ring, self._Lops[i], self._Lops[j]),
-                op_compose(ring, self._Lops[j], self._Lops[i]),
-                sign=-1,
-            )
-            out = op_add(ring, out, op_scale(ring, ring.mul(self._half, c), br))
+            br = _op_bracket(ring, self._Lops[i], self._Lops[j])
+            _op_axpy(ring, out, br, ring.coerce(ring.mul(self._half, c)))
         return out
 
     def dim_and_kernel(self):
@@ -847,9 +802,7 @@ class StarModule:
 
     def same_class(self, u: dict, v: dict) -> bool:
         """Whether u and v agree in J*J (difference in the relation span)."""
-        ring = self.ring
-        diff = dict(u)
-        _vec_add_into(ring, diff, v, ring.coerce(-1))
+        diff = _vec_axpy(self.ring, dict(u), v, -1)
         if not diff:
             return True
         return self.relation_echelon().contains(diff)
@@ -861,14 +814,8 @@ class StarModule:
         out = {}
         for g, c in v.items():
             i, j = divmod(g, self.n)
-            ti = op_apply(ring, T, {i: ring.coerce(1)})
-            for p, w in ti.items():
-                gg = self.gen_index(p, j)
-                _vec_add_into(ring, out, {gg: ring.mul(c, w)})
-            tj = op_apply(ring, T, {j: ring.coerce(1)})
-            for q, w in tj.items():
-                gg = self.gen_index(i, q)
-                _vec_add_into(ring, out, {gg: ring.mul(c, w)})
+            _vec_axpy(ring, out, {self.gen_index(p, j): w for p, w in T.get(i, {}).items()}, c)
+            _vec_axpy(ring, out, {self.gen_index(i, q): w for q, w in T.get(j, {}).items()}, c)
         return out
 
     def decompose(self, dec) -> dict:

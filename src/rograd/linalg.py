@@ -133,6 +133,77 @@ class SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
+# sparse vectors and operators
+# ---------------------------------------------------------------------------
+# A vector is a dict index -> nonzero scalar.  An operator is column-major,
+# a dict col -> (vector of that column's rows), with no empty column.  Every
+# helper returns these canonical forms, so operators compare with ==.  The
+# helpers are private because they run inside the hottest loops and
+# perfbench's tracer wraps every public rograd function.
+
+
+def _vec_axpy(ring: BaseRing, acc: dict, vec: dict, coef=1) -> dict:
+    """acc += coef * vec in place, dropping entries that vanish; returns acc."""
+    p = ring.p
+    for k, v in vec.items():
+        w = acc.get(k, 0) + coef * v
+        if p is not None:
+            w %= p
+        if w:
+            acc[k] = w
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+def _op_axpy(ring: BaseRing, acc: dict, op: dict, coef=1) -> dict:
+    """acc += coef * op in place, dropping entries and columns that vanish;
+    returns acc."""
+    for j, col in op.items():
+        tgt = acc.setdefault(j, {})
+        _vec_axpy(ring, tgt, col, coef)
+        if not tgt:
+            del acc[j]
+    return acc
+
+
+def _op_scale(ring: BaseRing, c, op: dict) -> dict:
+    c = ring.coerce(c)
+    if ring.is_zero(c):
+        return {}
+    return {j: {i: ring.mul(c, v) for i, v in col.items()} for j, col in op.items()}
+
+
+def _op_apply(ring: BaseRing, op: dict, x: dict) -> dict:
+    out = {}
+    for j, c in x.items():
+        col = op.get(j)
+        if col:
+            _vec_axpy(ring, out, col, c)
+    return out
+
+
+def _op_compose(ring: BaseRing, A: dict, B: dict) -> dict:
+    """A after B."""
+    out = {}
+    for j, col in B.items():
+        res = _op_apply(ring, A, col)
+        if res:
+            out[j] = res
+    return out
+
+
+def _op_bracket(ring: BaseRing, A: dict, B: dict) -> dict:
+    """AB - BA."""
+    return _op_axpy(ring, _op_compose(ring, A, B), _op_compose(ring, B, A), -1)
+
+
+def _op_flatten(op: dict, n: int) -> dict:
+    """The operator as one vector, entry (row i, col j) at i * n + j."""
+    return {i * n + j: v for j, col in op.items() for i, v in col.items()}
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form over Z
 # ---------------------------------------------------------------------------
 
@@ -823,14 +894,8 @@ def _rref_kernel(rows: dict, ncols: int, ring) -> list:
         inv = ring.inv(row[lead])
         row = {c: ring.mul(inv, v) for c, v in row.items()}
         for c in [c for c in row if c in reduced and c != lead]:
-            f = row.pop(c)
-            for k, v in reduced[c].items():
-                if k != c:
-                    w = ring.sub(row.get(k, 0), ring.mul(f, v))
-                    if ring.is_zero(w):
-                        row.pop(k, None)
-                    else:
-                        row[k] = w
+            # reduced[c] has entry 1 at c, so this clears row[c]
+            _vec_axpy(ring, row, reduced[c], ring.neg(row[c]))
         reduced[lead] = row
     one = ring.coerce(1)
     basis = {free: {free: one} for free in range(ncols) if free not in reduced}
@@ -862,6 +927,15 @@ def lattice_span(ring: BaseRing, ncols: int):
     over Z), the ring's own echelon over F_p.  Operator algebras take their
     bases from it, so that their structure constants mostly stay integral."""
     return span(ring if ring.characteristic else ZZ, ncols)
+
+
+def op_span_dim(ops, ring: BaseRing) -> int:
+    """Dimension (over the fraction field) of the span of sparse operators."""
+    n = 1 + max((max(j, *col) for op in ops for j, col in op.items()), default=0)
+    ech = span(ring, n * n)
+    for op in ops:
+        ech.add(_op_flatten(op, n))
+    return ech.rank
 
 
 def kernel_basis(M: SparseMatrix):

@@ -12,9 +12,6 @@ import pytest
 from rograd.algebras import (
     g1_span,
     matrix_algebra,
-    mat_bracket,
-    mat_add,
-    op_span_dim,
     split_octonions,
     standard_derivation,
 )
@@ -41,7 +38,7 @@ from rograd.lie import (
     structural_predicates,
     tkk,
 )
-from rograd.linalg import IntEchelon, ModuleShape
+from rograd.linalg import IntEchelon, ModuleShape, _op_axpy, _op_bracket, _op_scale, op_span_dim
 from rograd.rings import GF, QQ, ZZ
 from rograd.roots import build, three_grading, vneg
 
@@ -151,24 +148,24 @@ def test_criterion_03_octonion_suite():
     basis = [O.basis_vec(i) for i in range(8)]
     for a, b in product(basis, repeat=2):
         ab = O.commutator(a, b)
-        assert mat_bracket(O.L(a), O.L(b), ring) == mat_add(
-            O.L(ab), mat_bracket(O.L(a), O.R(b), ring), ring, sign=-2
+        assert _op_bracket(ring, O.L(a), O.L(b)) == _op_axpy(
+            ring, O.L(ab), _op_bracket(ring, O.L(a), O.R(b)), -2
         )
-        assert mat_bracket(O.R(a), O.R(b), ring) == mat_add(
-            [[ring.neg(v) for v in row] for row in O.R(ab)],
-            mat_bracket(O.L(a), O.R(b), ring),
+        assert _op_bracket(ring, O.R(a), O.R(b)) == _op_axpy(
             ring,
-            sign=-2,
+            _op_scale(ring, -1, O.R(ab)),
+            _op_bracket(ring, O.L(a), O.R(b)),
+            -2,
         )
     for a, b, c in product(basis, repeat=3):
-        inner = mat_bracket(O.L(a), O.R(b), ring)
+        inner = _op_bracket(ring, O.L(a), O.R(b))
         ab = O.commutator(a, b)
         assoc = O.associator(a, b, c)
-        assert mat_bracket(inner, O.L(c), ring) == mat_add(
-            O.L(assoc), mat_bracket(O.L(ab), O.R(c), ring), ring, sign=-1
+        assert _op_bracket(ring, inner, O.L(c)) == _op_axpy(
+            ring, O.L(assoc), _op_bracket(ring, O.L(ab), O.R(c)), -1
         )
-        assert mat_bracket(inner, O.R(c), ring) == mat_add(
-            O.R(assoc), mat_bracket(O.R(ab), O.L(c), ring), ring
+        assert _op_bracket(ring, inner, O.R(c)) == _op_axpy(
+            ring, O.R(assoc), _op_bracket(ring, O.R(ab), O.L(c))
         )
     _report(3, t0, "StanDer=14, <O,O>=14, kernel 0, alt ids on 8^3 triples")
 
@@ -261,11 +258,7 @@ def test_criterion_07_albert_suite():
                 entries = {pos.get(i): v for i, v in col.items()}
                 assert None not in entries, "D_0 action leaves the Peirce block"
                 small[pos[j]] = entries
-        mat = [[QQ.coerce(0)] * 8 for _ in range(8)]
-        for j, col in small.items():
-            for i, v in col.items():
-                mat[i][j] = v
-        restricted.append(mat)
+        restricted.append(small)
     g1 = g1_span(O)
     assert op_span_dim(restricted, QQ) == 28
     assert op_span_dim(g1, QQ) == 28

@@ -106,11 +106,11 @@ class TestUIDer:
             for j in range(V.dim(-1)):
                 op = U.inner.basis  # basis ops act on V+ (+) V-
                 from rograd.lie import _delta_block_op
-                from rograd.jordan import op_apply
+                from rograd.linalg import _op_apply
 
                 delta = _delta_block_op(V, {i: one}, {j: one})
                 for k in range(V.dim(1)):
-                    got = op_apply(QQ, delta, {k: one})
+                    got = _op_apply(QQ, delta, {k: one})
                     want = V.triple(1, {i: one}, {j: one}, {k: one})
                     assert {p: v for p, v in got.items() if p < V.dim(1)} == want
 
