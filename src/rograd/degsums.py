@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-import numpy as np
-
 from .linalg import SparseMatrix, solve_integer
 from .rings import ZZ
 from .roots import RootSystem, vadd, vneg, vsub, dot
@@ -144,25 +142,31 @@ def _assemble(R: RootSystem, sums_by_divisor: dict) -> DegenerateSumReport:
 
 
 def degenerate_sums_bruteforce(R: RootSystem) -> DegenerateSumReport:
-    """Enumerate all sums of two independent roots and keep divisor > 1."""
+    """Enumerate all sums of two independent roots and keep divisor > 1.
+
+    Each pairing 2(a|b) of two roots is checked to be divisible by both
+    root lengths.  The pairing is linear, so every sum of two roots then
+    pairs integrally with every coroot.
+    """
     roots = R.nonzero_roots
-    A = np.array(roots, dtype=np.int64)
-    lengths = np.einsum("ij,ij->i", A, A)
-    seen = {}
-    n = len(roots)
+    lengths = [dot(a, a) for a in roots]
     sums = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = vadd(roots[i], roots[j])
-            if any(b) and roots[j] != vneg(roots[i]):
-                sums.add(b)
+    for i, a in enumerate(roots):
+        for j in range(i + 1, len(roots)):
+            b = roots[j]
+            ab = 2 * dot(a, b)
+            if ab % lengths[i] or ab % lengths[j]:
+                raise AssertionError("non-integral pairing in the root lattice")
+            s = vadd(a, b)
+            if any(s):
+                sums.add(s)
     by_divisor = {2: set(), 3: set()}
     for g in sums:
-        gv = np.array(g, dtype=np.int64)
-        num = 2 * (A @ gv)
-        q, r = np.divmod(num, lengths)
-        assert not r.any(), "non-integral pairing in the root lattice"
-        d = int(np.gcd.reduce(np.abs(q)))
+        d = 0
+        for a, n in zip(roots, lengths):
+            d = gcd(d, 2 * dot(a, g) // n)
+            if d == 1:
+                break
         if d > 1:
             assert d in (2, 3), f"degenerate sum with divisor {d}"
             by_divisor[d].add(g)

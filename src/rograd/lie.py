@@ -8,6 +8,7 @@ in Python integers after clearing denominators.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from .algebras import StructureAlgebra, tensor_matrix_algebra
@@ -65,9 +66,10 @@ class OperatorLieAlgebra:
 
     Generators are sparse ops (dict col -> dict row -> scalar).  The basis
     is the staircase of linalg.lattice_span on the flattened generators
-    (integral in characteristic 0, so coordinates mostly stay integral);
-    coordinates come from the ring's tracked span.  With closure_check the
-    bracket of every basis pair a < b is checked to lie in the span.
+    (integral in characteristic 0, so coordinates mostly stay integral).
+    Its rows have distinct leading columns, so coordinates come from one
+    triangular solve.  With closure_check the bracket of every basis pair
+    a < b is checked to lie in the span.
     """
 
     def __init__(self, ring: BaseRing, carrier_dim: int, generators, closure_check=True):
@@ -78,10 +80,9 @@ class OperatorLieAlgebra:
         gen = lattice_span(ring, width)
         for op in self.generators:
             gen.add(_op_flatten(op, carrier_dim))
-        self.basis = [self._unflatten(row) for row in gen.basis_rows()]
-        self._coord_ech = span(ring, width, track=True)
-        for op in self.basis:
-            self._coord_ech.add(_op_flatten(op, carrier_dim))
+        rows = gen.basis_rows()
+        self.basis = [self._unflatten(row) for row in rows]
+        self._staircase = {min(row): (k, row) for k, row in enumerate(rows)}
         if closure_check:
             self._verify_closed()
 
@@ -98,16 +99,29 @@ class OperatorLieAlgebra:
         return op
 
     def express(self, op):
-        """Coordinates of op in the chosen basis, or None if outside."""
-        residual, coords = self._coord_ech.reduce(_op_flatten(op, self.carrier_dim))
-        if residual:
-            return None
-        out = {}
-        for k, c in coords.items():
-            c = self.ring.coerce(c)
-            if not self.ring.is_zero(c):
-                out[k] = c
-        return out
+        """Coordinates of op in the chosen basis, or None if outside.
+
+        Over Z a coordinate that is not an integer raises ValueError."""
+        ring = self.ring
+        p = ring.characteristic
+        vec = _vec_axpy(ring, {}, _op_flatten(op, self.carrier_dim))
+        coords = {}
+        while vec:
+            lead = min(vec)
+            hit = self._staircase.get(lead)
+            if hit is None:
+                return None
+            k, row = hit
+            x, a = vec[lead], row[lead]
+            if p:
+                c = x * pow(a, p - 2, p) % p
+            elif x % a:
+                c = Fraction(x) / a
+            else:
+                c = x // a
+            _vec_axpy(ring, vec, row, -c)
+            coords[k] = c
+        return {k: ring.coerce(c) for k, c in coords.items()}
 
     def bracket_ops(self, A, B):
         return _op_bracket(self.ring, A, B)

@@ -11,11 +11,10 @@ known upper bound proves the exact value).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
 
 from .rings import GF, QQ, ZZ, BaseRing, _is_prime
 
@@ -835,7 +834,10 @@ class ModularEchelon:
     def add_batch(self, batch) -> int:
         """Insert rows (an iterable of sparse dicts, or a 2-D int array);
         returns the rank gain."""
-        if isinstance(batch, np.ndarray):
+        # An array can only come from a caller that imported numpy, so
+        # numpy is never imported here.
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(batch, np.ndarray):
             batch = [{c: int(v) for c, v in enumerate(row) if v} for row in np.atleast_2d(batch)]
         before = len(self.pivots)
         for row in batch:

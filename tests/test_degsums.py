@@ -8,7 +8,7 @@ from rograd.degsums import (
     degenerate_sums_bruteforce,
     divisor,
 )
-from rograd.roots import build, vneg
+from rograd.roots import RootSystem, build, vneg
 
 
 def pm(*vecs):
@@ -184,3 +184,10 @@ def test_table_and_json_output():
     data = report.to_json()
     assert data[0]["divisor"] == 2
     assert len(data[0]["sums"]) == 14
+
+
+def test_bruteforce_rejects_a_non_integral_pairing():
+    # 2((1,0)|(1,2)) = 2 is not a multiple of |(1,2)|^2 = 5
+    R = RootSystem("X", 2, [(1, 0), (-1, 0), (1, 2), (-1, -2)])
+    with pytest.raises(AssertionError, match="non-integral pairing in the root lattice"):
+        degenerate_sums_bruteforce(R)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rograd.algebras import matrix_algebra
 from rograd.centext import uce
-from rograd.lie import sl_algebra
+from rograd.lie import OperatorLieAlgebra, sl_algebra
 from rograd.linalg import (
     FieldEchelon,
     FinitelyPresentedModule,
@@ -18,6 +18,8 @@ from rograd.linalg import (
     ModularEchelon,
     ModuleShape,
     SparseMatrix,
+    _op_axpy,
+    _op_flatten,
     field_rank,
     integer_kernel_mod_relations,
     kernel_basis,
@@ -168,6 +170,70 @@ class TestLatticeBackend:
         assert not residual and coords == {0: Fraction(1, 2)}
         with pytest.raises(ValueError):
             ZZ.coerce(coords[0])
+
+
+def _ring_op(ring, op):
+    """op with its entries coerced into ring and zeros dropped."""
+    out = {}
+    for j, col in op.items():
+        col = {i: ring.coerce(v) for i, v in col.items()}
+        col = {i: v for i, v in col.items() if not ring.is_zero(v)}
+        if col:
+            out[j] = col
+    return out
+
+
+def _tracked_express(L, op):
+    """Reference coordinates of op: a tracked span of the basis, its
+    coordinates coerced into the ring (which raises over Z on a fraction)."""
+    n = L.carrier_dim
+    ech = span(L.ring, n * n, track=True)
+    for b in L.basis:
+        ech.add(_op_flatten(b, n))
+    residual, coords = ech.reduce(_op_flatten(op, n))
+    if residual:
+        return None
+    coords = {k: L.ring.coerce(c) for k, c in coords.items()}
+    return {k: c for k, c in coords.items() if not L.ring.is_zero(c)}
+
+
+class TestOperatorCoordinates:
+    @pytest.mark.parametrize("ring", [QQ, ZZ, GF(5), GF(2**61 - 1)], ids=str)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_express_matches_tracked_span(self, ring, data):
+        n = data.draw(st.integers(1, 3))
+        value = RATIONALS if ring.kind == "Q" else st.integers(-4, 4)
+        col = st.dictionaries(st.integers(0, n - 1), value, max_size=2)
+        op = st.dictionaries(st.integers(0, n - 1), col, max_size=2)
+        gens = [_ring_op(ring, g) for g in data.draw(st.lists(op, max_size=4))]
+        L = OperatorLieAlgebra(ring, n, gens, closure_check=False)
+        probes = [_ring_op(ring, g) for g in data.draw(st.lists(op, max_size=3))]
+        # a combination of the generators lies in the span; over Z its
+        # rational coefficients can give coordinates that are not integers
+        coef = st.integers(-4, 4) if ring.kind == "Fp" else RATIONALS
+        combo = {}
+        for g in gens:
+            _op_axpy(QQ, combo, g, data.draw(coef))
+        if ring.kind != "Z" or all(
+            Fraction(v).denominator == 1 for col in combo.values() for v in col.values()
+        ):
+            probes.append(_ring_op(ring, combo))
+        for probe in probes:
+            try:
+                expected = _tracked_express(L, probe)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    L.express(probe)
+            else:
+                assert L.express(probe) == expected
+
+    def test_express_over_z_rejects_a_fractional_coordinate(self):
+        L = OperatorLieAlgebra(ZZ, 1, [{0: {0: 2}}], closure_check=False)
+        assert L.express({0: {0: -4}}) == {0: -2}
+        assert L.express({0: {0: 0}}) == {}
+        with pytest.raises(ValueError, match="not an integer"):
+            L.express({0: {0: 1}})
 
 
 class TestKernels:
