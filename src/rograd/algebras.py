@@ -136,7 +136,7 @@ class StructureAlgebra:
                     raise ValueError("involution is not an anti-automorphism")
         assoc = all(
             not self.associator(basis[i], basis[j], basis[k])
-            for i, j, k in product(range(dim), repeat=3)
+            for i, j, k in self._associator_triples()
         )
         comm = all(
             self.mul(basis[i], basis[j]) == self.mul(basis[j], basis[i])
@@ -152,6 +152,26 @@ class StructureAlgebra:
             "commutative": comm,
             "unital": self.unit is not None,
         }
+
+    def _associator_triples(self):
+        """The basis triples (i, j, k) with e_i e_j or e_j e_k nonzero, each
+        once: (e_i e_j) e_k - e_i (e_j e_k) vanishes on every other triple."""
+        dim = self.dim
+        left = [[] for _ in range(dim)]  # left[j]: the i with e_i e_j != 0
+        right = [[] for _ in range(dim)]  # right[j]: the k with e_j e_k != 0
+        for (i, j), vec in self.mult.items():
+            if vec:
+                left[j].append(i)
+                right[i].append(j)
+        for j in range(dim):
+            for i in left[j]:
+                for k in range(dim):
+                    yield i, j, k
+            lefts = set(left[j])
+            for k in right[j]:
+                for i in range(dim):
+                    if i not in lefts:
+                        yield i, j, k
 
     def _check_alternative(self, basis):
         # (x,x,y) = 0 and (y,x,x) = 0 together with their linearizations,
@@ -183,7 +203,7 @@ class StructureAlgebra:
     def to_json(self) -> dict:
         ring = self.ring
         table = []
-        for (i, j), vec in sorted(self.mult.items()):
+        for (i, j), vec in self.mult.items():
             table.append([i, j, [[k, ring.scalar_str(v)] for k, v in sorted(vec.items())]])
         data = {
             "dim": self.dim,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .linalg import SparseMatrix, solve_integer
+from .linalg import SparseMatrix, integer_solver
 from .rings import ZZ
 from .roots import RootSystem, vadd, vneg, vsub, dot
 
@@ -196,12 +196,13 @@ def degenerate_sums_algorithm(R: RootSystem) -> DegenerateSumReport:
         },
         ZZ,
     )
+    in_lattice = integer_solver(lattice)
     for w in R.fundamental_weights():
         doubled = tuple(2 * c for c in w.coords)
         if any(c.denominator != 1 for c in map(_as_fraction, doubled)):
             continue
         doubled = tuple(int(c) for c in doubled)
-        if solve_integer(lattice, dict(enumerate(doubled))) is None:
+        if in_lattice(dict(enumerate(doubled))) is None:
             continue  # 2*omega outside the root lattice
         if dot(doubled, doubled) > 2 * R.long_norm:
             continue

@@ -3,18 +3,19 @@
 Callers reach it through two entry points that pick the algorithm from the
 ring: span(ring, ncols) returns the ring's one echelon backend, and
 quotient_shape(ring, ...) reads R^m/R and ker(u)/R off a relation stream
-(one Smith normal form over Z, a certified rank over a field).  Also Smith
-normal form with unimodular transforms, finitely presented module
-normalization, and rank_certified, which streams rows through a mod-p
-echelon (a mod-p rank is a lower bound for the rank over Q, so reaching a
-known upper bound proves the exact value).
+(a lattice basis and its Smith normal form over Z, a certified rank over a
+field).  Also Smith normal form with or without unimodular transforms,
+finitely presented module normalization, and rank_certified, which streams
+rows through a mod-p echelon (a mod-p rank is a lower bound for the rank
+over Q, so reaching a known upper bound proves the exact value).
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm, prod
 
 from .rings import GF, QQ, ZZ, BaseRing, _is_prime
 
@@ -207,25 +208,50 @@ def _op_flatten(op: dict, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(M: SparseMatrix):
+def smith_normal_form(M: SparseMatrix, transforms: bool = True):
     """Return (invariant factors, (U, V)) with U*M*V diagonal, U, V unimodular.
 
     The factor list has length rank(M); each factor is positive and divides
     the next.  Pivots are chosen to minimize fill-in, with lexicographic
     tie-breaking so results are deterministic.
+
+    With transforms=False the result is (factors, None), the same factors
+    found without U or V.  They depend only on the lattice R spanned by the
+    rows, so the rows first go into a LatticeEchelon in Hermite normal form,
+    which leaves a basis of r = rank(M) rows.  Each row with lead 1 gives a
+    factor 1.  The leads of the other k rows multiply to a k x k minor D of
+    them, so D * Z^k lies in their column lattice, and the elimination runs
+    modulo D (Domich-Kannan-Trotter): every entry stays within D/2, a
+    diagonal entry e stands for the factor gcd(e, D), and a missing one for
+    D.
     """
     if M.ring.kind != "Z":
         raise ValueError("Smith normal form requires integer entries")
-    m, n = M.rows, M.cols
+    if transforms:
+        m, n = M.rows, M.cols
+        entries = M.entries
+        D = 0  # no modulus
+    else:
+        lat = LatticeEchelon(hermite=True)
+        for row in M.row_dicts():
+            lat.add(row)
+        # a lead 1 is the only nonzero entry of its column in Hermite form,
+        # so column operations split it off as a factor 1
+        basis = [row for row in lat.basis_rows() if row[min(row)] != 1]
+        ones = lat.rank - len(basis)
+        m, n = len(basis), M.cols
+        entries = {(r, c): v for r, row in enumerate(basis) for c, v in row.items()}
+        D = prod(row[min(row)] for row in basis)
     A = [dict() for _ in range(m)]
     colidx = [set() for _ in range(n)]
-    for (r, c), v in M.entries.items():
-        A[r][c] = v
-        colidx[c].add(r)
-    U = [{r: 1} for r in range(m)]
-    VT = [{c: 1} for c in range(n)]  # VT[j] = column j of V
+    U = [{r: 1} for r in range(m)] if transforms else None
+    VT = [{c: 1} for c in range(n)] if transforms else None  # VT[j] = column j of V
 
     def set_entry(r, c, v):
+        if D:
+            v %= D
+            if 2 * v > D:
+                v -= D
         if v:
             A[r][c] = v
             colidx[c].add(r)
@@ -234,10 +260,15 @@ def smith_normal_form(M: SparseMatrix):
                 del A[r][c]
                 colidx[c].discard(r)
 
+    for (r, c), v in entries.items():
+        set_entry(r, c, v)
+
     def row_op(dst, src, q):
         # row dst -= q * row src
         for c, v in list(A[src].items()):
             set_entry(dst, c, A[dst].get(c, 0) - q * v)
+        if U is None:
+            return
         for c, v in list(U[src].items()):
             w = U[dst].get(c, 0) - q * v
             if w:
@@ -249,6 +280,8 @@ def smith_normal_form(M: SparseMatrix):
         # col dst -= q * col src
         for r in list(colidx[src]):
             set_entry(r, dst, A[r].get(dst, 0) - q * A[r][src])
+        if VT is None:
+            return
         for r, v in list(VT[src].items()):
             w = VT[dst].get(r, 0) - q * v
             if w:
@@ -263,7 +296,8 @@ def smith_normal_form(M: SparseMatrix):
             colidx[c].discard(a)
             colidx[c].discard(b)
         A[a], A[b] = A[b], A[a]
-        U[a], U[b] = U[b], U[a]
+        if U is not None:
+            U[a], U[b] = U[b], U[a]
         for c in A[a]:
             colidx[c].add(a)
         for c in A[b]:
@@ -280,7 +314,8 @@ def smith_normal_form(M: SparseMatrix):
                 else:
                     A[r][c] = v
         colidx[a], colidx[b] = colidx[b], colidx[a]
-        VT[a], VT[b] = VT[b], VT[a]
+        if VT is not None:
+            VT[a], VT[b] = VT[b], VT[a]
 
     t = 0
     limit = min(m, n)
@@ -350,14 +385,14 @@ def smith_normal_form(M: SparseMatrix):
             row_op(t, t, 2)  # negate row t: r_t -= 2*r_t
         t += 1
 
-    factors = []
-    for i in range(limit):
-        v = A[i].get(i, 0)
-        if v:
-            factors.append(v)
+    factors = [A[i][i] for i in range(limit) if A[i].get(i)]
+    if not transforms:
+        factors = [1] * ones + [gcd(v, D) for v in factors] + [D] * (m - len(factors))
     for a, b in zip(factors, factors[1:]):
         if b % a != 0:
             raise AssertionError("invariant factor chain broken")
+    if not transforms:
+        return factors, None
     Umat = SparseMatrix.from_rows(U, m, ZZ) if m else SparseMatrix(0, 0, {})
     Vmat = SparseMatrix(
         n, n, {(r, j): v for j, col in enumerate(VT) for r, v in col.items()}, ZZ
@@ -375,29 +410,39 @@ def integer_kernel(M: SparseMatrix):
     return cols[r:]
 
 
-def solve_integer(M: SparseMatrix, b: dict):
-    """One integer solution x of Mx = b, or None."""
+def integer_solver(M: SparseMatrix):
+    """The function b -> one integer solution x of Mx = b, or None.  One SNF
+    of M serves every right-hand side."""
     factors, (U, V) = smith_normal_form(M)
     r = len(factors)
     Urows = U.row_dicts()
-    ub = []
-    for i in range(M.rows):
-        ub.append(sum(v * b.get(c, 0) for c, v in Urows[i].items()))
-    y = {}
-    for i in range(M.rows):
-        if i < r:
-            if ub[i] % factors[i] != 0:
-                return None
-            y[i] = ub[i] // factors[i]
-        elif ub[i] != 0:
-            return None
-    x = {}
     Vrows = V.row_dicts()
-    for i in range(M.cols):
-        s = sum(v * y.get(j, 0) for j, v in Vrows[i].items())
-        if s:
-            x[i] = s
-    return x
+
+    def solve(b: dict):
+        ub = []
+        for i in range(M.rows):
+            ub.append(sum(v * b.get(c, 0) for c, v in Urows[i].items()))
+        y = {}
+        for i in range(M.rows):
+            if i < r:
+                if ub[i] % factors[i] != 0:
+                    return None
+                y[i] = ub[i] // factors[i]
+            elif ub[i] != 0:
+                return None
+        x = {}
+        for i in range(M.cols):
+            s = sum(v * y.get(j, 0) for j, v in Vrows[i].items())
+            if s:
+                x[i] = s
+        return x
+
+    return solve
+
+
+def solve_integer(M: SparseMatrix, b: dict):
+    """One integer solution x of Mx = b, or None."""
+    return integer_solver(M)(b)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +485,10 @@ class FinitelyPresentedModule:
 
 def module_invariants(m: FinitelyPresentedModule) -> ModuleShape:
     """Normal form: over Z invariant factors (1s dropped) + free rank;
-    over a field just the dimension."""
+    over a field just the dimension.  Over Z the factors come from the
+    factors-only SNF, which works on a lattice basis of the relations."""
     if m.ring.kind == "Z":
-        factors, _ = smith_normal_form(m.relations)
+        factors, _ = smith_normal_form(m.relations, transforms=False)
         torsion = tuple(d for d in factors if d != 1)
         return ModuleShape(m.generators - len(factors), torsion)
     rank = field_rank(
@@ -672,10 +718,17 @@ class FieldEchelon:
 
 class LatticeEchelon:
     """Incremental staircase basis of the lattice spanned by integer rows
-    (rational rows are cleared of denominators first)."""
+    (rational rows are cleared of denominators first).
 
-    def __init__(self):
+    With hermite=True the basis is kept in Hermite normal form: each row's
+    entry in a later pivot column lies in [0, that pivot's lead).  That basis
+    depends only on the lattice, and its entries stay small; without it the
+    gcd steps can grow entries to millions of bits on random 40 x 40 inputs.
+    """
+
+    def __init__(self, hermite: bool = False):
         self.pivots = {}  # lead col -> row dict
+        self.hermite = hermite
 
     @property
     def rank(self):
@@ -698,36 +751,57 @@ class LatticeEchelon:
             if prow is None:
                 if row[lead] < 0:
                     row = {c: -v for c, v in row.items()}
-                self.pivots[lead] = row
+                self._set_pivot(lead, row)
                 return True
             a, b = prow[lead], row[lead]
             if b % a == 0:
-                q = b // a
-                new = {}
-                for c in set(row) | set(prow):
-                    v = row.get(c, 0) - q * prow.get(c, 0)
-                    if v:
-                        new[c] = v
-                row = new
+                row = _combine(row, prow, 1, -(b // a))
             else:
                 g, x, y = _xgcd(a, b)
-                # new pivot = x*prow + y*row has lead entry g
-                newp = {}
-                for c in set(row) | set(prow):
-                    v = x * prow.get(c, 0) + y * row.get(c, 0)
-                    if v:
-                        newp[c] = v
-                # replace row by (a/g)*row - (b/g)*prow (kills lead)
-                qa, qb = a // g, b // g
-                new = {}
-                for c in set(row) | set(prow):
-                    v = qa * row.get(c, 0) - qb * prow.get(c, 0)
-                    if v:
-                        new[c] = v
-                self.pivots[lead] = newp
+                # new pivot x*prow + y*row has lead entry g, and
+                # (a/g)*row - (b/g)*prow kills the lead
+                newp = _combine(row, prow, y, x)
+                row = _combine(row, prow, a // g, -(b // g))
+                self._set_pivot(lead, newp)
                 grew = True
-                row = new
+            if self.hermite:
+                self._reduce_after(row, lead)
         return grew
+
+    def _set_pivot(self, lead: int, row: dict):
+        self.pivots[lead] = row
+        if not self.hermite:
+            return
+        self._reduce_after(row, lead)
+        h = row[lead]
+        # only rows with an earlier lead can have an entry in column lead
+        for c in [c for c, other in self.pivots.items() if lead in other and c != lead]:
+            other = self.pivots[c]
+            if not 0 <= other[lead] < h:
+                other = _combine(other, row, 1, -(other[lead] // h))
+                self._reduce_after(other, lead)
+                self.pivots[c] = other
+
+    def _reduce_after(self, vec: dict, col: int):
+        """Bring vec's entries in the pivot columns after col into [0, lead)
+        by subtracting pivot rows, column by column, in place."""
+        pivots = self.pivots
+        todo = [c for c in vec if c > col and c in pivots]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            prow = pivots[c]
+            q = vec.get(c, 0) // prow[c]
+            if not q:
+                continue
+            for cc, w in prow.items():
+                v = vec.get(cc, 0) - q * w
+                if v:
+                    if cc not in vec and cc > c and cc in pivots:
+                        heappush(todo, cc)
+                    vec[cc] = v
+                else:
+                    vec.pop(cc, None)
 
     def reduce(self, vec: dict):
         """(residual, {}): vec minus the lattice vector that clears its leads
@@ -756,6 +830,16 @@ class LatticeEchelon:
         return all(other.contains(r) for r in self.basis_rows()) and all(
             self.contains(r) for r in other.basis_rows()
         )
+
+
+def _combine(row: dict, prow: dict, s: int, t: int) -> dict:
+    """s*row + t*prow, without zero entries."""
+    out = {}
+    for c in set(row) | set(prow):
+        v = s * row.get(c, 0) + t * prow.get(c, 0)
+        if v:
+            out[c] = v
+    return out
 
 
 def _xgcd(a: int, b: int):
@@ -1014,7 +1098,8 @@ def quotient_shape(ring: BaseRing, rel_rows_factory, ncols: int, u_cols: dict, r
     map u given by its columns (col -> {row: value}) of rank rank_u, with R
     inside ker u.
 
-    Over Z: one SNF of Z^ncols/R, each relation row checked to lie in ker u
+    Over Z: the relation rows go into a lattice, each checked to lie in
+    ker u, and one factors-only SNF of its basis gives Z^ncols/R
     (integer_kernel_mod_relations).  Over a field: dimensions from the
     certified rank of R, bounded by dim ker u = ncols - rank_u.
     """
@@ -1051,12 +1136,13 @@ def subquotient_invariants(ring, sub_basis, rel_rows, ncols) -> ModuleShape:
             },
             ZZ,
         )
+        solve = integer_solver(K)
         rel_coords = []
         for row in rel_rows:
             if any(v and c not in colpos for c, v in row.items()):
                 raise ValueError("relation outside submodule span")
             b = {colpos[c]: v for c, v in row.items() if v}
-            x = solve_integer(K, b)
+            x = solve(b)
             if x is None:
                 raise ValueError("relation not in submodule lattice")
             rel_coords.append(x)
@@ -1081,9 +1167,10 @@ def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int
 
     One SNF of Z^ncols/R gives both: Z^ncols/ker(u) embeds in Z^rank_u, so
     it is free and splits off, Z^ncols/R = ker(u)/R + Z^rank_u.  That needs
-    R in ker(u), which is checked row by row.
+    R in ker(u), which is checked row by row as each row goes into a
+    lattice; the SNF runs on the lattice basis, at most one row per column.
     """
-    rels = []
+    lat = LatticeEchelon(hermite=True)
     for r, row in enumerate(rel_rows):
         row = {c: int(v) for c, v in row.items()}
         image = {}
@@ -1092,9 +1179,9 @@ def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int
                 image[t] = image.get(t, 0) + v * w
         if any(image.values()):
             raise AssertionError(f"relation outside ker u (relation row {r})")
-        rels.append(row)
-    rel_mat = SparseMatrix.from_rows(rels, ncols, ZZ)
-    quotient = module_invariants(FinitelyPresentedModule(ZZ, ncols, rel_mat))
+        lat.add(row)
+    basis = SparseMatrix.from_rows(lat.basis_rows(), ncols, ZZ)
+    quotient = module_invariants(FinitelyPresentedModule(ZZ, ncols, basis))
     if quotient.free_rank < rank_u:
         raise AssertionError(
             f"Z^{ncols}/R has free rank {quotient.free_rank} below rank(u) = {rank_u}"

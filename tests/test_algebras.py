@@ -2,9 +2,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rograd.algebras import (
     Element,
+    StructureAlgebra,
     Triality,
     associator,
     check_triality,
@@ -334,3 +337,85 @@ class TestG1Operators:
 
     def test_span_is_so8(self, O):
         assert op_span_dim(g1_span(O), O.ring) == 28
+
+
+@st.composite
+def incidence_algebras(draw):
+    """The incidence algebra of a random partial order on up to four points
+    over Q, associative and unital, on a rescaled and relabelled basis."""
+    k = draw(st.integers(1, 4))
+    below = {(a, b) for a in range(k) for b in range(a + 1, k) if draw(st.booleans())}
+    for c in range(k):  # transitive closure
+        below |= {(a, b) for (a, x) in below for (y, b) in below if x == y == c}
+    pairs = [(a, a) for a in range(k)] + sorted(below)
+    pairs = draw(st.permutations(pairs))
+    pos = {ab: i for i, ab in enumerate(pairs)}
+    scale = [Fraction(draw(st.sampled_from([1, -1, 2, 3])), draw(st.integers(1, 3))) for _ in pairs]
+    mult = {}
+    for (a, b), (c, d) in product(pairs, repeat=2):
+        if b == c:  # E_ab E_bd = E_ad, rescaled
+            i, j, t = pos[(a, b)], pos[(c, d)], pos[(a, d)]
+            mult[(i, j)] = {t: scale[i] * scale[j] / scale[t]}
+    unit = {pos[(a, a)]: 1 / scale[pos[(a, a)]] for a in range(k)}
+    return StructureAlgebra(QQ, [str(p) for p in pairs], mult, unit=unit)
+
+
+@st.composite
+def random_tables(draw):
+    """Sparse multiplication tables on up to five basis vectors, mostly not
+    associative: random ones, and incidence algebras with one entry changed."""
+    if draw(st.booleans()):
+        A = draw(incidence_algebras())
+        dim, mult = A.dim, {key: dict(vec) for key, vec in A.mult.items()}
+        key = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
+        mult.setdefault(key, {})[draw(st.integers(0, dim - 1))] = draw(st.integers(-2, 2))
+    else:
+        dim = draw(st.integers(1, 5))
+        idx = st.integers(0, dim - 1)
+        vec = st.dictionaries(idx, st.integers(-2, 2), max_size=2)
+        mult = draw(st.dictionaries(st.tuples(idx, idx), vec, max_size=2 * dim))
+    return StructureAlgebra(QQ, [str(i) for i in range(dim)], mult)
+
+
+def _full_scan_flags(A):
+    """The law flags from every basis triple and pair."""
+    basis = [A.basis_vec(i) for i in range(A.dim)]
+    triples = product(range(A.dim), repeat=3)
+    assoc = all(not A.associator(basis[i], basis[j], basis[k]) for i, j, k in triples)
+    comm = all(
+        A.mul(basis[i], basis[j]) == A.mul(basis[j], basis[i])
+        for i, j in product(range(A.dim), repeat=2)
+    )
+    return {
+        "associative": assoc,
+        "alternative": assoc or A._check_alternative(basis),
+        "commutative": comm,
+        "unital": A.unit is not None,
+    }
+
+
+class TestLawFlags:
+    """The associativity check visits only the triples (i, j, k) with
+    e_i e_j or e_j e_k nonzero; the flags must be those of the full scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(A=incidence_algebras())
+    def test_associative_tables(self, A):
+        assert A.flags == _full_scan_flags(A)
+        assert A.flags["associative"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(A=random_tables())
+    def test_random_tables(self, A):
+        assert A.flags == _full_scan_flags(A)
+        triples = list(A._associator_triples())
+        assert len(triples) == len(set(triples))
+        assert set(triples) == {
+            (i, j, k)
+            for i, j, k in product(range(A.dim), repeat=3)
+            if A.mult.get((i, j)) or A.mult.get((j, k))
+        }
+
+    def test_named_algebras(self):
+        for A in (matrix_algebra(3, ZZ), split_octonions(GF(3)), tensor_matrix_algebra(2, _oct(QQ))):
+            assert A.flags == _full_scan_flags(A)

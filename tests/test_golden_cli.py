@@ -1,7 +1,8 @@
-"""Byte identity of CLI outputs and of one root regrade.
+"""Byte identity of CLI outputs, of one root regrade and of the uce blocks
+over Z.
 
-Each case runs ``rograd.cli.main`` in process and compares the sha256 of
-its stdout and its exit code with a recorded digest.  The outputs expose
+Each CLI case runs ``rograd.cli.main`` in process and compares the sha256
+of its stdout and its exit code with a recorded digest.  The outputs expose
 every basis an echelon picks (instr, sl_K, the regrade) and every rank, so
 a change to the exact linear algebra that picks a different basis or rank
 changes a digest.
@@ -11,11 +12,12 @@ import json
 
 import pytest
 
-from rograd.algebras import matrix_algebra
+from rograd.algebras import matrix_algebra, split_octonions
+from rograd.centext import uce
 from rograd.cli import main
 from rograd.jordan import rectangular_grid, rectangular_pair
-from rograd.lie import assign_root_grading, tkk
-from rograd.rings import QQ
+from rograd.lie import assign_root_grading, sl_algebra, tkk
+from rograd.rings import QQ, ZZ
 from rograd.roots import build, three_grading
 
 GOLDEN = [
@@ -41,6 +43,20 @@ GOLDEN = [
     (('tkk', '--model', 'tkk-hermitian', '--n', '4', '--ring', 'Fp:5', '--format', 'json'), 0, "36c308180ad874e5afc3b4099542836461e0a3b52c44c555836aad52849cb032"),
     (('dims', '--model', 'tkk-oct', '--ring', 'Q'), 0, "b1d638520ef39e7880032e8fa30cd90e638b712ec3851d804804d6bb9f3925f7"),
     (('dims', '--model', 'tkk-oct', '--ring', 'Fp:5'), 0, "b1d638520ef39e7880032e8fa30cd90e638b712ec3851d804804d6bb9f3925f7"),
+    (('uce', '--model', 'tkk-oct', '--ring', 'Z', '--format', 'json'), 0, "8bc8b05315981158692bff82f2357c6fdd9acbb8cc70bedb952b73d8ad4fbb2a"),
+]
+
+# Every uce block over Z, one line per degree: "degree n_gens target_dim
+# uce free rank, torsion, kernel free rank, torsion", with the number of
+# blocks and the sha256 of the lines, recorded with one SNF with transforms
+# of each block's full relation matrix.
+BLOCK_SHAPES = [
+    ("sl_3(Z)", lambda: sl_algebra(3, matrix_algebra(1, ZZ)), 13, "ab7f01ad6d379ab5223a5a2e68ca5a6c036f5ce09a67acf00240b84158342da3"),
+    ("sl_4(Z)", lambda: sl_algebra(4, matrix_algebra(1, ZZ)), 43, "f6939fe6aa482add4a78be41a8cf2a0fcd018535d997ef03385b23af66adc36e"),
+    ("sl_5(Z)", lambda: sl_algebra(5, matrix_algebra(1, ZZ)), 111, "114ac8a8d40613d5a39a41e83476d78add6e65142e1ed57170f16d2bd99ec1eb"),
+    ("sl_3(M_2(Z))", lambda: sl_algebra(3, matrix_algebra(2, ZZ)), 19, "719b80f37912d90e8aec6bf85fc877c7e21bba322e2b1464623082c91bed0e94"),
+    ("sl_4(M_2(Z))", lambda: sl_algebra(4, matrix_algebra(2, ZZ)), 55, "5f556f50e8ac72ca0f984e6d171b18aee2f62aefde9b347cbf0ebd44e2b0e112"),
+    ("TKK(M(1,2,O/Z))", lambda: tkk(rectangular_pair(1, 2, split_octonions(ZZ))), 5, "7bd5f985bdf769718058640471bb87cb586817d7bd141c817b52b3b501c0a357"),
 ]
 
 
@@ -52,6 +68,18 @@ def _sha(text: str) -> str:
 def test_cli_digest(capsys, argv, code, digest):
     assert main(list(argv)) == code
     assert _sha(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("name,build_algebra,blocks,digest", BLOCK_SHAPES, ids=[c[0] for c in BLOCK_SHAPES])
+def test_uce_block_shapes_over_z(name, build_algebra, blocks, digest):
+    u = uce(build_algebra())
+    lines = [
+        f"{d} {b.n_gens} {b.target_dim} {b.uce_shape.free_rank} {b.uce_shape.torsion} "
+        f"{b.kernel_shape.free_rank} {b.kernel_shape.torsion}"
+        for d, b in sorted(u.blocks.items())
+    ]
+    assert len(lines) == blocks
+    assert _sha("\n".join(lines)) == digest
 
 
 def test_rectangular_regrade_json():

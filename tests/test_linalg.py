@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -63,6 +64,28 @@ def det_int(M):
     return sign * a[n - 1][n - 1]
 
 
+@st.composite
+def sparse_matrices(draw, max_dim=60, max_entry=9, square=False):
+    """Integer matrices up to max_dim x max_dim with one to three nonzero
+    entries in each row, each at most max_entry in size.  A square one also
+    has a nonzero diagonal, so that it is often invertible over Q."""
+    m = draw(st.integers(1, max_dim))
+    n = m if square else draw(st.integers(1, max_dim))
+    value = st.integers(1, max_entry) | st.integers(-max_entry, -1)
+    row = st.dictionaries(st.integers(0, n - 1), value, min_size=1, max_size=3)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    if square:
+        for i, r in enumerate(rows):
+            r.setdefault(i, draw(value))
+    return SparseMatrix.from_rows(rows, n)
+
+
+def assert_chain(factors):
+    assert all(f > 0 for f in factors)
+    for a, b in zip(factors, factors[1:]):
+        assert b % a == 0
+
+
 class TestSmithNormalForm:
     def test_diag_2_3(self):
         factors, _ = smith_normal_form(dense([[2, 0], [0, 3]]))
@@ -103,6 +126,50 @@ class TestSmithNormalForm:
     def test_requires_integers(self):
         with pytest.raises(ValueError):
             smith_normal_form(dense([[Fraction(1, 2)]], QQ))
+
+    # The transforms of this SNF grow without bound on random sparse inputs
+    # past about 12 x 12 (ROADMAP item 1), so the tests that need U and V
+    # stay at 10 x 10; the factors-only mode is tested up to 60 x 60.
+    @given(M=sparse_matrices(max_dim=10))
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_transforms(self, M):
+        factors, U, V = snf_diagonal_of(M)
+        assert det_int(U) in (1, -1)
+        assert det_int(V) in (1, -1)
+        assert_chain(factors)
+        assert smith_normal_form(M, transforms=False) == (factors, None)
+        # module_invariants reduces the rows to a lattice basis before its
+        # SNF; the shape read off the SNF of the full matrix is the reference
+        full = ModuleShape(M.cols - len(factors), tuple(d for d in factors if d != 1))
+        assert module_invariants(FinitelyPresentedModule(ZZ, M.cols, M)) == full
+
+    def test_factors_only_reads_diagonal_modulo_d(self):
+        # the Hermite basis is the row itself with lead 5, so D = 5; the -2
+        # left after reducing modulo 5 is a unit there, and (-5, 0, -2) is
+        # primitive
+        assert smith_normal_form(dense([[-5, 0, -2]]), transforms=False) == ([1], None)
+        assert smith_normal_form(dense([[4, 6]]), transforms=False) == ([2], None)
+        assert smith_normal_form(dense([[2, 0], [0, 3]]), transforms=False) == ([1, 6], None)
+
+    @given(M=sparse_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_factors_only(self, M):
+        factors, transforms = smith_normal_form(M, transforms=False)
+        assert transforms is None
+        assert_chain(factors)
+        assert len(factors) == field_rank(SparseMatrix(M.rows, M.cols, M.entries, QQ))
+        # the transpose has the same factors from another lattice and modulus
+        assert smith_normal_form(M.transpose(), transforms=False)[0] == factors
+
+    @given(M=sparse_matrices(square=True))
+    @settings(max_examples=40, deadline=None)
+    def test_factors_multiply_to_the_determinant(self, M):
+        factors, _ = smith_normal_form(M, transforms=False)
+        det = det_int(M)
+        if det:
+            assert len(factors) == M.rows and prod(factors) == abs(det)
+        else:
+            assert len(factors) < M.rows
 
 
 class TestKernelBasis:

@@ -15,6 +15,7 @@ from rograd.linalg import (
     FieldEchelon,
     FinitelyPresentedModule,
     IntEchelon,
+    LatticeEchelon,
     ModularEchelon,
     ModuleShape,
     SparseMatrix,
@@ -26,6 +27,7 @@ from rograd.linalg import (
     module_invariants,
     quotient_shape,
     rank_certified,
+    smith_normal_form,
     solve_integer,
     span,
 )
@@ -151,6 +153,45 @@ class TestLatticeBackend:
             assert lat.contains(row)
         leads = [min(row) for row in lat.basis_rows()]
         assert leads == sorted(leads)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=sparse_rows(INTS))
+    def test_z_quotient_matches_full_snf(self, data):
+        """The reference for test_z_matches_snf, whose module_invariants goes
+        through a lattice basis too: the quotient read off the SNF, with
+        transforms, of the full relation matrix."""
+        ncols, rows, _ = data
+        rel = SparseMatrix.from_rows(rows, ncols, ZZ) if rows else SparseMatrix(0, ncols, {})
+        factors, _ = smith_normal_form(rel)
+        full = ModuleShape(ncols - len(factors), tuple(d for d in factors if d != 1))
+        assert module_invariants(FinitelyPresentedModule(ZZ, ncols, rel)) == full
+        lat = span(ZZ, ncols)
+        for row in rows:
+            lat.add(row)
+        assert lat.is_full(ncols) == full.is_trivial
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=sparse_rows(INTS), order=st.randoms(use_true_random=False))
+    def test_hermite_basis(self, data, order):
+        ncols, rows, probe = data
+        plain, herm = LatticeEchelon(), LatticeEchelon(hermite=True)
+        for row in rows:
+            assert herm.add(row) == plain.add(row)
+        assert herm.equals(plain)
+        assert herm.contains(probe) == plain.contains(probe)
+        # the same leads; every entry in a later pivot column is reduced
+        leads = {c: row[c] for c, row in herm.pivots.items()}
+        assert leads == {c: row[c] for c, row in plain.pivots.items()}
+        for lead, row in herm.pivots.items():
+            assert min(row) == lead
+            for c, v in row.items():
+                if c != lead and c in leads:
+                    assert 0 <= v < leads[c]
+        # the Hermite normal form depends only on the lattice
+        shuffled = LatticeEchelon(hermite=True)
+        for row in order.sample(rows, len(rows)):
+            shuffled.add(row)
+        assert shuffled.basis_rows() == herm.basis_rows()
 
     @settings(max_examples=40, deadline=None)
     @given(data=sparse_rows(INTS))
