@@ -8,7 +8,9 @@ Over Z one SNF of Z^m/R per block gives both: Z^m/R = ker(u)/R + Z^rank(u),
 once every relation row is checked to lie in ker u.
 
 Also: the homology quotients D_2, D_3, <D,D>, the tilde-wedge and HC_1,
-and the explicit A_2 / A_3 cocycle extensions with their fibers.
+and the explicit A_2 / A_3 cocycle extensions with their fibers.  The uce
+blocks, the homology quotients and HC_1 = ker(u)/R all go through
+linalg.quotient_shape, one code path for Z, Q and F_p.
 """
 from __future__ import annotations
 
@@ -19,19 +21,15 @@ from .algebras import StructureAlgebra, standard_derivation
 from .degsums import degenerate_sums_bruteforce
 from .lie import GradedLieAlgebra
 from .linalg import (
-    LatticeEchelon,
     ModuleShape,
     SparseMatrix,
     _op_axpy,
     _vec_axpy,
-    integer_kernel,
-    kernel_basis,
+    field_rank,
     op_span_dim,
     quotient_shape,
     span,
-    subquotient_invariants,
 )
-from .rings import ZZ
 from .roots import RootSystem
 
 
@@ -333,10 +331,6 @@ class HomologyQuotient:
     def reduces_to_zero(self, vec: dict) -> bool:
         return self.relation_lattice.contains(vec)
 
-    def same_class(self, u: dict, v: dict, ring) -> bool:
-        diff = _vec_axpy(ring, dict(u), v, -1)
-        return not diff or self.reduces_to_zero(diff)
-
 
 def _quotient(ring, ngens, rows, kind) -> HomologyQuotient:
     lat = span(ring, ngens)
@@ -416,11 +410,15 @@ def _tensor_index(D, i, j):
 
 def angle(D: StructureAlgebra) -> HomologyQuotient:
     """<D, D> = D(x)D / (a(x)b + b(x)a, ab(x)c + bc(x)a + ca(x)b)."""
+    return _quotient(D.ring, D.dim * D.dim, _angle_rows(D), "AngleBracket")
+
+
+def _angle_rows(D: StructureAlgebra):
+    """The <D, D> relations: the tilde-wedge relation rows on the D(x)D
+    columns alone."""
     n2 = D.dim * D.dim
-    rows = (
-        {k: v for k, v in row.items() if k < n2} for row in _tilde_relation_rows(D)
-    )
-    return _quotient(D.ring, n2, [row for row in rows if row], "AngleBracket")
+    rows = ({k: v for k, v in row.items() if k < n2} for row in _tilde_relation_rows(D))
+    return [row for row in rows if row]
 
 
 def tilde_wedge(D: StructureAlgebra) -> HomologyQuotient:
@@ -431,38 +429,27 @@ def tilde_wedge(D: StructureAlgebra) -> HomologyQuotient:
 
 
 def hc1(D: StructureAlgebra) -> HomologyQuotient:
-    """HC_1(D) = {sum a_i ~^ b_i : sum [a_i, b_i] = 0} inside tilde-wedge."""
+    """HC_1(D) = {sum a_i ~^ b_i : sum [a_i, b_i] = 0} inside tilde-wedge.
+
+    D is associative, so every tilde-wedge relation has zero associator part:
+    it is a <D, D> relation on the D(x)D columns, killed by the bracket map
+    u(a(x)b) = [a, b].  So HC_1(D) = ker(u)/R, read off one quotient."""
     if not D.flags.get("associative"):
         raise ValueError("HC_1 defined here for associative coordinates")
     ring = D.ring
     n = D.dim
-    tw = tilde_wedge(D)
-    ngens = n * n + 2 * n
-    # S = kernel of the bracket map on the tensor part
-    ent = {}
+    u_cols = {}
     for i in range(n):
         for j in range(n):
             c = D.commutator(D.basis_vec(i), D.basis_vec(j))
-            for t, v in c.items():
-                ent[(t, _tensor_index(D, i, j))] = v
-    if ring.kind == "Z":
-        M = SparseMatrix(n, n * n, ent, ZZ)
-        S = integer_kernel(M)
-        # intersect with the relation lattice, then take the subquotient
-        U_rows = _tilde_relation_rows(D)
-        inter = _lattice_intersection(S, U_rows, ngens)
-        return HomologyQuotient(
-            "HC1", subquotient_invariants(ZZ, S, inter, ngens), ngens, tw.relation_lattice
-        )
-    S = kernel_basis(SparseMatrix(n, n * n, ent, ring))
-    ech = span(ring, ngens)
-    for r in _tilde_relation_rows(D):
-        ech.add(r)
-    dim_U = ech.rank
-    for s in S:
-        ech.add(s)
-    inter_dim = len(S) + dim_U - ech.rank
-    return HomologyQuotient("HC1", ModuleShape(len(S) - inter_dim, ()), ngens, tw.relation_lattice)
+            if c:
+                u_cols[_tensor_index(D, i, j)] = c
+    u = SparseMatrix(
+        n, n * n, {(t, k): v for k, col in u_cols.items() for t, v in col.items()}, ring
+    )
+    rows = _angle_rows(D)
+    _, shape = quotient_shape(ring, lambda: iter(rows), n * n, u_cols, field_rank(u))
+    return HomologyQuotient("HC1", shape, n * n + 2 * n, tilde_wedge(D).relation_lattice)
 
 
 def _tilde_relation_rows(D: StructureAlgebra):
@@ -491,30 +478,6 @@ def _tilde_relation_rows(D: StructureAlgebra):
         if row:
             rows.append(row)
     return rows
-
-
-def _lattice_intersection(A_rows, B_rows, ncols):
-    """Basis of lattice(A) cap lattice(B) in Z^ncols."""
-    ka, kb = len(A_rows), len(B_rows)
-    ent = {}
-    for idx, row in enumerate(A_rows):
-        for c, v in row.items():
-            ent[(c, idx)] = int(v)
-    for idx, row in enumerate(B_rows):
-        for c, v in row.items():
-            ent[(c, ka + idx)] = ent.get((c, ka + idx), 0) - int(v)
-    ent = {k: v for k, v in ent.items() if v}
-    M = SparseMatrix(ncols, ka + kb, ent, ZZ)
-    ker = integer_kernel(M)
-    lat = LatticeEchelon()
-    for vec in ker:
-        comb = {}
-        for idx, c in vec.items():
-            if idx < ka:
-                _vec_axpy(ZZ, comb, A_rows[idx], c)
-        if comb:
-            lat.add(comb)
-    return lat.basis_rows()
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,6 @@ def cmd_uce(args) -> str:
 
 
 def cmd_dims(args) -> str:
-    from .rings import QQ
-
     ring = _ring(args)
     out = {}
     if args.model == "tkk-albert":

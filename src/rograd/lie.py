@@ -14,7 +14,6 @@ from math import lcm
 from .algebras import StructureAlgebra, tensor_matrix_algebra
 from .jordan import JordanAlgebra, JordanPair
 from .linalg import (
-    LatticeEchelon,
     ModuleShape,
     SparseMatrix,
     _op_apply,
@@ -23,15 +22,15 @@ from .linalg import (
     _op_flatten,
     _op_scale,
     _vec_axpy,
-    field_rank,
     integer_kernel,
     kernel_basis,
     lattice_span,
     quotient_shape,
     rank_certified,
+    same_span,
     span,
 )
-from .rings import BaseRing, ZZ
+from .rings import BaseRing
 
 
 # ---------------------------------------------------------------------------
@@ -673,45 +672,29 @@ def sl_algebra(k_size: int, D: StructureAlgebra) -> GradedLieAlgebra:
 
 
 def _verify_sl_zero_part(L, D, k_size, amb_idx, rows, ring):
-    """Degree-0 part must equal {sum E_ii a_i : sum a_i in [D, D]}."""
-    dd = D.dim
-    zero_rows = [dict(r) for r, deg in zip(rows, L.degrees) if all(c == 0 for c in deg)]
-    commutators = []
-    for i in range(dd):
-        for j in range(dd):
-            c = D.commutator(D.basis_vec(i), D.basis_vec(j))
-            if c:
-                commutators.append({t: int(v) for t, v in c.items()})
-    # predicted: diagonal vectors whose entry sum lies in [D, D]
-    if ring.kind == "Z":
-        sum_map = {}
-        for i in range(k_size):
-            for t in range(dd):
-                sum_map[(t, amb_idx(i, i, t))] = 1
-        from .linalg import preimage_lattice, SparseMatrix as SM
+    """Degree-0 part must equal {sum E_ii a_i : sum a_i in [D, D]}.
 
-        diag_cols = [amb_idx(i, i, t) for i in range(k_size) for t in range(dd)]
-        col_pos = {c: pos for pos, c in enumerate(diag_cols)}
-        ent = {}
-        for i in range(k_size):
-            for t in range(dd):
-                ent[(t, col_pos[amb_idx(i, i, t)])] = 1
-        M = SM(dd, len(diag_cols), ent, ZZ)
-        predicted = preimage_lattice(M, commutators)
-        lat_pred = LatticeEchelon()
-        for row in predicted:
-            lat_pred.add({diag_cols[c]: v for c, v in row.items()})
-        lat_got = LatticeEchelon()
-        for row in zero_rows:
-            lat_got.add(row)
-        if not lat_pred.equals(lat_got):
-            raise AssertionError("sl_K degree-0 part mismatch")
-    else:
-        # dimension check: (k-1)*dim D + dim[D,D]
-        comm_dim = field_rank(SparseMatrix.from_rows(commutators, dd, ring))
-        expect = (k_size - 1) * dd + comm_dim
-        if len(zero_rows) != expect:
-            raise AssertionError("sl_K degree-0 dimension mismatch")
+    That module is spanned by E_ii a - E_KK a (i < K, a a basis element of
+    D) and E_11 c (c a commutator of basis elements); it and the degree-0
+    rows must span each other."""
+    dd = D.dim
+    last = k_size - 1
+    width = k_size * k_size * dd
+    one = ring.coerce(1)
+    predicted = span(ring, width)
+    for i in range(last):
+        for t in range(dd):
+            predicted.add({amb_idx(i, i, t): one, amb_idx(last, last, t): ring.neg(one)})
+    basis = [D.basis_vec(t) for t in range(dd)]
+    for a in basis:
+        for b in basis:
+            predicted.add({amb_idx(0, 0, t): v for t, v in D.commutator(a, b).items()})
+    got = span(ring, width)
+    for row, deg in zip(rows, L.degrees):
+        if not any(deg):
+            got.add(row)
+    if not same_span(predicted, got):
+        raise AssertionError("sl_K degree-0 part mismatch")
 
 
 # ---------------------------------------------------------------------------

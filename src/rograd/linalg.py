@@ -3,15 +3,17 @@
 Callers reach it through two entry points that pick the algorithm from the
 ring: span(ring, ncols) returns the ring's one echelon backend, and
 quotient_shape(ring, ...) reads R^m/R and ker(u)/R off a relation stream
-(a lattice basis and its Smith normal form over Z, a certified rank over a
-field).  Also Smith normal form with or without unimodular transforms,
-finitely presented module normalization, and rank_certified, which streams
-rows through a mod-p echelon (a mod-p rank is a lower bound for the rank
-over Q, so reaching a known upper bound proves the exact value).
+(a lattice basis and its factors-only Smith normal form over Z, a certified
+rank over a field).  The uce blocks, HC(V), HC_1(D) and the homology
+quotients all go through quotient_shape, and the sl_K degree-0 check
+compares two spans with same_span.  Also Smith normal form with unimodular
+transforms (integer_kernel, integer_solver), finitely presented module
+normalization, and rank_certified, which streams rows through a mod-p
+echelon (a mod-p rank is a lower bound for the rank over Q, so reaching a
+known upper bound proves the exact value).
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -507,8 +509,9 @@ def module_invariants(m: FinitelyPresentedModule) -> ModuleShape:
 # IntEchelon over Q, ModularEchelon over F_p.  Every backend has add(row)
 # (True when the span grew), rank, reduce(vec) -> (residual, coords),
 # contains(vec), basis_rows() (sorted by lead column) and is_full(n) (the
-# span is all of R^n).  FieldEchelon is the generic-ring reference the
-# backends are tested against; no computation uses it.
+# span is all of R^n), and same_span(a, b) compares two of them.
+# FieldEchelon is the generic-ring reference the backends are tested
+# against; no computation uses it.
 
 
 def _cleared(row: dict):
@@ -826,11 +829,6 @@ class LatticeEchelon:
         residual, _ = self.reduce(vec)
         return not residual
 
-    def equals(self, other: "LatticeEchelon") -> bool:
-        return all(other.contains(r) for r in self.basis_rows()) and all(
-            self.contains(r) for r in other.basis_rows()
-        )
-
 
 def _combine(row: dict, prow: dict, s: int, t: int) -> dict:
     """s*row + t*prow, without zero entries."""
@@ -916,13 +914,7 @@ class ModularEchelon:
         return False
 
     def add_batch(self, batch) -> int:
-        """Insert rows (an iterable of sparse dicts, or a 2-D int array);
-        returns the rank gain."""
-        # An array can only come from a caller that imported numpy, so
-        # numpy is never imported here.
-        np = sys.modules.get("numpy")
-        if np is not None and isinstance(batch, np.ndarray):
-            batch = [{c: int(v) for c, v in enumerate(row) if v} for row in np.atleast_2d(batch)]
+        """Insert an iterable of sparse rows; returns the rank gain."""
         before = len(self.pivots)
         for row in batch:
             self.add(row)
@@ -1005,6 +997,14 @@ def span(ring: BaseRing, ncols: int, track: bool = False):
     if ring.kind == "Z" and not track:
         return LatticeEchelon()
     return IntEchelon(track=track, ncols=ncols)
+
+
+def same_span(a, b) -> bool:
+    """Whether two span backends span the same module: each contains the
+    other's basis rows."""
+    return all(b.contains(r) for r in a.basis_rows()) and all(
+        a.contains(r) for r in b.basis_rows()
+    )
 
 
 def lattice_span(ring: BaseRing, ncols: int):
@@ -1109,58 +1109,6 @@ def quotient_shape(ring: BaseRing, rel_rows_factory, ncols: int, u_cols: dict, r
     return ModuleShape(ncols - rank, ()), ModuleShape(ncols - rank - rank_u, ())
 
 
-# ---------------------------------------------------------------------------
-# derived helpers
-# ---------------------------------------------------------------------------
-
-
-def subquotient_invariants(ring, sub_basis, rel_rows, ncols) -> ModuleShape:
-    """Normal form of span(sub_basis)/span(rel_rows); relations must lie in
-    the span (over Z: in the lattice generated by sub_basis, which holds for
-    pure-kernel bases)."""
-    k = len(sub_basis)
-    if k == 0:
-        if any(row for row in rel_rows):
-            raise ValueError("relation outside submodule span")
-        return ModuleShape(0, ())
-    if ring.kind == "Z":
-        cols = sorted({c for row in sub_basis for c in row})
-        colpos = {c: i for i, c in enumerate(cols)}
-        K = SparseMatrix(
-            len(cols),
-            k,
-            {
-                (colpos[c], j): sub_basis[j][c]
-                for j in range(k)
-                for c in sub_basis[j]
-            },
-            ZZ,
-        )
-        solve = integer_solver(K)
-        rel_coords = []
-        for row in rel_rows:
-            if any(v and c not in colpos for c, v in row.items()):
-                raise ValueError("relation outside submodule span")
-            b = {colpos[c]: v for c, v in row.items() if v}
-            x = solve(b)
-            if x is None:
-                raise ValueError("relation not in submodule lattice")
-            rel_coords.append(x)
-        rels = SparseMatrix.from_rows(rel_coords, k, ZZ)
-        if rels.rows == 0:
-            rels = SparseMatrix(0, k, {}, ZZ)
-        return module_invariants(FinitelyPresentedModule(ZZ, k, rels))
-    # field: dimension of sub minus rank of relations inside it
-    sub, rels = span(ring, ncols), span(ring, ncols)
-    for r in sub_basis:
-        sub.add(r)
-    for r in rel_rows:
-        if not sub.contains(r):
-            raise ValueError("relation outside submodule span")
-        rels.add(r)
-    return ModuleShape(sub.rank - rels.rank, ())
-
-
 def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int):
     """(Z^ncols/R, ker(u)/R) for the integer map u given by its columns
     (col -> {row: value}) of rank rank_u, and R spanned by rel_rows.
@@ -1187,20 +1135,3 @@ def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int
             f"Z^{ncols}/R has free rank {quotient.free_rank} below rank(u) = {rank_u}"
         )
     return quotient, ModuleShape(quotient.free_rank - rank_u, quotient.torsion)
-
-
-def preimage_lattice(M: SparseMatrix, target_rows):
-    """Basis of {x in Z^n : Mx lies in the lattice spanned by target_rows}."""
-    n = M.cols
-    k = len(target_rows)
-    entries = dict(M.entries)
-    for j, row in enumerate(target_rows):
-        for r, v in row.items():
-            if v:
-                entries[(r, n + j)] = -v
-    big = SparseMatrix(M.rows, n + k, entries, ZZ)
-    ker = integer_kernel(big)
-    lat = LatticeEchelon()
-    for vec in ker:
-        lat.add({c: v for c, v in vec.items() if c < n})
-    return lat.basis_rows()

@@ -20,7 +20,6 @@ def _check(results, name, fn):
 def suite_linalg():
     from .linalg import (
         FinitelyPresentedModule,
-        ModuleShape,
         SparseMatrix,
         field_rank,
         kernel_basis,
@@ -297,7 +296,7 @@ def suite_lie():
         rectangular_grid,
         rectangular_pair,
     )
-    from .lie import assign_root_grading, sl_algebra, structural_predicates, tkk
+    from .lie import assign_root_grading, sl_algebra, tkk
     from .rings import GF, QQ, ZZ
     from .roots import build, three_grading
 
@@ -376,7 +375,7 @@ def suite_centext():
     from .algebras import matrix_algebra
     from .jordan import hermitian_algebra, rectangular_pair
     from .lie import sl_algebra, tkk, uider
-    from .centext import cocycle_extension, d2, d3, hc1, kernel_report, uce
+    from .centext import cocycle_extension, kernel_report, uce
     from .rings import GF, QQ, ZZ
     from .roots import build
 

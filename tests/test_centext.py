@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 
-from rograd.algebras import matrix_algebra, split_octonions
+from rograd.algebras import StructureAlgebra, matrix_algebra, split_octonions
 from rograd.centext import (
     CocycleExtension,
+    _tilde_relation_rows,
     angle,
     cocycle_extension,
     d2,
@@ -17,10 +20,14 @@ from rograd.centext import (
 from rograd.jordan import hermitian_algebra, rectangular_pair
 from rograd.lie import GradedLieAlgebra, sl_algebra, tkk, uider
 from rograd.linalg import (
+    FinitelyPresentedModule,
     ModuleShape,
     SparseMatrix,
     integer_kernel,
-    subquotient_invariants,
+    integer_solver,
+    kernel_basis,
+    module_invariants,
+    span,
 )
 from rograd.rings import GF, QQ, ZZ
 from rograd.roots import build
@@ -64,6 +71,73 @@ class TestHomologyQuotients:
     def test_octonion_angle_kernel_zero(self):
         O = split_octonions(QQ)
         assert octonion_angle_kernel(O) == (14, 14, 0)
+
+
+def _truncated(k, ring):
+    """R[x]/(x^k) on the basis 1, x, ..., x^(k-1)."""
+    mult = {(i, j): {i + j: 1} for i in range(k) for j in range(k) if i + j < k}
+    return StructureAlgebra(ring, [f"x^{i}" for i in range(k)], mult, unit={0: 1})
+
+
+def _cyclic_group(k, ring):
+    """The group algebra R[C_k] on the basis g^0, ..., g^(k-1)."""
+    mult = {(i, j): {(i + j) % k: 1} for i in range(k) for j in range(k)}
+    return StructureAlgebra(ring, [f"g^{i}" for i in range(k)], mult, unit={0: 1})
+
+
+def _m2(ring):
+    """M_2(R) on the matrix units e_ij (basis index 2i + j): e_ij e_jk = e_ik."""
+    mult = {(2 * i + j, 2 * j + k): {2 * i + k: 1} for i, j, k in product(range(2), repeat=3)}
+    labels = ["e11", "e12", "e21", "e22"]
+    return StructureAlgebra(ring, labels, mult, unit={0: 1, 3: 1})
+
+
+HC1_ALGEBRAS = {
+    "x2": lambda r: _truncated(2, r),
+    "x3": lambda r: _truncated(3, r),
+    "C2": lambda r: _cyclic_group(2, r),
+    "C3": lambda r: _cyclic_group(3, r),
+    "M2": _m2,
+}
+HC1_RINGS = {"Z": ZZ, "Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
+# the nonzero values, recorded on the earlier route (a kernel basis of the
+# bracket map met with the relation lattice); every other case is 0
+HC1_SHAPES = {
+    ("Z", "x2"): ModuleShape(0, (2,)),
+    ("Z", "x3"): ModuleShape(0, (6,)),
+    ("Z", "C2"): ModuleShape(0, (2,)),
+    ("Z", "C3"): ModuleShape(0, (3,)),
+    ("F2", "x2"): ModuleShape(1),
+    ("F2", "x3"): ModuleShape(1),
+    ("F2", "C2"): ModuleShape(1),
+    ("F3", "x3"): ModuleShape(1),
+    ("F3", "C3"): ModuleShape(1),
+}
+
+
+def _hc1_oracle(D):
+    """ker(u)/R by the oracle, for the bracket map u on D(x)D and the
+    tilde-wedge relations R, which must live on the D(x)D columns."""
+    n = D.dim
+    rows = _tilde_relation_rows(D)
+    assert all(c < n * n for row in rows for c, v in row.items() if v)
+    u_cols = {}
+    for i, j in product(range(n), repeat=2):
+        c = D.commutator(D.basis_vec(i), D.basis_vec(j))
+        if c:
+            u_cols[i * n + j] = c
+    return _subquotient_oracle(u_cols, n, rows, n * n, D.ring)
+
+
+class TestHC1:
+    @pytest.mark.parametrize("rname", sorted(HC1_RINGS))
+    @pytest.mark.parametrize("aname", sorted(HC1_ALGEBRAS))
+    def test_recorded_shapes(self, rname, aname):
+        D = HC1_ALGEBRAS[aname](HC1_RINGS[rname])
+        got = hc1(D)
+        assert got.module == HC1_SHAPES.get((rname, aname), ModuleShape(0))
+        assert got.module == _hc1_oracle(D)
+        assert (got.kind, got.generators) == ("HC1", D.dim**2 + 2 * D.dim)
 
 
 class TestUce:
@@ -185,12 +259,40 @@ class TestModularFieldPaths:
         assert u7.total_kernel().is_trivial
 
 
-def _subquotient_oracle(u_cols, tdim, rel_rows, m):
-    """ker(u)/R the long way: a basis of ker u, then one solve per relation."""
+def _subquotient_oracle(u_cols, tdim, rel_rows, m, ring=ZZ):
+    """ker(u)/R the long way: a basis of ker u, then the relations written in
+    that basis.  Over Z one solve per relation gives their coordinates, whose
+    module normal form is the answer; over a field, dim ker u - rank R."""
     ent = {(t, p): v for p, col in u_cols.items() for t, v in col.items()}
-    U = integer_kernel(SparseMatrix(tdim, m, ent, ZZ))
-    rels = [{k: int(v) for k, v in r.items()} for r in rel_rows]
-    return subquotient_invariants(ZZ, U, rels, m)
+    U = SparseMatrix(tdim, m, ent, ring)
+    rels = [r for r in rel_rows if r]
+    if ring.is_field:
+        S = kernel_basis(U)
+        sub, rel_span = span(ring, m), span(ring, m)
+        for vec in S:
+            sub.add(vec)
+        for r in rels:
+            assert sub.contains(r), "relation outside ker u"
+            rel_span.add(r)
+        return ModuleShape(len(S) - rel_span.rank)
+    S = integer_kernel(U)
+    if not S:
+        assert not any(v for r in rels for v in r.values())
+        return ModuleShape(0)
+    cols = sorted({c for vec in S for c in vec})
+    colpos = {c: i for i, c in enumerate(cols)}
+    K = SparseMatrix(
+        len(cols), len(S), {(colpos[c], j): v for j, vec in enumerate(S) for c, v in vec.items()}
+    )
+    solve = integer_solver(K)
+    coords = []
+    for r in rels:
+        assert all(c in colpos for c, v in r.items() if v), "relation outside ker u"
+        x = solve({colpos[c]: int(v) for c, v in r.items() if v})
+        assert x is not None, "relation outside ker u"
+        coords.append(x)
+    R = SparseMatrix.from_rows(coords, len(S)) if coords else SparseMatrix(0, len(S), {})
+    return module_invariants(FinitelyPresentedModule(ZZ, len(S), R))
 
 
 class TestIntegerKernelFromCokernel:

@@ -1,7 +1,9 @@
 import re
+from types import SimpleNamespace
 
 import pytest
 
+from rograd import lie
 from rograd.algebras import matrix_algebra, split_octonions
 from rograd.jordan import (
     hermitian_algebra,
@@ -154,6 +156,42 @@ class TestSL:
         L = sl_algebra(4, matrix_algebra(1, ZZ))
         R = build("A", 3)
         assert set(L.support()) <= set(map(tuple, R.roots))
+
+    @pytest.mark.parametrize(
+        "ring, n, corrupt",
+        [
+            (ZZ, 1, "double"),
+            (ZZ, 2, "double"),
+            (QQ, 1, "bump"),
+            (GF(5), 1, "bump"),
+            (ZZ, 1, "extra"),
+        ],
+        ids=["Z-M1-double", "Z-M2-double", "Q-M1-bump", "F5-M1-bump", "Z-M1-extra"],
+    )
+    def test_corrupted_degree_zero_row_rejected(self, monkeypatch, ring, n, corrupt):
+        """The degree-0 check compares spans both ways: a doubled row spans
+        a smaller lattice over Z, a lead bumped by 1 leaves the trace-zero
+        part over a field without changing the dimension, and an extra row
+        E_11 1 spans more than the trace-zero part."""
+        real = lie._verify_sl_zero_part
+
+        def check_corrupted(L, D, k_size, amb_idx, rows, ring_):
+            rows = [dict(r) for r in rows]
+            degrees = list(L.degrees)
+            zero = next(p for p, deg in enumerate(degrees) if not any(deg))
+            row = rows[zero]
+            if corrupt == "double":
+                row.update({c: 2 * v for c, v in row.items()})
+            elif corrupt == "bump":
+                row[min(row)] += 1
+            else:
+                rows.append({amb_idx(0, 0, 0): 1})
+                degrees.append(degrees[zero])
+            real(SimpleNamespace(degrees=degrees), D, k_size, amb_idx, rows, ring_)
+
+        monkeypatch.setattr(lie, "_verify_sl_zero_part", check_corrupted)
+        with pytest.raises(AssertionError, match="sl_K degree-0 part mismatch"):
+            sl_algebra(3, matrix_algebra(n, ring))
 
 
 class TestStarModule:

@@ -17,11 +17,10 @@ from rograd.linalg import (
     integer_kernel,
     kernel_basis,
     module_invariants,
-    preimage_lattice,
+    quotient_shape,
     rank_certified,
     smith_normal_form,
     solve_integer,
-    subquotient_invariants,
 )
 from rograd.rings import GF, QQ, ZZ
 
@@ -290,17 +289,6 @@ class TestIntegerLattices:
         assert lat.contains({0: 1, 1: 1})
         assert not lat.contains({0: 1})
 
-    def test_preimage_lattice(self):
-        # x such that (x0 + x1) is even
-        M = dense([[1, 1]])
-        basis = preimage_lattice(M, [{0: 2}])
-        lat = LatticeEchelon()
-        for row in basis:
-            lat.add(row)
-        assert lat.contains({0: 1, 1: 1})
-        assert lat.contains({0: 2})
-        assert not lat.contains({0: 1})
-
     def test_int_echelon_tracked_solve(self):
         ech = IntEchelon(track=True)
         ech.add({0: 2, 1: 0})
@@ -320,9 +308,10 @@ class TestModularEngine:
     def test_streaming_rank(self):
         rng = np.random.default_rng(7)
         A = rng.integers(-4, 5, size=(40, 12))
+        rows = [{c: int(v) for c, v in enumerate(row) if v} for row in A]
         ech = ModularEchelon(12)
-        ech.add_batch(A[:17])
-        ech.add_batch(A[17:])
+        ech.add_batch(rows[:17])
+        ech.add_batch(rows[17:])
         exact = IntEchelon()
         for row in A:
             exact.add({c: int(v) for c, v in enumerate(row) if v})
@@ -336,27 +325,31 @@ class TestModularEngine:
 
     def test_fp_kernel(self):
         ech = ModularEchelon(3, p=5)
-        ech.add_batch(np.array([[1, 2, 0], [0, 0, 1]]))
+        ech.add_batch([{0: 1, 1: 2}, {2: 1}])
         ker = ech.kernel()
         assert len(ker) == 1
         assert ker[0] == {1: 1, 0: (-2) % 5}
 
 
 class TestSubquotient:
+    """ker(u)/R through quotient_shape, for u = one row on three columns."""
+
     def test_z_subquotient(self):
-        # sub = ker of [1 1 1] over Z; relations: 3 * (1,-1,0)
-        sub = integer_kernel(dense([[1, 1, 1]]))
-        shape = subquotient_invariants(ZZ, sub, [{0: 3, 1: -3}], 3)
+        # ker [1 1 1] over Z modulo 3 * (1,-1,0)
+        u_cols = {c: {0: 1} for c in range(3)}
+        _, shape = quotient_shape(ZZ, lambda: iter([{0: 3, 1: -3}]), 3, u_cols, 1)
         assert shape == ModuleShape(1, (3,))
 
     def test_field_subquotient(self):
-        sub = [{0: 1, 1: 1}, {2: 1}]
-        shape = subquotient_invariants(QQ, sub, [{2: 2}], 3)
+        # ker [1 -1 0] over Q = span{(1,1,0), (0,0,1)}, modulo (0,0,2)
+        u_cols = {0: {0: 1}, 1: {0: -1}}
+        _, shape = quotient_shape(QQ, lambda: iter([{2: 2}]), 3, u_cols, 1)
         assert shape == ModuleShape(1)
 
     def test_relation_outside_span_rejected(self):
-        with pytest.raises(ValueError):
-            subquotient_invariants(QQ, [{0: 1}], [{1: 1}], 2)
+        # ker u = Z e_0, and the relation e_1 lies outside it
+        with pytest.raises(AssertionError, match="relation outside ker u"):
+            quotient_shape(ZZ, lambda: iter([{1: 1}]), 2, {1: {0: 1}}, 1)
 
 
 class TestSerialization:

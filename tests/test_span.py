@@ -27,6 +27,7 @@ from rograd.linalg import (
     module_invariants,
     quotient_shape,
     rank_certified,
+    same_span,
     smith_normal_form,
     solve_integer,
     span,
@@ -177,7 +178,7 @@ class TestLatticeBackend:
         plain, herm = LatticeEchelon(), LatticeEchelon(hermite=True)
         for row in rows:
             assert herm.add(row) == plain.add(row)
-        assert herm.equals(plain)
+        assert same_span(herm, plain)
         assert herm.contains(probe) == plain.contains(probe)
         # the same leads; every entry in a later pivot column is reduced
         leads = {c: row[c] for c, row in herm.pivots.items()}
