@@ -14,9 +14,10 @@ helpers of linalg.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product
-from math import prod
+from math import factorial, prod
 
 from .algebras import StructureAlgebra
 from .linalg import (
@@ -149,8 +150,14 @@ def verify_pair_identities(V: JordanPair, budget: int = 50_000, window: int = 4)
     exhaustive tuple count exceeds the budget are checked on deterministic
     index windows instead; the report records the mode per family.  A
     family's value is invariant under permuting each group of its
-    interchangeable slots, so it is decided on one sorted tuple per orbit;
-    instances still counts every tuple of the grids decided.
+    interchangeable slots, so it is decided on one sorted tuple per orbit.
+    The windows overlap, so each tuple is decided only in the first grid
+    that holds it (the first window holding its V^sign indices, paired with
+    the first holding its V^-sign indices), and instances counts the
+    distinct tuples checked.  Products that are structurally zero (no row of
+    the right factor is a column of the left) are skipped without being
+    formed, and the inner Q-Q product of the three-factor JP3 terms is
+    formed once per sign (see _families).
     Raises AssertionError on the first violation (the lexicographically
     least failing tuple of the first failing grid).
     Returns {family: (instances, violations, mode)}.
@@ -159,31 +166,64 @@ def verify_pair_identities(V: JordanPair, budget: int = 50_000, window: int = 4)
         raise ValueError(f"window must be at least 2, got {window}")
     report = {}
     for sign in (1, -1):
-        n = V.dim(sign)
-        m = V.dim(-sign)
+        dims = {"a": V.dim(sign), "b": V.dim(-sign)}
         for name, slots, value in _families(V, sign):
             key = f"{name}@{'+' if sign == 1 else '-'}"
             groups = _slot_groups(slots)
-            total = prod((n if kind == "a" else m) ** size for kind, size in groups)
+            total = prod(dims[kind] ** size for kind, size in groups)
             if total <= budget:
-                grids, mode = [(range(n), range(m))], "exhaustive"
+                windows, mode = {kind: [range(d)] for kind, d in dims.items()}, "exhaustive"
             else:
-                grids = product(_index_windows(n, window), _index_windows(m, window))
+                windows = {kind: _index_windows(d, window) for kind, d in dims.items()}
                 mode = "windowed"
+            a_owned, b_owned = (
+                _owned_parts(windows[kind], [size for k, size in groups if k == kind])
+                for kind in "ab"
+            )
             count = 0
-            for wn, wm in grids:
-                pools = [(wn if kind == "a" else wm, size) for kind, size in groups]
-                count += prod(len(pool) ** size for pool, size in pools)
-                # sorted windows: each orbit's least tuple is its sorted one,
-                # and these come in lexicographic order
-                for parts in product(
-                    *(combinations_with_replacement(pool, size) for pool, size in pools)
-                ):
-                    t = tuple(chain.from_iterable(parts))
-                    if value(*t):
-                        raise AssertionError(f"Jordan pair identity {key} fails at {t}")
+            # grids in the order of product(a-windows, b-windows); the a slots
+            # precede the b slots, so each grid's tuples come in lexicographic
+            # order
+            for a_parts, a_count in a_owned:
+                for b_parts, b_count in b_owned:
+                    count += a_count * b_count
+                    for pa in a_parts:
+                        for pb in b_parts:
+                            if value(*pa, *pb):
+                                raise AssertionError(
+                                    f"Jordan pair identity {key} fails at {pa + pb}"
+                                )
             report[key] = (count, 0, mode)
     return report
+
+
+def _owned_parts(windows, sizes):
+    """Per window, the sorted index parts that no earlier window holds, and
+    the number of tuples they stand for.
+
+    A part is one combination (with repetition, from the window) per group
+    of interchangeable slots, of the given sizes, chained together; it is
+    the least tuple of its orbit under permuting each group, and the orbit
+    has prod(multinomial) elements.  Sorted windows give the parts in
+    lexicographic order.
+    """
+    out, earlier = [], []
+    for w in windows:
+        parts, count = [], 0
+        for combo in product(*(combinations_with_replacement(w, size) for size in sizes)):
+            part = tuple(chain.from_iterable(combo))
+            if any(e.issuperset(part) for e in earlier):
+                continue
+            parts.append(part)
+            count += prod(_arrangements(c) for c in combo)
+        out.append((parts, count))
+        earlier.append(set(w))
+    return out
+
+
+def _arrangements(c):
+    """Number of distinct orderings of the tuple c."""
+    return factorial(len(c)) // prod(factorial(k) for k in Counter(c).values())
 
 
 def _slot_groups(slots: str):
@@ -198,19 +238,23 @@ def _families(V: JordanPair, sign: int):
     """The JP1-JP3 component families on V^sign as (name, slots, value).
 
     Slot kind "a" indexes the V^sign basis, "b" the V^{-sign} basis, in the
-    order of value's arguments.  value(*t) is the component on the basis
-    tuple t as a sparse operator, {} where the identity holds.  Bracketed
-    slots are interchangeable: permuting them maps the family's terms onto
-    themselves, because Q_{e_k,e_l} = Q_{e_l,e_k} and Q_{x,y} is symmetric.
+    order of value's arguments; every family lists its a slots first.
+    value(*t) is the component on the basis tuple t as a sparse operator, {}
+    where the identity holds.  Bracketed slots are interchangeable: permuting
+    them maps the family's terms onto themselves, because Q_{e_k,e_l} =
+    Q_{e_l,e_k} and Q_{x,y} is symmetric.  A composition whose factors do
+    not meet is skipped as zero, and the inner Q-Q product of a three-factor
+    term is kept for the lifetime of the returned values when it is formed.
     """
     ring = V.ring
     n = V.dim(sign)
     m = V.dim(-sign)
-    Qd = V.Qdiag[sign]
-    Qdm = V.Qdiag[-sign]
-    # Q_{e_i,e_j} for every ordered pair, with the doubled diagonal
-    QB = {(i, j): V.QB_basis(sign, i, j) for i in range(n) for j in range(n)}
-    QBm = {(i, j): V.QB_basis(-sign, i, j) for i in range(m) for j in range(m)}
+    # Q_{e_k} under the key k, and Q_{e_k,e_l} under (k, l) for every ordered
+    # pair, with the doubled diagonal; Qm holds the same on V^{-sign}
+    Q = dict(enumerate(V.Qdiag[sign]))
+    Q.update(((i, j), V.QB_basis(sign, i, j)) for i in range(n) for j in range(n))
+    Qm = dict(enumerate(V.Qdiag[-sign]))
+    Qm.update(((i, j), V.QB_basis(-sign, i, j)) for i in range(m) for j in range(m))
     one = ring.coerce(1)
     Dtab = {(i, j): V.D_op(sign, {i: one}, {j: one}) for i in range(n) for j in range(m)}
     Dmtab = {(j, i): V.D_op(-sign, {j: one}, {i: one}) for j in range(m) for i in range(n)}
@@ -235,176 +279,205 @@ def _families(V: JordanPair, sign: int):
         out = {}
         for k, ck in x.items():
             for l, cl in y.items():
-                _op_axpy(ring, out, QB[(k, l)], ring.mul(ck, cl))
+                _op_axpy(ring, out, Q[k, l], ring.mul(ck, cl))
         return out
 
     def Qvec(x: dict):
         out = {}
         items = sorted(x.items())
         for idx, (k, ck) in enumerate(items):
-            _op_axpy(ring, out, Qd[k], ring.mul(ck, ck))
+            _op_axpy(ring, out, Q[k], ring.mul(ck, ck))
             for l, cl in items[idx + 1 :]:
-                _op_axpy(ring, out, QB[(k, l)], ring.mul(ck, cl))
+                _op_axpy(ring, out, Q[k, l], ring.mul(ck, cl))
         return out
 
-    def comp(*ops):
-        out = ops[0]
-        for o in ops[1:]:
-            out = _op_compose(ring, out, o)
-        return out
+    # the rows of the right-hand factors, for the structural zero test
+    Qrows = {k: _rows(op) for k, op in Q.items()}
+    Dmrows = {k: _rows(op) for k, op in Dmtab.items()}
+    # Qm[y] after Q[z], the inner product of every three-factor JP3 term,
+    # stored under the unordered keys of y and z (Q[k, l] is Q[l, k]) and
+    # only when the two meet.  qqq writes out the zero test instead of
+    # calling after, because most of its calls end there.
+    inner = {}
+    Qkey = {k: _unordered(k) for k in Q}
+    Qmkey = {k: _unordered(k) for k in Qm}
+
+    def after(A, B, B_rows):
+        """A after B; {} without composing when no row of B is a column of A."""
+        if A.keys().isdisjoint(B_rows):
+            return {}
+        return _op_compose(ring, A, B)
+
+    def dq(d, q):
+        """D(e_i, f_j) after Q[q], for d = (i, j)."""
+        return after(Dtab[d], Q[q], Qrows[q])
+
+    def qd(q, d):
+        """Q[q] after D(f_j, e_i) on V^{-sign}, for d = (j, i)."""
+        return after(Q[q], Dmtab[d], Dmrows[d])
+
+    def qqq(x, y, z):
+        """Q[x] after Qm[y] after Q[z], composed right to left."""
+        key = (Qmkey[y], Qkey[z])
+        yz = inner.get(key)
+        if yz is None:
+            Y = Qm[y]
+            if Y.keys().isdisjoint(Qrows[z]):
+                return {}
+            yz = inner[key] = _op_compose(ring, Y, Q[z])
+        return _op_compose(ring, Q[x], yz)
 
     def total(*signed_terms):
         acc = {}
         for s, term in signed_terms:
-            _op_axpy(ring, acc, term, s)
+            if term:
+                _op_axpy(ring, acc, term, s)
         return acc
 
     return [
         (
             "JP1(3;1)",
             "ab",
-            lambda a, b: total(
-                (1, comp(Dtab[(a, b)], Qd[a])), (-1, comp(Qd[a], Dmtab[(b, a)]))
-            ),
+            lambda a, b: total((1, dq((a, b), a)), (-1, qd(a, (b, a)))),
         ),
         (
             "JP1(2,1;1)",
             "aab",
             lambda a, c, b: total(
-                (1, comp(Dtab[(a, b)], QB[(a, c)])),
-                (1, comp(Dtab[(c, b)], Qd[a])),
-                (-1, comp(QB[(a, c)], Dmtab[(b, a)])),
-                (-1, comp(Qd[a], Dmtab[(b, c)])),
+                (1, dq((a, b), (a, c))),
+                (1, dq((c, b), a)),
+                (-1, qd((a, c), (b, a))),
+                (-1, qd(a, (b, c))),
             ),
         ),
         (
             "JP1(1,1,1;1)",
             "[aaa]b",
             lambda a, c, e, b: total(
-                (1, comp(Dtab[(a, b)], QB[(c, e)])),
-                (1, comp(Dtab[(c, b)], QB[(a, e)])),
-                (1, comp(Dtab[(e, b)], QB[(a, c)])),
-                (-1, comp(QB[(c, e)], Dmtab[(b, a)])),
-                (-1, comp(QB[(a, e)], Dmtab[(b, c)])),
-                (-1, comp(QB[(a, c)], Dmtab[(b, e)])),
+                (1, dq((a, b), (c, e))),
+                (1, dq((c, b), (a, e))),
+                (1, dq((e, b), (a, c))),
+                (-1, qd((c, e), (b, a))),
+                (-1, qd((a, e), (b, c))),
+                (-1, qd((a, c), (b, e))),
             ),
         ),
         (
             "JP2(2;2)",
             "ab",
             lambda a, b: total(
-                (1, Dvec(col(Qd[a], b), b)), (-1, Dvec2(a, col(Qdm[b], a)))
+                (1, Dvec(col(Q[a], b), b)), (-1, Dvec2(a, col(Qm[b], a)))
             ),
         ),
         (
             "JP2(1,1;2)",
             "[aa]b",
             lambda a, c, b: total(
-                (1, Dvec(col(QB[(a, c)], b), b)),
-                (-1, Dvec2(a, col(Qdm[b], c))),
-                (-1, Dvec2(c, col(Qdm[b], a))),
+                (1, Dvec(col(Q[a, c], b), b)),
+                (-1, Dvec2(a, col(Qm[b], c))),
+                (-1, Dvec2(c, col(Qm[b], a))),
             ),
         ),
         (
             "JP2(2;1,1)",
             "a[bb]",
             lambda a, b, d: total(
-                (1, Dvec(col(Qd[a], b), d)),
-                (1, Dvec(col(Qd[a], d), b)),
-                (-1, Dvec2(a, col(QBm[(b, d)], a))),
+                (1, Dvec(col(Q[a], b), d)),
+                (1, Dvec(col(Q[a], d), b)),
+                (-1, Dvec2(a, col(Qm[b, d], a))),
             ),
         ),
         (
             "JP2(1,1;1,1)",
             "[aa][bb]",
             lambda a, c, b, d: total(
-                (1, Dvec(col(QB[(a, c)], b), d)),
-                (1, Dvec(col(QB[(a, c)], d), b)),
-                (-1, Dvec2(a, col(QBm[(b, d)], c))),
-                (-1, Dvec2(c, col(QBm[(b, d)], a))),
+                (1, Dvec(col(Q[a, c], b), d)),
+                (1, Dvec(col(Q[a, c], d), b)),
+                (-1, Dvec2(a, col(Qm[b, d], c))),
+                (-1, Dvec2(c, col(Qm[b, d], a))),
             ),
         ),
         (
             "JP3(4;2)",
             "ab",
             lambda a, b: total(
-                (1, Qvec(col(Qd[a], b))), (-1, comp(Qd[a], Qdm[b], Qd[a]))
+                (1, Qvec(col(Q[a], b))), (-1, qqq(a, b, a))
             ),
         ),
         (
             "JP3(4;1,1)",
             "a[bb]",
             lambda a, b, d: total(
-                (1, Qbvec(col(Qd[a], b), col(Qd[a], d))),
-                (-1, comp(Qd[a], QBm[(b, d)], Qd[a])),
+                (1, Qbvec(col(Q[a], b), col(Q[a], d))),
+                (-1, qqq(a, (b, d), a)),
             ),
         ),
         (
             "JP3(3,1;2)",
             "aab",
             lambda a, c, b: total(
-                (1, Qbvec(col(Qd[a], b), col(QB[(a, c)], b))),
-                (-1, comp(QB[(a, c)], Qdm[b], Qd[a])),
-                (-1, comp(Qd[a], Qdm[b], QB[(a, c)])),
+                (1, Qbvec(col(Q[a], b), col(Q[a, c], b))),
+                (-1, qqq((a, c), b, a)),
+                (-1, qqq(a, b, (a, c))),
             ),
         ),
         (
             "JP3(3,1;1,1)",
             "aa[bb]",
             lambda a, c, b, d: total(
-                (1, Qbvec(col(Qd[a], b), col(QB[(a, c)], d))),
-                (1, Qbvec(col(Qd[a], d), col(QB[(a, c)], b))),
-                (-1, comp(QB[(a, c)], QBm[(b, d)], Qd[a])),
-                (-1, comp(Qd[a], QBm[(b, d)], QB[(a, c)])),
+                (1, Qbvec(col(Q[a], b), col(Q[a, c], d))),
+                (1, Qbvec(col(Q[a], d), col(Q[a, c], b))),
+                (-1, qqq((a, c), (b, d), a)),
+                (-1, qqq(a, (b, d), (a, c))),
             ),
         ),
         (
             "JP3(2,2;2)",
             "[aa]b",
             lambda a, c, b: total(
-                (1, Qvec(col(QB[(a, c)], b))),
-                (1, Qbvec(col(Qd[a], b), col(Qd[c], b))),
-                (-1, comp(Qd[a], Qdm[b], Qd[c])),
-                (-1, comp(Qd[c], Qdm[b], Qd[a])),
-                (-1, comp(QB[(a, c)], Qdm[b], QB[(a, c)])),
+                (1, Qvec(col(Q[a, c], b))),
+                (1, Qbvec(col(Q[a], b), col(Q[c], b))),
+                (-1, qqq(a, b, c)),
+                (-1, qqq(c, b, a)),
+                (-1, qqq((a, c), b, (a, c))),
             ),
         ),
         (
             "JP3(2,2;1,1)",
             "[aa][bb]",
             lambda a, c, b, d: total(
-                (1, Qbvec(col(QB[(a, c)], b), col(QB[(a, c)], d))),
-                (1, Qbvec(col(Qd[a], b), col(Qd[c], d))),
-                (1, Qbvec(col(Qd[a], d), col(Qd[c], b))),
-                (-1, comp(Qd[a], QBm[(b, d)], Qd[c])),
-                (-1, comp(Qd[c], QBm[(b, d)], Qd[a])),
-                (-1, comp(QB[(a, c)], QBm[(b, d)], QB[(a, c)])),
+                (1, Qbvec(col(Q[a, c], b), col(Q[a, c], d))),
+                (1, Qbvec(col(Q[a], b), col(Q[c], d))),
+                (1, Qbvec(col(Q[a], d), col(Q[c], b))),
+                (-1, qqq(a, (b, d), c)),
+                (-1, qqq(c, (b, d), a)),
+                (-1, qqq((a, c), (b, d), (a, c))),
             ),
         ),
         (
             "JP3(2,1,1;2)",
             "a[aa]b",
             lambda a, c, e, b: total(
-                (1, Qbvec(col(Qd[a], b), col(QB[(c, e)], b))),
-                (1, Qbvec(col(QB[(a, c)], b), col(QB[(a, e)], b))),
-                (-1, comp(Qd[a], Qdm[b], QB[(c, e)])),
-                (-1, comp(QB[(c, e)], Qdm[b], Qd[a])),
-                (-1, comp(QB[(a, c)], Qdm[b], QB[(a, e)])),
-                (-1, comp(QB[(a, e)], Qdm[b], QB[(a, c)])),
+                (1, Qbvec(col(Q[a], b), col(Q[c, e], b))),
+                (1, Qbvec(col(Q[a, c], b), col(Q[a, e], b))),
+                (-1, qqq(a, b, (c, e))),
+                (-1, qqq((c, e), b, a)),
+                (-1, qqq((a, c), b, (a, e))),
+                (-1, qqq((a, e), b, (a, c))),
             ),
         ),
         (
             "JP3(2,1,1;1,1)",
             "a[aa][bb]",
             lambda a, c, e, b, d: total(
-                (1, Qbvec(col(Qd[a], b), col(QB[(c, e)], d))),
-                (1, Qbvec(col(Qd[a], d), col(QB[(c, e)], b))),
-                (1, Qbvec(col(QB[(a, c)], b), col(QB[(a, e)], d))),
-                (1, Qbvec(col(QB[(a, c)], d), col(QB[(a, e)], b))),
-                (-1, comp(Qd[a], QBm[(b, d)], QB[(c, e)])),
-                (-1, comp(QB[(c, e)], QBm[(b, d)], Qd[a])),
-                (-1, comp(QB[(a, c)], QBm[(b, d)], QB[(a, e)])),
-                (-1, comp(QB[(a, e)], QBm[(b, d)], QB[(a, c)])),
+                (1, Qbvec(col(Q[a], b), col(Q[c, e], d))),
+                (1, Qbvec(col(Q[a], d), col(Q[c, e], b))),
+                (1, Qbvec(col(Q[a, c], b), col(Q[a, e], d))),
+                (1, Qbvec(col(Q[a, c], d), col(Q[a, e], b))),
+                (-1, qqq(a, (b, d), (c, e))),
+                (-1, qqq((c, e), (b, d), a)),
+                (-1, qqq((a, c), (b, d), (a, e))),
+                (-1, qqq((a, e), (b, d), (a, c))),
             ),
         ),
         (
@@ -415,9 +488,9 @@ def _families(V: JordanPair, sign: int):
                     term
                     for (p, q), (r, s) in _pairings(a, c, e, g)
                     for term in (
-                        (1, Qbvec(col(QB[(p, q)], b), col(QB[(r, s)], b))),
-                        (-1, comp(QB[(p, q)], Qdm[b], QB[(r, s)])),
-                        (-1, comp(QB[(r, s)], Qdm[b], QB[(p, q)])),
+                        (1, Qbvec(col(Q[p, q], b), col(Q[r, s], b))),
+                        (-1, qqq((p, q), b, (r, s))),
+                        (-1, qqq((r, s), b, (p, q))),
                     )
                 )
             ),
@@ -430,15 +503,25 @@ def _families(V: JordanPair, sign: int):
                     term
                     for (p, q), (r, s) in _pairings(a, c, e, g)
                     for term in (
-                        (1, Qbvec(col(QB[(p, q)], b), col(QB[(r, s)], d))),
-                        (1, Qbvec(col(QB[(p, q)], d), col(QB[(r, s)], b))),
-                        (-1, comp(QB[(p, q)], QBm[(b, d)], QB[(r, s)])),
-                        (-1, comp(QB[(r, s)], QBm[(b, d)], QB[(p, q)])),
+                        (1, Qbvec(col(Q[p, q], b), col(Q[r, s], d))),
+                        (1, Qbvec(col(Q[p, q], d), col(Q[r, s], b))),
+                        (-1, qqq((p, q), (b, d), (r, s))),
+                        (-1, qqq((r, s), (b, d), (p, q))),
                     )
                 )
             ),
         ),
     ]
+
+
+def _unordered(key):
+    """A table key with a pair (k, l) put in increasing order."""
+    return key if type(key) is int or key[0] <= key[1] else (key[1], key[0])
+
+
+def _rows(op: dict) -> set:
+    """The rows holding a nonzero entry of the sparse operator op."""
+    return set().union(*op.values())
 
 
 def _pairings(w, x, y, z):

@@ -1,16 +1,21 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rograd.jordan as jordan
 from rograd.algebras import matrix_algebra, split_octonions
 from rograd.jordan import (
     JordanAlgebra,
     JordanPair,
     _families,
+    _index_windows,
     _pair_from_q,
     _slot_groups,
     albert_algebra,
@@ -298,18 +303,18 @@ _FAMILY_KEYS = [
 # each (e = exhaustive, w = windowed)
 _REPORTS = {
     "M12O": (
-        [256, 4096, 6400, 256, 4096, 4096, 6400, 256, 4096, 4096, 6400, 4096, 6400,
-         6400, 25600, 25600, 102400],
+        [256, 4096, 5056, 256, 4096, 4096, 5776, 256, 4096, 4096, 5776, 4096, 5776,
+         5056, 24016, 20416, 96976],
         "eeweeeweeewewwwww",
     ),
     "H4Q": (
         [100, 1000, 10000, 100, 1000, 1000, 10000, 100, 1000, 1000, 10000, 1000,
-         10000, 10000, 16384, 16384, 65536],
+         10000, 10000, 12064, 9760, 50752],
         "eeeeeeeeeeeeeewww",
     ),
     "H3Q": (
         [36, 216, 1296, 36, 216, 216, 1296, 36, 216, 216, 1296, 216, 1296, 1296,
-         7776, 7776, 36864],
+         7776, 7776, 20992],
         "eeeeeeeeeeeeeeeew",
     ),
 }
@@ -406,13 +411,13 @@ class TestIdentityOrbits:
     def test_report_octonion_pair(self):
         rep = verify_pair_identities(rectangular_pair(1, 2, split_octonions(QQ)))
         assert list(rep.items()) == _expected(*_REPORTS["M12O"])
-        assert sum(c for c, _, _ in rep.values()) == 421888
+        assert sum(c for c, _, _ in rep.values()) == 388384
         assert sum(mode == "exhaustive" for _, _, mode in rep.values()) == 18
 
     def test_report_h4(self, DQ):
         rep = verify_pair_identities(hermitian_algebra(4, DQ).pair())
         assert list(rep.items()) == _expected(*_REPORTS["H4Q"])
-        assert sum(c for c, _, _ in rep.values()) == 309208
+        assert sum(c for c, _, _ in rep.values()) == 257752
         assert sum(mode == "exhaustive" for _, _, mode in rep.values()) == 28
 
     def test_corrupted_h3(self, DQ):
@@ -444,6 +449,165 @@ class TestIdentityOrbits:
                 verify_pair_identities(M12, window=window)
             with pytest.raises(ValueError):
                 verify_pair_identities(rectangular_pair(2, 2, DQ), budget=10, window=window)
+
+
+# ---------------------------------------------------------------------------
+# the identity verifier: each distinct tuple of the grids decided once, with
+# values and messages pinned from plain composition of every term on every
+# tuple of every grid
+# ---------------------------------------------------------------------------
+
+
+def _kinds(slots):
+    """The slot string without brackets: "a[aa][bb]" gives "aaabb"."""
+    return "".join(kind * size for kind, size in _slot_groups(slots))
+
+
+def _grid_union(slots, dims, budget, window):
+    """The distinct tuples of every grid the verifier checks for a family
+    with these slots, read off the grids themselves."""
+    kinds = _kinds(slots)
+    if prod(dims[kind] for kind in kinds) <= budget:
+        windows = {kind: [range(d)] for kind, d in dims.items()}
+    else:
+        windows = {kind: _index_windows(d, window) for kind, d in dims.items()}
+    return {
+        t
+        for wa, wb in product(windows["a"], windows["b"])
+        for t in product(*(wa if kind == "a" else wb for kind in kinds))
+    }
+
+
+def _orbit_rep(t, slots):
+    """t with each group of interchangeable slots sorted."""
+    out, i = [], 0
+    for _, size in _slot_groups(slots):
+        out += sorted(t[i : i + size])
+        i += size
+    return tuple(out)
+
+
+def _family_slots():
+    """(name, slots) of the 17 families, which do not depend on the pair."""
+    return [(name, slots) for name, slots, _ in _families(_random_pair(2, 2, seed=0), 1)]
+
+
+def _value_digest(V):
+    """sha256 prefix of every family value on every basis tuple, both signs."""
+    h = hashlib.sha256()
+    for sign in (1, -1):
+        size = {"a": V.dim(sign), "b": V.dim(-sign)}
+        for name, slots, value in _families(V, sign):
+            for t in product(*(range(size[kind]) for kind in _kinds(slots))):
+                op = value(*t)
+                canon = sorted((j, sorted(col.items())) for j, col in op.items())
+                h.update(repr((sign, name, t, canon)).encode())
+    return h.hexdigest()[:16]
+
+
+def _scan_first_failure(V, bad, budget, window):
+    """The failure message of a plain scan of every tuple of every grid in
+    order, for families failing exactly on the orbits bad[sign, name]."""
+    for sign in (1, -1):
+        size = {"a": V.dim(sign), "b": V.dim(-sign)}
+        for name, slots in _family_slots():
+            kinds = _kinds(slots)
+            if prod(size[kind] for kind in kinds) <= budget:
+                windows = {kind: [range(d)] for kind, d in size.items()}
+            else:
+                windows = {kind: _index_windows(d, window) for kind, d in size.items()}
+            for wa, wb in product(windows["a"], windows["b"]):
+                for t in product(*(wa if kind == "a" else wb for kind in kinds)):
+                    if _orbit_rep(t, slots) in bad[sign, name]:
+                        key = f"{name}@{'+' if sign == 1 else '-'}"
+                        return f"Jordan pair identity {key} fails at {t}"
+    return None
+
+
+class TestDistinctTuples:
+    @pytest.mark.parametrize(
+        "pair,dim,budget", [("M12O", 16, 50_000), ("H4Q", 10, 50_000), ("H3Q", 6, 8_000)]
+    )
+    def test_recorded_instances_are_distinct_tuples(self, pair, dim, budget):
+        counts, modes = _REPORTS[pair]
+        dims = {"a": dim, "b": dim}
+        slots = [s for _, s in _family_slots()]
+        assert [len(_grid_union(s, dims, budget, 4)) for s in slots] == counts
+        windowed = [dim ** sum(ch in "ab" for ch in s) > budget for s in slots]
+        assert windowed == [mode == "w" for mode in modes]
+
+    def test_each_grid_tuple_evaluated_once(self, DQ, monkeypatch):
+        calls = Counter()
+        families = jordan._families
+
+        def counted(V, sign):
+            def wrap(name, value):
+                def traced(*t):
+                    calls[sign, name, t] += 1
+                    return value(*t)
+
+                return traced
+
+            return [(name, slots, wrap(name, value)) for name, slots, value in families(V, sign)]
+
+        monkeypatch.setattr(jordan, "_families", counted)
+        V = rectangular_pair(2, 3, DQ)
+        rep = verify_pair_identities(V, budget=100, window=3)
+        assert set(calls.values()) == {1}
+        expected = set()
+        for sign in (1, -1):
+            dims = {"a": V.dim(sign), "b": V.dim(-sign)}
+            for name, slots in _family_slots():
+                union = _grid_union(slots, dims, 100, 3)
+                key = f"{name}@{'+' if sign == 1 else '-'}"
+                assert rep[key][0] == len(union), key
+                expected |= {(sign, name, _orbit_rep(t, slots)) for t in union}
+        assert set(calls) == expected
+        assert sum(mode == "windowed" for _, _, mode in rep.values()) == 2 * 14
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_first_failure_is_least_of_first_failing_grid(self, monkeypatch, seed):
+        # families failing on random slot-group orbits, against a plain scan
+        # of every tuple of every grid in order
+        rng = random.Random(seed)
+        V = _random_pair(6, 5, seed=seed)
+        bad = {(sign, name): set() for sign in (1, -1) for name, _ in _family_slots()}
+        for sign, name in rng.sample(sorted(bad), 2):
+            size = {"a": V.dim(sign), "b": V.dim(-sign)}
+            slots = dict(_family_slots())[name]
+            for _ in range(rng.randint(1, 4)):
+                t = tuple(rng.randrange(size[kind]) for kind in _kinds(slots))
+                bad[sign, name].add(_orbit_rep(t, slots))
+
+        def fake(V, sign):
+            return [
+                (name, slots, lambda *t, s=slots, b=bad[sign, name]: _orbit_rep(t, s) in b)
+                for name, slots in _family_slots()
+            ]
+
+        expected = _scan_first_failure(V, bad, budget=50, window=3)
+        monkeypatch.setattr(jordan, "_families", fake)
+        if expected is None:
+            verify_pair_identities(V, budget=50, window=3)
+        else:
+            with pytest.raises(AssertionError) as exc:
+                verify_pair_identities(V, budget=50, window=3)
+            assert str(exc.value) == expected
+
+    def test_family_values_as_recorded(self, DQ):
+        # digests recorded with plain left-to-right composition of every term
+        assert _value_digest(_random_pair(4, 3, seed=11)) == "26bce5f9bf423d1c"
+        assert _value_digest(hermitian_algebra(3, DQ).pair()) == "921f566e029a4567"
+
+    def test_corrupted_failure_in_two_windows(self, DQ):
+        # windowed: (6, 9, 6) lies in the a-windows (6, 7, 8, 9) and
+        # (0, 3, 6, 9) and in three b-windows; message as recorded before
+        # tuples were owned by their first grid
+        V = hermitian_algebra(4, DQ).pair()
+        V.Qlin[-1][(6, 8)].setdefault(9, {})[0] = -1
+        with pytest.raises(AssertionError) as exc:
+            verify_pair_identities(V, budget=100, window=4)
+        assert str(exc.value) == "Jordan pair identity JP1(2,1;1)@+ fails at (6, 9, 6)"
 
 
 class TestIntegerQTensors:
