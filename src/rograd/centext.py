@@ -7,6 +7,12 @@ module normal forms (invariant factors over Z, dimensions over fields).
 Over Z one SNF of Z^m/R per block gives both: Z^m/R = ker(u)/R + Z^rank(u),
 once every relation row is checked to lie in ker u.
 
+The relation rows stream in order of the least index of their triple.  By
+Cartan's formula theta_x = d iota_x + iota_x d on the Chevalley-Eilenberg
+chains, the rows of one basis element x are, up to sign, its action theta_x
+on L ^ L modulo x ^ L.  So over a field the rank certificate reaches every
+column early and stops after a fraction of the rows.
+
 Also: the homology quotients D_2, D_3, <D,D>, the tilde-wedge and HC_1,
 and the explicit A_2 / A_3 cocycle extensions with their fibers.  The uce
 blocks, the homology quotients and HC_1 = ker(u)/R all go through
@@ -14,8 +20,9 @@ linalg.quotient_shape, one code path for Z, Q and F_p.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .algebras import StructureAlgebra, standard_derivation
 from .degsums import degenerate_sums_bruteforce
@@ -105,33 +112,41 @@ class UceResult:
             row[pos] = w
 
     def _relation_rows(self, degree, gens):
-        """Rows x_i^[x_j,x_k] + x_j^[x_k,x_i] + x_k^[x_i,x_j] of this degree."""
+        """Rows x_i^[x_j,x_k] + x_j^[x_k,x_i] + x_k^[x_i,x_j] of this degree,
+        one per triple i < j < k with a nonzero row, in order of the least
+        index i (then of (j, k)).
+
+        The row of (i, j, k) is the boundary of x_i ^ x_j ^ x_k.  By Cartan's
+        formula theta_x = d iota_x + iota_x d on the Chevalley-Eilenberg
+        chains it is, up to sign, theta_{x_i}(x_j ^ x_k) modulo x_i ^ L: the
+        rows of one i carry the action of x_i, which reaches every column
+        of the block at once.  So a rank certificate reaches its bound in
+        far fewer rows than with the triples inside L_0 first, whose rows
+        reach only the columns of L_0 ^ L_0.
+        """
         br = self.L.bracket  # (a, b) with a < b -> [x_a, x_b], read in place
         empty = {}
         block_pos = {g: p for p, g in enumerate(gens)}
-        blocks = self.L.degree_blocks()
-        # iterate triples i<j<k with total degree = degree: choose the pair
-        # (j, k) from the generator pairs of every partial degree
-        for d_pair, pairs in self._gen_blocks.items():
-            rest = tuple(a - b for a, b in zip(degree, d_pair))
-            first = blocks.get(rest)
-            if not first:
+        n = self.L.dim
+        deg_of = self.L.degrees
+        # the pair (j, k) of each triple comes from the sorted generator
+        # pairs of the complementary degree, from the first one with j > i
+        for i in range(n):
+            rest = tuple(a - b for a, b in zip(degree, deg_of[i]))
+            pairs = self._gen_blocks.get(rest)
+            if not pairs:
                 continue
-            for (j, k) in pairs:
-                br_jk = br.get((j, k), empty)
-                for i in first:
-                    if i >= j:
-                        continue
-                    row = {}
-                    for t, v in br_jk.items():
-                        self._wedge_into(row, i, t, v, block_pos)
-                    # [x_k, x_i] = -[x_i, x_k] since i < k
-                    for t, v in br.get((i, k), empty).items():
-                        self._wedge_into(row, j, t, v, block_pos, -1)
-                    for t, v in br.get((i, j), empty).items():
-                        self._wedge_into(row, k, t, v, block_pos)
-                    if row:
-                        yield row
+            for j, k in islice(pairs, bisect_right(pairs, (i, n)), None):
+                row = {}
+                for t, v in br.get((j, k), empty).items():
+                    self._wedge_into(row, i, t, v, block_pos)
+                # [x_k, x_i] = -[x_i, x_k] since i < k
+                for t, v in br.get((i, k), empty).items():
+                    self._wedge_into(row, j, t, v, block_pos, -1)
+                for t, v in br.get((i, j), empty).items():
+                    self._wedge_into(row, k, t, v, block_pos)
+                if row:
+                    yield row
 
     def _process_block(self, degree, gens, target) -> UceBlock:
         m = len(gens)

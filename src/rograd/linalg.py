@@ -1057,11 +1057,13 @@ def rank_certified(rows_factory, ncols: int, upper_bound: int, ring: BaseRing = 
     """Exact rank of rows known to have rank <= upper_bound; Z and Q rows
     have their rank over Q, F_p rows their rank over F_p.
 
-    Streams rows through a mod-p echelon, stopping as soon as the bound is
-    reached.  Over F_p that is one exact pass.  Over Q it proves rank =
-    bound (a mod-p rank is a lower bound); when the bound is not attained it
-    falls back to a second prime and finally to exact integer elimination,
-    so the result is exact in every case.  A rank above the bound raises.
+    Streams rows through a mod-p echelon in batches of _BATCH (1024) rows
+    and checks the bound after each batch, so it stops at the end of the
+    first batch that reaches the bound.  Over F_p that is one exact pass.
+    Over Q it proves rank = bound (a mod-p rank is a lower bound); when the
+    bound is not attained it falls back to a second prime and finally to
+    exact integer elimination, so the result is exact in every case.  A
+    rank above the bound raises.
     """
     def _hit(rank):
         if rank > upper_bound:

@@ -1,7 +1,8 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from rograd import linalg
 from rograd.algebras import StructureAlgebra, matrix_algebra, split_octonions
 from rograd.centext import (
     CocycleExtension,
@@ -17,7 +18,7 @@ from rograd.centext import (
     tilde_wedge,
     uce,
 )
-from rograd.jordan import hermitian_algebra, rectangular_pair
+from rograd.jordan import albert_algebra, hermitian_algebra, rectangular_pair
 from rograd.lie import GradedLieAlgebra, sl_algebra, tkk, uider
 from rograd.linalg import (
     FinitelyPresentedModule,
@@ -257,6 +258,84 @@ class TestModularFieldPaths:
         V7 = rectangular_pair(1, 2, O7)
         u7 = uce(tkk(V7))
         assert u7.total_kernel().is_trivial
+
+
+def _triple_rows_by_degree(L):
+    """The nonzero rows x_i^[x_j,x_k] + x_j^[x_k,x_i] + x_k^[x_i,x_j] of all
+    triples i < j < k, keyed by total degree, as {(a, b): coefficient} with
+    a < b: a plain loop, independent of UceResult."""
+    ring = L.ring
+    by_degree = {}
+    for i, j, k in combinations(range(L.dim), 3):
+        row = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, v in L.bracket_basis(b, c).items():
+                if t == a:
+                    continue
+                key, w = ((a, t), v) if a < t else ((t, a), ring.neg(v))
+                total = ring.add(row.get(key, 0), w)
+                if ring.is_zero(total):
+                    row.pop(key, None)
+                else:
+                    row[key] = total
+        if row:
+            d = tuple(map(sum, zip(L.degrees[i], L.degrees[j], L.degrees[k])))
+            by_degree.setdefault(d, []).append(row)
+    return by_degree
+
+
+class TestRelationRowOrder:
+    """_relation_rows walks triples by their least index; that reorders the
+    rows of a block but changes none of them."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sl_algebra(3, matrix_algebra(1, QQ)),
+            lambda: tkk(
+                hermitian_algebra(3, matrix_algebra(1, QQ, involution="identity")).pair()
+            ),
+            lambda: tkk(rectangular_pair(1, 2, split_octonions(GF(5)))),
+        ],
+        ids=["sl3-Q", "tkk-H3-Q", "tkk-oct-F5"],
+    )
+    def test_rows_are_the_triple_rows_reordered(self, make):
+        L = make()
+        u = uce(L)
+        oracle = _triple_rows_by_degree(L)
+        assert set(oracle) <= set(u._gen_blocks)
+        for d, gens in u._gen_blocks.items():
+            pos = {g: p for p, g in enumerate(gens)}
+            got = sorted(tuple(sorted(r.items())) for r in u._relation_rows(d, gens))
+            want = sorted(
+                tuple(sorted((pos[g], v) for g, v in r.items())) for r in oracle.get(d, [])
+            )
+            assert got == want, d
+
+    @pytest.mark.parametrize(
+        "make, rows",
+        [
+            # 26,624 and 103,424 rows with the triples of L_0 first
+            (lambda: tkk(rectangular_pair(1, 2, split_octonions(QQ))), 16_384),
+            (lambda: tkk(albert_algebra(QQ).pair()), 30_720),
+        ],
+        ids=["tkk-oct-Q", "tkk-albert-Q"],
+    )
+    def test_rows_pulled_by_the_rank_certificate(self, monkeypatch, make, rows):
+        L = make()
+        pulled = []
+        certify = linalg.rank_certified
+
+        def counting(rows_factory, *args):
+            def counted():
+                for row in rows_factory():
+                    pulled.append(1)
+                    yield row
+            return certify(counted, *args)
+
+        monkeypatch.setattr(linalg, "rank_certified", counting)
+        assert uce(L).total_kernel().is_trivial
+        assert len(pulled) == rows
 
 
 def _subquotient_oracle(u_cols, tdim, rel_rows, m, ring=ZZ):
