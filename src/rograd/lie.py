@@ -5,10 +5,21 @@ Brackets are sparse tensors on a fixed basis; degrees are integer tuples
 (epsilon-coordinates of the root lattice, or a single Z-grading slot).
 Jacobi is verified on the basis triples whose Jacobiator can be nonzero,
 in Python integers after clearing denominators.
+
+Two subalgebra lemmas (Jacobson, *Lie Algebras*, 1962, ch. I) let the
+Jacobi and centre checks run on a generating set S of basis elements:
+
+- {x : ad x is a derivation} is a submodule closed under the bracket
+  (ad x a derivation gives ad[x, y] = [ad x, ad y], and a commutator of
+  derivations is a derivation), so Jacobi holds on L once it holds on
+  every triple that meets S;
+- when Jacobi holds, the centralizer of any z is a subalgebra, so z is
+  central once [z, s] = 0 for every s in S.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 
 from .algebras import StructureAlgebra, tensor_matrix_algebra
@@ -41,6 +52,59 @@ from .rings import BaseRing
 def _reaches(ad, a, b, c) -> bool:
     """Whether [[e_a, e_b], e_c] has a nonzero term (support only)."""
     return any(c in ad[t] for t in ad[a].get(b, ()))
+
+
+def _integral_ad(L) -> list:
+    """ad[i][j] = denom * [e_i, e_j] in Python ints, for the lcm denom of
+    L's structure constants (1 over Z and F_p); empty brackets are absent."""
+    denom = 1
+    for vec in L.bracket.values():
+        for v in vec.values():
+            denom = lcm(denom, v.denominator)
+    ad = [{} for _ in range(L.dim)]
+    for (i, j), vec in L.bracket.items():
+        row = {k: int(v * denom) for k, v in vec.items()}
+        ad[i][j] = row
+        ad[j][i] = {k: -c for k, c in row.items()}
+    return ad
+
+
+def _generating_set(L, ad):
+    """Basis indices S of nonzero degree whose right-normed words span L
+    (over Z the whole lattice), or None when those of L do not.
+
+    Candidates come round-robin over the nonzero degree blocks in
+    increasing degree (V-, V+, V-, ... on a TKK algebra), and c joins S
+    only when e_c lies outside the span W of the words so far; W is then
+    closed under ad_s for every s in S.  ad is _integral_ad(L): a positive
+    multiple of the bracket, so it has the same words up to scale.
+    """
+    n = L.dim
+    blocks = [idx for d, idx in sorted(L.degree_blocks().items()) if any(d)]
+    W = span(L.ring, n)
+    words, gens, done = [], [], []  # done[g]: words already hit by ad_{gens[g]}
+    for c in (c for group in zip_longest(*blocks) for c in group if c is not None):
+        if W.is_full(n):
+            break
+        if not W.add({c: 1}):
+            continue
+        words.append({c: 1})
+        gens.append(c)
+        done.append(0)
+        grew = True
+        while grew and not W.is_full(n):
+            grew = False
+            for g, s in enumerate(gens):
+                while done[g] < len(words):
+                    word = words[done[g]]
+                    done[g] += 1
+                    out = {}
+                    for t, x in word.items():
+                        _vec_axpy(L.ring, out, ad[s].get(t, {}), x)
+                    if out and W.add(out):
+                        words.append(out)
+                        grew = True
+    return gens if W.is_full(n) else None
 
 
 def _jacobiator(ad, i, j, k, p) -> bool:
@@ -201,8 +265,19 @@ class GradedLieAlgebra:
                         f"bracket [{i},{j}] leaves the degree-{want} component"
                     )
 
+    def generators(self):
+        """Basis indices S of nonzero degree that generate L, or None.
+
+        S is greedy (see _generating_set) and cached.  The Jacobi and
+        centre checks need only S: the x with ad x a derivation form a
+        subalgebra, and so does the centralizer of any z once Jacobi holds.
+        """
+        if not hasattr(self, "_generators"):
+            self._generators = _generating_set(self, _integral_ad(self))
+        return self._generators
+
     def verify_jacobi(self):
-        """Jacobi identity on every basis triple, in exact Python integers.
+        """Jacobi identity on the basis triples that meet generators().
 
         With denominators cleared, ad[i][j] = denom * [e_i, e_j].  The
         Jacobiator J(e_i, e_j, e_k) is alternating, so only triples
@@ -210,16 +285,20 @@ class GradedLieAlgebra:
         [[e_a, e_b], e_c] can be nonzero: c is bracketed nontrivially by some
         e_t in the support of [e_a, e_b].  Over F_p the entries are reduced
         mod p at the end.
+
+        J(s, b, c) = 0 for all b, c says that ad s is a derivation, and the
+        x with ad x a derivation form a submodule closed under the bracket:
+        ad[x, y] = [ad x, ad y] when ad x is a derivation, and a commutator
+        of derivations is a derivation.  That submodule holds every
+        right-normed word in S = generators(), and those words span L, so
+        only triples that meet S are evaluated.  When S is None every triple
+        is.
         """
-        denom = 1
-        for vec in self.bracket.values():
-            for v in vec.values():
-                denom = lcm(denom, v.denominator)
-        ad = [{} for _ in range(self.dim)]
-        for (i, j), vec in self.bracket.items():
-            row = {k: int(v * denom) for k, v in vec.items()}
-            ad[i][j] = row
-            ad[j][i] = {k: -c for k, c in row.items()}
+        ad = _integral_ad(self)
+        if not hasattr(self, "_generators"):
+            self._generators = _generating_set(self, ad)
+        gens = self._generators
+        gens = set(range(self.dim) if gens is None else gens)
         p = self.ring.characteristic
         for i, j in self.bracket:
             ks = set()
@@ -227,11 +306,14 @@ class GradedLieAlgebra:
                 ks.update(ad[t])
             ks.discard(i)
             ks.discard(j)
+            if i not in gens and j not in gens:
+                ks &= gens
             for k in ks:
                 # evaluate the triple a < b < c only from the first of its
                 # pairs (a, b), (a, c), (b, c) whose bracket reaches the
                 # third index; the earlier pairs are {i, k} and, if k < i,
-                # {k, j}
+                # {k, j}.  A triple that meets generators() does so from
+                # each of its pairs.
                 if k < j and (_reaches(ad, i, k, j) or (k < i and _reaches(ad, j, k, i))):
                     continue
                 if _jacobiator(ad, i, j, k, p):
@@ -256,16 +338,33 @@ class GradedLieAlgebra:
         return ech.is_full(self.dim)
 
     def centre_basis(self):
-        """Basis of {z : [z, L] = 0} (exact; pure lattice over Z)."""
+        """Basis of {z : [z, L] = 0} (exact; pure lattice over Z).
+
+        Once Jacobi holds (jacobi_ok), the centralizer of z is a subalgebra,
+        so [z, s] = 0 for every s in generators() makes z central: the rows
+        [e_i, e_s] alone certify a trivial centre.  When they fall short of
+        rank dim, every row is used, so a returned basis does not depend
+        on that shortcut.
+        """
         ring = self.ring
         n = self.dim
-        rows = {}
-        for j in range(n):
-            for i in range(n):
-                vec = self.bracket_basis(i, j)
-                for k, v in vec.items():
-                    rows.setdefault((j, k), {})[i] = v
-        row_list = list(rows.values())
+
+        def rows_of(cols):
+            # row (j, k) holds the coefficients of e_k in [e_i, e_j]: z is
+            # in the kernel of the rows of j exactly when [z, e_j] = 0
+            rows = {}
+            for j in cols:
+                for i in range(n):
+                    for k, v in self.bracket_basis(i, j).items():
+                        rows.setdefault((j, k), {})[i] = v
+            return list(rows.values())
+
+        gens = self.generators() if self.jacobi_ok else None
+        if gens is not None:
+            row_list = rows_of(sorted(gens))
+            if rank_certified(lambda: iter(row_list), n, n, ring) == n:
+                return []
+        row_list = rows_of(range(n))
         if rank_certified(lambda: iter(row_list), n, n, ring) == n:
             return []
         M = SparseMatrix.from_rows(row_list, n, ring)

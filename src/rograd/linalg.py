@@ -1104,6 +1104,12 @@ def quotient_shape(ring: BaseRing, rel_rows_factory, ncols: int, u_cols: dict, r
     ker u, and one factors-only SNF of its basis gives Z^ncols/R
     (integer_kernel_mod_relations).  Over a field: dimensions from the
     certified rank of R, bounded by dim ker u = ncols - rank_u.
+
+    On the field route R inside ker u is the caller's contract and is not
+    checked: the certificate stops at the first batch that reaches the
+    bound, so it never sees every row.  The uce blocks meet it because
+    u applied to a relation row is a Jacobiator, which verify_jacobi has
+    certified to vanish; the Z route checks every row.
     """
     if ring.kind == "Z":
         return integer_kernel_mod_relations(u_cols, rank_u, rel_rows_factory(), ncols)

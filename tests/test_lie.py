@@ -381,3 +381,167 @@ class TestSparseJacobi:
         want = tuple(sorted((x, y, z)))
         assert _dense_jacobi_failures(L) == {want}
         assert self._named_triple(L) == want
+
+
+def _sl2_sum(ring, corrupt=False):
+    """sl_2 (+) sl_2 with the second summand in degree 0: e, h, f of degrees
+    1, 0, -1, then e', h', f' all of degree 0.  corrupt sets [e', f'] =
+    h' + e', which breaks Jacobi inside the degree-0 summand."""
+    bracket = {}
+    for o in (0, 3):
+        bracket[(o, o + 1)] = {o: -2}  # [e, h] = -2e
+        bracket[(o, o + 2)] = {o + 1: 1}  # [e, f] = h
+        bracket[(o + 1, o + 2)] = {o + 2: -2}  # [h, f] = -2f
+    if corrupt:
+        bracket[(3, 5)] = {4: 1, 3: 1}
+    degrees = [(1,), (0,), (-1,)] + [(0,)] * 3
+    return GradedLieAlgebra(ring, list("ehfEHF"), degrees, bracket, check=False)
+
+
+class TestGeneratingSetJacobi:
+    """verify_jacobi evaluates only the triples that meet generators()."""
+
+    TRIPLE = TestSparseJacobi.TRIPLE
+
+    @pytest.mark.parametrize("name", ("tkk-H3-Q", "tkk-M12-F5"))
+    def test_degree_zero_corruption_caught(self, name):
+        # no triple of degree-0 indices meets generators(), which holds
+        # indices of nonzero degree only: a broken [T_a, T_b] must still be
+        # found through the triples that do
+        L = _jacobi_model(name)
+        ring = L.ring
+        zero = [i for i, d in enumerate(L.degrees) if not any(d)]
+        pairs = [(a, b) for (a, b) in sorted(L.bracket) if a in zero and b in zero]
+        assert pairs
+        for a, b in pairs[:6]:
+            bracket = {key: dict(vec) for key, vec in L.bracket.items()}
+            vec = bracket[(a, b)]
+            k = min(vec)
+            vec[k] = ring.add(vec[k], ring.coerce(1))
+            bad = GradedLieAlgebra(ring, L.labels, L.degrees, bracket, check=False)
+            gens = bad.generators()
+            assert gens is not None and a not in gens and b not in gens
+            failures = _dense_jacobi_failures(bad)
+            assert failures
+            with pytest.raises(AssertionError) as exc:
+                bad.verify_jacobi()
+            m = self.TRIPLE.fullmatch(str(exc.value))
+            assert m and tuple(int(g) for g in m.groups()) in failures
+
+    def test_non_generating_degrees_take_the_full_check(self):
+        good = _sl2_sum(QQ)
+        assert good.generators() is None
+        good.verify_jacobi()
+        assert good.jacobi_ok
+        bad = _sl2_sum(QQ, corrupt=True)
+        assert bad.generators() is None
+        failures = _dense_jacobi_failures(bad)
+        assert failures and all(min(t) >= 3 for t in failures)
+        with pytest.raises(AssertionError) as exc:
+            bad.verify_jacobi()
+        m = self.TRIPLE.fullmatch(str(exc.value))
+        assert m and tuple(int(g) for g in m.groups()) in failures
+
+    def test_generators_span_the_lattice(self):
+        # over Z the words in generators() span Z^dim; a bracket scaled by 2
+        # spans an index-2^k sublattice, so no generating set is claimed
+        L = sl_algebra(3, matrix_algebra(1, ZZ))
+        assert L.generators() is not None
+        bracket = {key: {k: 2 * v for k, v in vec.items()} for key, vec in L.bracket.items()}
+        doubled = GradedLieAlgebra(ZZ, L.labels, L.degrees, bracket)
+        assert doubled.generators() is None and doubled.jacobi_ok
+
+    @pytest.mark.parametrize(
+        "name, reduced, full",
+        [("albert", 14_637, 49_888), ("oct", 5_601, 13_018)],
+    )
+    def test_jacobiator_evaluations(self, monkeypatch, name, reduced, full):
+        from rograd.jordan import albert_algebra
+
+        if name == "albert":
+            V = albert_algebra(QQ).pair()
+        else:
+            V = rectangular_pair(1, 2, split_octonions(QQ))
+        calls = []
+        real = lie._jacobiator
+
+        def counted(*args):
+            calls.append(args[1:4])
+            return real(*args)
+
+        monkeypatch.setattr(lie, "_jacobiator", counted)
+        L = tkk(V)
+        assert len(L.generators()) == 15
+        assert len(calls) == reduced
+        gens = set(L.generators())
+        if name == "oct":
+            # exactly the triples that meet generators() and have a cyclic
+            # term that can be nonzero, each once, by a plain triple loop
+            ad = lie._integral_ad(L)
+            want = set()
+            for a in range(L.dim):
+                for b in range(a + 1, L.dim):
+                    for c in range(b + 1, L.dim):
+                        if gens.intersection((a, b, c)) and any(
+                            lie._reaches(ad, x, y, z)
+                            for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+                        ):
+                            want.add((a, b, c))
+            assert sorted(tuple(sorted(t)) for t in calls) == sorted(want)
+        calls.clear()
+        monkeypatch.setattr(lie, "_generating_set", lambda L, ad: None)
+        GradedLieAlgebra(QQ, L.labels, L.degrees, L.bracket)
+        assert len(calls) == full
+
+
+class TestCentreOnGenerators:
+    @pytest.mark.parametrize(
+        "ring, model",
+        [
+            (QQ, "split"),
+            (ZZ, "split"),
+            (GF(5), "split"),
+            (GF(5), "sl5"),
+            (GF(3), "sl3"),
+            (ZZ, "heisenberg"),
+        ],
+        ids=["Q-split", "Z-split", "F5-split", "F5-sl5", "F3-sl3", "Z-heisenberg"],
+    )
+    def test_nontrivial_centre_matches_full_route(self, ring, model):
+        if model == "split":
+            # sl_3 (+) R z, z central and of a root's degree, so that
+            # generators() can pick it
+            S = sl_algebra(3, matrix_algebra(1, ring))
+            degrees = S.degrees + [S.degrees[0]]
+            L = GradedLieAlgebra(ring, S.labels + ["z"], degrees, S.bracket, check=False)
+        elif model == "heisenberg":
+            L = GradedLieAlgebra(ring, "xzy", [(1,), (0,), (-1,)], {(0, 2): {1: 1}}, check=False)
+        else:
+            L = sl_algebra(int(model[2:]), matrix_algebra(1, ring))
+        full = GradedLieAlgebra(ring, L.labels, L.degrees, L.bracket, check=False)
+        L.verify_jacobi()
+        assert L.generators() is not None
+        assert full.jacobi_ok is None
+        want = full.centre_basis()
+        assert len(want) == 1
+        assert L.centre_basis() == want
+
+    def test_unchecked_algebra_takes_the_full_route(self, monkeypatch, M12):
+        rows = []
+        real = lie.rank_certified
+
+        def recorded(factory, ncols, bound, ring):
+            rows.append(sum(1 for _ in factory()))
+            return real(factory, ncols, bound, ring)
+
+        monkeypatch.setattr(lie, "rank_certified", recorded)
+        L = tkk(M12)
+        unchecked = GradedLieAlgebra(QQ, L.labels, L.degrees, L.bracket, check=False)
+        rows.clear()
+        assert L.centre_basis() == []
+        assert unchecked.centre_basis() == []
+        assert rows[0] < rows[1]
+        monkeypatch.setattr(
+            GradedLieAlgebra, "generators", lambda self: pytest.fail("generators() called")
+        )
+        assert unchecked.centre_basis() == []
