@@ -10,21 +10,20 @@ and the products built from them stay integer arithmetic.
 
 Operators are kept sparse as dicts column -> (dict row -> scalar), with the
 helpers of linalg.
+
+verify_pair_identities certifies JP1-JP3 and all their linearizations with
+one exact build of TKK(V) (lie._tkk, imported inside the function because
+lie imports this module): over Q in characteristic 0, over F_p for p >= 5.
 """
 from __future__ import annotations
 
-import re
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, product
-from math import factorial, prod
 
 from .algebras import StructureAlgebra
 from .linalg import (
     SparseMatrix,
     _op_apply,
     _op_axpy,
-    _op_compose,
     _op_scale,
     _vec_axpy,
     field_rank,
@@ -32,7 +31,7 @@ from .linalg import (
     kernel_basis,
     span,
 )
-from .rings import BaseRing
+from .rings import QQ, BaseRing
 
 
 # ---------------------------------------------------------------------------
@@ -123,409 +122,71 @@ class JordanPair:
 
 
 # ---------------------------------------------------------------------------
-# JP identity components (each family multilinear in its slots, so basis
-# instances decide validity in every scalar extension)
+# the Jordan pair identities, certified by TKK(V)
 # ---------------------------------------------------------------------------
 
-
-def _index_windows(n: int, window: int):
-    """Deterministic index subsets for oversized families: sliding windows
-    plus an evenly spread sample."""
-    if n <= window:
-        return [tuple(range(n))]
-    out = []
-    for start in range(0, n - window + 1, window):
-        out.append(tuple(range(start, start + window)))
-    if out[-1][-1] != n - 1:
-        out.append(tuple(range(n - window, n)))
-    out.append(tuple(sorted({(i * (n - 1)) // (window - 1) for i in range(window)})))
-    return out
+# JP1-JP3 and their linearizations, named by the degrees of the identity in
+# its V^sign variables, then in its V^-sign variables
+_FAMILIES = (
+    "JP1(3;1)", "JP1(2,1;1)", "JP1(1,1,1;1)", "JP2(2;2)", "JP2(1,1;2)",
+    "JP2(2;1,1)", "JP2(1,1;1,1)", "JP3(4;2)", "JP3(4;1,1)", "JP3(3,1;2)",
+    "JP3(3,1;1,1)", "JP3(2,2;2)", "JP3(2,2;1,1)", "JP3(2,1,1;2)",
+    "JP3(2,1,1;1,1)", "JP3(1,1,1,1;2)", "JP3(1,1,1,1;1,1)",
+)
 
 
-def verify_pair_identities(V: JordanPair, budget: int = 50_000, window: int = 4):
-    """Check JP1-JP3 together with all multilinear linearization components.
+def verify_pair_identities(V: JordanPair) -> dict:
+    """Certify JP1-JP3 and all their linearizations by building TKK(V).
 
-    Each component family is multilinear in its slots, so checking it on
-    basis tuples decides validity in every scalar extension.  Families whose
-    exhaustive tuple count exceeds the budget are checked on deterministic
-    index windows instead; the report records the mode per family.  A
-    family's value is invariant under permuting each group of its
-    interchangeable slots, so it is decided on one sorted tuple per orbit.
-    The windows overlap, so each tuple is decided only in the first grid
-    that holds it (the first window holding its V^sign indices, paired with
-    the first holding its V^-sign indices), and instances counts the
-    distinct tuples checked.  Products that are structurally zero (no row of
-    the right factor is a column of the left) are skipped without being
-    formed, and the inner Q-Q product of the three-factor JP3 terms is
-    formed once per sign (see _families).
-    Raises AssertionError on the first violation (the lexicographically
-    least failing tuple of the first failing grid).
-    Returns {family: (instances, violations, mode)}.
+    The stored tensors give the triple product {x y z} = Q_{x,z} y, which is
+    symmetric in x and z.  TKK(V) = V+ (+) instr(V) (+) V- closes instr(V)
+    and passes Jacobi exactly when, on V+ and on V-,
+
+        [D(x,y), D(u,v)] = D({x y u}, v) - D(u, {y x v}):
+
+    Jacobi on (delta(u,v), x+, y-) is this identity, on (x+, u+, y-) the
+    symmetry, and on the other triples it holds for any closed operator span.
+    Every Jordan pair satisfies the identity, over any base ring.  The
+    converse, that trilinear maps with the symmetry and the identity make a
+    Jordan pair with Q_x y = 1/2 {x y x}, is the passage from linear Jordan
+    pairs to Jordan pairs (Loos, Jordan Pairs, LNM 460, 1975, section 2;
+    Meyberg, Lectures on algebras and triple systems, 1972), used here only
+    where 6 is a unit.  Both 2 and 3 enter: {x y x} = 2 Q_x y, and the
+    identity at (x, y, u, v) = (x, y, x, z) and at (x, z, x, y), applied to
+    x, gives 6 (D(x,y) Q_x - Q_x D(y,x)) = 0, from which JP1 follows by
+    dividing by 6.  So pairs over F_2 and F_3 are refused with ValueError.
+    The identities are multilinear, so basis instances decide them in every
+    scalar extension.
+
+    In characteristic 0 the TKK is built over Q from V's own tensors: an
+    integer identity that holds on V (x) Q holds on the Z-form and after
+    every base change.  Over F_p, p >= 5, it is built over F_p.  The centre
+    is not checked: a degenerate pair can have a TKK with a centre.
+
+    Raises AssertionError("Jordan pair identities fail: <TKK message>").
+    Returns {family: (instances, 0, "exhaustive")} on both signs, where
+    instances = n^a m^b counts the basis tuples of a family with a slots in
+    V^sign (dim n) and b in V^-sign (dim m), all decided by the build.
     """
-    if window < 2:
-        raise ValueError(f"window must be at least 2, got {window}")
+    from .lie import _tkk
+
+    ring = QQ if V.ring.characteristic == 0 else V.ring
+    if not ring.has_inverse_of(6):
+        raise ValueError(
+            f"Jordan pair identities over {ring} need 1/6; verify the pair's "
+            "Z-form, which decides them over every ring"
+        )
+    try:
+        _tkk(JordanPair(ring, V.dims, V.labels, V.Qdiag, V.Qlin))
+    except AssertionError as exc:
+        raise AssertionError(f"Jordan pair identities fail: {exc}") from exc
     report = {}
     for sign in (1, -1):
-        dims = {"a": V.dim(sign), "b": V.dim(-sign)}
-        for name, slots, value in _families(V, sign):
-            key = f"{name}@{'+' if sign == 1 else '-'}"
-            groups = _slot_groups(slots)
-            total = prod(dims[kind] ** size for kind, size in groups)
-            if total <= budget:
-                windows, mode = {kind: [range(d)] for kind, d in dims.items()}, "exhaustive"
-            else:
-                windows = {kind: _index_windows(d, window) for kind, d in dims.items()}
-                mode = "windowed"
-            a_owned, b_owned = (
-                _owned_parts(windows[kind], [size for k, size in groups if k == kind])
-                for kind in "ab"
-            )
-            count = 0
-            # grids in the order of product(a-windows, b-windows); the a slots
-            # precede the b slots, so each grid's tuples come in lexicographic
-            # order
-            for a_parts, a_count in a_owned:
-                for b_parts, b_count in b_owned:
-                    count += a_count * b_count
-                    for pa in a_parts:
-                        for pb in b_parts:
-                            if value(*pa, *pb):
-                                raise AssertionError(
-                                    f"Jordan pair identity {key} fails at {pa + pb}"
-                                )
-            report[key] = (count, 0, mode)
+        for name in _FAMILIES:
+            a, b = (len(part.split(",")) for part in name[4:-1].split(";"))
+            count = V.dim(sign) ** a * V.dim(-sign) ** b
+            report[f"{name}@{'+' if sign == 1 else '-'}"] = (count, 0, "exhaustive")
     return report
-
-
-def _owned_parts(windows, sizes):
-    """Per window, the sorted index parts that no earlier window holds, and
-    the number of tuples they stand for.
-
-    A part is one combination (with repetition, from the window) per group
-    of interchangeable slots, of the given sizes, chained together; it is
-    the least tuple of its orbit under permuting each group, and the orbit
-    has prod(multinomial) elements.  Sorted windows give the parts in
-    lexicographic order.
-    """
-    out, earlier = [], []
-    for w in windows:
-        parts, count = [], 0
-        for combo in product(*(combinations_with_replacement(w, size) for size in sizes)):
-            part = tuple(chain.from_iterable(combo))
-            if any(e.issuperset(part) for e in earlier):
-                continue
-            parts.append(part)
-            count += prod(_arrangements(c) for c in combo)
-        out.append((parts, count))
-        earlier.append(set(w))
-    return out
-
-
-def _arrangements(c):
-    """Number of distinct orderings of the tuple c."""
-    return factorial(len(c)) // prod(factorial(k) for k in Counter(c).values())
-
-
-def _slot_groups(slots: str):
-    """Runs of a family's slot string as (kind, size): a bracketed run such
-    as "[aa]" is one group of interchangeable slots, a bare letter a group
-    of one.  "a[aa][bb]" gives [("a", 1), ("a", 2), ("b", 2)]."""
-    runs = (m[1] or m[0] for m in re.finditer(r"\[([ab]+)\]|[ab]", slots))
-    return [(run[0], len(run)) for run in runs]
-
-
-def _families(V: JordanPair, sign: int):
-    """The JP1-JP3 component families on V^sign as (name, slots, value).
-
-    Slot kind "a" indexes the V^sign basis, "b" the V^{-sign} basis, in the
-    order of value's arguments; every family lists its a slots first.
-    value(*t) is the component on the basis tuple t as a sparse operator, {}
-    where the identity holds.  Bracketed slots are interchangeable: permuting
-    them maps the family's terms onto themselves, because Q_{e_k,e_l} =
-    Q_{e_l,e_k} and Q_{x,y} is symmetric.  A composition whose factors do
-    not meet is skipped as zero, and the inner Q-Q product of a three-factor
-    term is kept for the lifetime of the returned values when it is formed.
-    """
-    ring = V.ring
-    n = V.dim(sign)
-    m = V.dim(-sign)
-    # Q_{e_k} under the key k, and Q_{e_k,e_l} under (k, l) for every ordered
-    # pair, with the doubled diagonal; Qm holds the same on V^{-sign}
-    Q = dict(enumerate(V.Qdiag[sign]))
-    Q.update(((i, j), V.QB_basis(sign, i, j)) for i in range(n) for j in range(n))
-    Qm = dict(enumerate(V.Qdiag[-sign]))
-    Qm.update(((i, j), V.QB_basis(-sign, i, j)) for i in range(m) for j in range(m))
-    one = ring.coerce(1)
-    Dtab = {(i, j): V.D_op(sign, {i: one}, {j: one}) for i in range(n) for j in range(m)}
-    Dmtab = {(j, i): V.D_op(-sign, {j: one}, {i: one}) for j in range(m) for i in range(n)}
-
-    def col(op, j):
-        return op.get(j, {})
-
-    def Dvec(x: dict, d: int):
-        out = {}
-        for k, c in x.items():
-            _op_axpy(ring, out, Dtab[(k, d)], c)
-        return out
-
-    def Dvec2(i_idx: int, y: dict):
-        # D(e_i, y) for a vector y in V^{-sign}
-        out = {}
-        for k, c in y.items():
-            _op_axpy(ring, out, Dtab[(i_idx, k)], c)
-        return out
-
-    def Qbvec(x: dict, y: dict):
-        out = {}
-        for k, ck in x.items():
-            for l, cl in y.items():
-                _op_axpy(ring, out, Q[k, l], ring.mul(ck, cl))
-        return out
-
-    def Qvec(x: dict):
-        out = {}
-        items = sorted(x.items())
-        for idx, (k, ck) in enumerate(items):
-            _op_axpy(ring, out, Q[k], ring.mul(ck, ck))
-            for l, cl in items[idx + 1 :]:
-                _op_axpy(ring, out, Q[k, l], ring.mul(ck, cl))
-        return out
-
-    # the rows of the right-hand factors, for the structural zero test
-    Qrows = {k: _rows(op) for k, op in Q.items()}
-    Dmrows = {k: _rows(op) for k, op in Dmtab.items()}
-    # Qm[y] after Q[z], the inner product of every three-factor JP3 term,
-    # stored under the unordered keys of y and z (Q[k, l] is Q[l, k]) and
-    # only when the two meet.  qqq writes out the zero test instead of
-    # calling after, because most of its calls end there.
-    inner = {}
-    Qkey = {k: _unordered(k) for k in Q}
-    Qmkey = {k: _unordered(k) for k in Qm}
-
-    def after(A, B, B_rows):
-        """A after B; {} without composing when no row of B is a column of A."""
-        if A.keys().isdisjoint(B_rows):
-            return {}
-        return _op_compose(ring, A, B)
-
-    def dq(d, q):
-        """D(e_i, f_j) after Q[q], for d = (i, j)."""
-        return after(Dtab[d], Q[q], Qrows[q])
-
-    def qd(q, d):
-        """Q[q] after D(f_j, e_i) on V^{-sign}, for d = (j, i)."""
-        return after(Q[q], Dmtab[d], Dmrows[d])
-
-    def qqq(x, y, z):
-        """Q[x] after Qm[y] after Q[z], composed right to left."""
-        key = (Qmkey[y], Qkey[z])
-        yz = inner.get(key)
-        if yz is None:
-            Y = Qm[y]
-            if Y.keys().isdisjoint(Qrows[z]):
-                return {}
-            yz = inner[key] = _op_compose(ring, Y, Q[z])
-        return _op_compose(ring, Q[x], yz)
-
-    def total(*signed_terms):
-        acc = {}
-        for s, term in signed_terms:
-            if term:
-                _op_axpy(ring, acc, term, s)
-        return acc
-
-    return [
-        (
-            "JP1(3;1)",
-            "ab",
-            lambda a, b: total((1, dq((a, b), a)), (-1, qd(a, (b, a)))),
-        ),
-        (
-            "JP1(2,1;1)",
-            "aab",
-            lambda a, c, b: total(
-                (1, dq((a, b), (a, c))),
-                (1, dq((c, b), a)),
-                (-1, qd((a, c), (b, a))),
-                (-1, qd(a, (b, c))),
-            ),
-        ),
-        (
-            "JP1(1,1,1;1)",
-            "[aaa]b",
-            lambda a, c, e, b: total(
-                (1, dq((a, b), (c, e))),
-                (1, dq((c, b), (a, e))),
-                (1, dq((e, b), (a, c))),
-                (-1, qd((c, e), (b, a))),
-                (-1, qd((a, e), (b, c))),
-                (-1, qd((a, c), (b, e))),
-            ),
-        ),
-        (
-            "JP2(2;2)",
-            "ab",
-            lambda a, b: total(
-                (1, Dvec(col(Q[a], b), b)), (-1, Dvec2(a, col(Qm[b], a)))
-            ),
-        ),
-        (
-            "JP2(1,1;2)",
-            "[aa]b",
-            lambda a, c, b: total(
-                (1, Dvec(col(Q[a, c], b), b)),
-                (-1, Dvec2(a, col(Qm[b], c))),
-                (-1, Dvec2(c, col(Qm[b], a))),
-            ),
-        ),
-        (
-            "JP2(2;1,1)",
-            "a[bb]",
-            lambda a, b, d: total(
-                (1, Dvec(col(Q[a], b), d)),
-                (1, Dvec(col(Q[a], d), b)),
-                (-1, Dvec2(a, col(Qm[b, d], a))),
-            ),
-        ),
-        (
-            "JP2(1,1;1,1)",
-            "[aa][bb]",
-            lambda a, c, b, d: total(
-                (1, Dvec(col(Q[a, c], b), d)),
-                (1, Dvec(col(Q[a, c], d), b)),
-                (-1, Dvec2(a, col(Qm[b, d], c))),
-                (-1, Dvec2(c, col(Qm[b, d], a))),
-            ),
-        ),
-        (
-            "JP3(4;2)",
-            "ab",
-            lambda a, b: total(
-                (1, Qvec(col(Q[a], b))), (-1, qqq(a, b, a))
-            ),
-        ),
-        (
-            "JP3(4;1,1)",
-            "a[bb]",
-            lambda a, b, d: total(
-                (1, Qbvec(col(Q[a], b), col(Q[a], d))),
-                (-1, qqq(a, (b, d), a)),
-            ),
-        ),
-        (
-            "JP3(3,1;2)",
-            "aab",
-            lambda a, c, b: total(
-                (1, Qbvec(col(Q[a], b), col(Q[a, c], b))),
-                (-1, qqq((a, c), b, a)),
-                (-1, qqq(a, b, (a, c))),
-            ),
-        ),
-        (
-            "JP3(3,1;1,1)",
-            "aa[bb]",
-            lambda a, c, b, d: total(
-                (1, Qbvec(col(Q[a], b), col(Q[a, c], d))),
-                (1, Qbvec(col(Q[a], d), col(Q[a, c], b))),
-                (-1, qqq((a, c), (b, d), a)),
-                (-1, qqq(a, (b, d), (a, c))),
-            ),
-        ),
-        (
-            "JP3(2,2;2)",
-            "[aa]b",
-            lambda a, c, b: total(
-                (1, Qvec(col(Q[a, c], b))),
-                (1, Qbvec(col(Q[a], b), col(Q[c], b))),
-                (-1, qqq(a, b, c)),
-                (-1, qqq(c, b, a)),
-                (-1, qqq((a, c), b, (a, c))),
-            ),
-        ),
-        (
-            "JP3(2,2;1,1)",
-            "[aa][bb]",
-            lambda a, c, b, d: total(
-                (1, Qbvec(col(Q[a, c], b), col(Q[a, c], d))),
-                (1, Qbvec(col(Q[a], b), col(Q[c], d))),
-                (1, Qbvec(col(Q[a], d), col(Q[c], b))),
-                (-1, qqq(a, (b, d), c)),
-                (-1, qqq(c, (b, d), a)),
-                (-1, qqq((a, c), (b, d), (a, c))),
-            ),
-        ),
-        (
-            "JP3(2,1,1;2)",
-            "a[aa]b",
-            lambda a, c, e, b: total(
-                (1, Qbvec(col(Q[a], b), col(Q[c, e], b))),
-                (1, Qbvec(col(Q[a, c], b), col(Q[a, e], b))),
-                (-1, qqq(a, b, (c, e))),
-                (-1, qqq((c, e), b, a)),
-                (-1, qqq((a, c), b, (a, e))),
-                (-1, qqq((a, e), b, (a, c))),
-            ),
-        ),
-        (
-            "JP3(2,1,1;1,1)",
-            "a[aa][bb]",
-            lambda a, c, e, b, d: total(
-                (1, Qbvec(col(Q[a], b), col(Q[c, e], d))),
-                (1, Qbvec(col(Q[a], d), col(Q[c, e], b))),
-                (1, Qbvec(col(Q[a, c], b), col(Q[a, e], d))),
-                (1, Qbvec(col(Q[a, c], d), col(Q[a, e], b))),
-                (-1, qqq(a, (b, d), (c, e))),
-                (-1, qqq((c, e), (b, d), a)),
-                (-1, qqq((a, c), (b, d), (a, e))),
-                (-1, qqq((a, e), (b, d), (a, c))),
-            ),
-        ),
-        (
-            "JP3(1,1,1,1;2)",
-            "[aaaa]b",
-            lambda a, c, e, g, b: total(
-                *(
-                    term
-                    for (p, q), (r, s) in _pairings(a, c, e, g)
-                    for term in (
-                        (1, Qbvec(col(Q[p, q], b), col(Q[r, s], b))),
-                        (-1, qqq((p, q), b, (r, s))),
-                        (-1, qqq((r, s), b, (p, q))),
-                    )
-                )
-            ),
-        ),
-        (
-            "JP3(1,1,1,1;1,1)",
-            "[aaaa][bb]",
-            lambda a, c, e, g, b, d: total(
-                *(
-                    term
-                    for (p, q), (r, s) in _pairings(a, c, e, g)
-                    for term in (
-                        (1, Qbvec(col(Q[p, q], b), col(Q[r, s], d))),
-                        (1, Qbvec(col(Q[p, q], d), col(Q[r, s], b))),
-                        (-1, qqq((p, q), (b, d), (r, s))),
-                        (-1, qqq((r, s), (b, d), (p, q))),
-                    )
-                )
-            ),
-        ),
-    ]
-
-
-def _unordered(key):
-    """A table key with a pair (k, l) put in increasing order."""
-    return key if type(key) is int or key[0] <= key[1] else (key[1], key[0])
-
-
-def _rows(op: dict) -> set:
-    """The rows holding a nonzero entry of the sparse operator op."""
-    return set().union(*op.values())
-
-
-def _pairings(w, x, y, z):
-    return [((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))]
 
 
 # ---------------------------------------------------------------------------

@@ -470,7 +470,15 @@ class TKKAlgebra(GradedLieAlgebra):
 
 
 def tkk(V: JordanPair) -> TKKAlgebra:
-    """Tits-Kantor-Koecher algebra of a Jordan pair; centre checked trivial.
+    """Tits-Kantor-Koecher algebra of a Jordan pair; centre checked trivial."""
+    L = _tkk(V)
+    if L.centre_basis():
+        raise AssertionError("TKK(V) has a nontrivial centre")
+    return L
+
+
+def _tkk(V: JordanPair) -> TKKAlgebra:
+    """TKK(V) with instr(V) closed and Jacobi verified, centre unchecked.
 
     instr(V) is built unchecked: the [T, S] loop brackets every basis pair
     a < b once and raises if a bracket leaves the span.
@@ -479,10 +487,12 @@ def tkk(V: JordanPair) -> TKKAlgebra:
     inner = _instr(V)
     n, m, k = V.dim(1), V.dim(-1), inner.dim
     one = ring.coerce(1)
+    # a pair built without labels gets its basis indices
+    names = V.labels or {1: range(n), -1: range(m)}
     labels = (
-        [f"x+{lbl}" for lbl in V.labels[1]]
+        [f"x+{lbl}" for lbl in names[1]]
         + [f"T{t}" for t in range(k)]
-        + [f"x-{lbl}" for lbl in V.labels[-1]]
+        + [f"x-{lbl}" for lbl in names[-1]]
     )
     degrees = [(1,)] * n + [(0,)] * k + [(-1,)] * m
     bracket = {}
@@ -514,11 +524,7 @@ def tkk(V: JordanPair) -> TKKAlgebra:
                 raise AssertionError("instr(V) is not bracket-closed")
             if coords:
                 bracket[(n + a, n + b)] = {n + t: c for t, c in coords.items()}
-    L = TKKAlgebra(V, inner, labels, degrees, bracket)
-    centre = L.centre_basis()
-    if centre:
-        raise AssertionError("TKK(V) has a nontrivial centre")
-    return L
+    return TKKAlgebra(V, inner, labels, degrees, bracket)
 
 
 # ---------------------------------------------------------------------------

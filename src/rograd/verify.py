@@ -241,7 +241,7 @@ def suite_algebras():
     return results
 
 
-def suite_jordan(budget: int = 50_000):
+def suite_jordan():
     from .algebras import matrix_algebra, split_octonions
     from .jordan import (
         albert_algebra,
@@ -250,7 +250,7 @@ def suite_jordan(budget: int = 50_000):
         rectangular_pair,
         verify_pair_identities,
     )
-    from .rings import QQ
+    from .rings import GF, QQ, ZZ
 
     results = []
     DQ = matrix_algebra(1, QQ, involution="identity")
@@ -262,12 +262,14 @@ def suite_jordan(budget: int = 50_000):
             "M(1,3,Q)": rectangular_pair(1, 3, DQ),
             "M(2,2,Q)": rectangular_pair(2, 2, DQ),
             "M(1,2,O)": rectangular_pair(1, 2, split_octonions(QQ)),
+            "M(1,2,O/Z)": rectangular_pair(1, 2, split_octonions(ZZ)),
             "H3(Q)": hermitian_algebra(3, DQ).pair(),
             "H4(Q)": hermitian_algebra(4, DQ).pair(),
             "Albert": albert_algebra(QQ).pair(),
+            "Albert(F5)": albert_algebra(GF(5)).pair(),
         }
         for name, V in pairs.items():
-            rep = verify_pair_identities(V, budget=budget)
+            rep = verify_pair_identities(V)
             assert all(v == 0 for (_, v, _) in rep.values())
             modes[name] = sorted({m for (_, _, m) in rep.values()})
         return "; ".join(f"{k}:{'/'.join(v)}" for k, v in modes.items())

@@ -1,23 +1,21 @@
+import copy
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import prod
+from itertools import chain, combinations_with_replacement, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rograd.jordan as jordan
 from rograd.algebras import matrix_algebra, split_octonions
 from rograd.jordan import (
     JordanAlgebra,
     JordanPair,
-    _families,
-    _index_windows,
     _pair_from_q,
-    _slot_groups,
     albert_algebra,
     hermitian_algebra,
     hermitian_grid,
@@ -28,7 +26,8 @@ from rograd.jordan import (
     verify_grid,
     verify_pair_identities,
 )
-from rograd.linalg import _op_apply
+from rograd.lie import _instr, tkk
+from rograd.linalg import _op_apply, _op_axpy, _op_compose
 from rograd.rings import GF, QQ, ZZ
 from rograd.roots import build, three_grading
 
@@ -69,7 +68,7 @@ class TestRectangularPair:
 
     def test_identities_m22(self, DQ):
         V = rectangular_pair(2, 2, DQ)
-        rep = verify_pair_identities(V, budget=10_000)
+        rep = verify_pair_identities(V)
         assert all(viol == 0 for (_, viol, _) in rep.values())
 
     def test_octonion_pair_rejected_when_too_big(self):
@@ -262,7 +261,7 @@ class TestJordanAlgebraBasics:
 
     def test_pair_identities_of_h3(self, DQ):
         V = hermitian_algebra(3, DQ).pair()
-        rep = verify_pair_identities(V, budget=8_000)
+        rep = verify_pair_identities(V)
         assert all(viol == 0 for (_, viol, _) in rep.values())
 
     def test_json(self, DQ):
@@ -285,8 +284,351 @@ class TestOctonionPairPeirce:
 
 
 # ---------------------------------------------------------------------------
-# the identity verifier: slot-symmetry orbits, reports and failure messages
+# the exhaustive oracle: every JP1-JP3 linearization component on one sorted
+# basis tuple per orbit of its interchangeable slots.  verify_pair_identities
+# decides the same identities by one TKK build; the oracle checks it.
 # ---------------------------------------------------------------------------
+
+
+def _arrangements(c):
+    """Number of distinct orderings of the tuple c."""
+    return factorial(len(c)) // prod(factorial(k) for k in Counter(c).values())
+
+
+def _slot_groups(slots: str):
+    """Runs of a family's slot string as (kind, size): a bracketed run such
+    as "[aa]" is one group of interchangeable slots, a bare letter a group
+    of one.  "a[aa][bb]" gives [("a", 1), ("a", 2), ("b", 2)]."""
+    runs = (m[1] or m[0] for m in re.finditer(r"\[([ab]+)\]|[ab]", slots))
+    return [(run[0], len(run)) for run in runs]
+
+
+def _families(V: JordanPair, sign: int):
+    """The JP1-JP3 component families on V^sign as (name, slots, value).
+
+    Slot kind "a" indexes the V^sign basis, "b" the V^{-sign} basis, in the
+    order of value's arguments; every family lists its a slots first.
+    value(*t) is the component on the basis tuple t as a sparse operator, {}
+    where the identity holds.  Bracketed slots are interchangeable: permuting
+    them maps the family's terms onto themselves, because Q_{e_k,e_l} =
+    Q_{e_l,e_k} and Q_{x,y} is symmetric.  A composition whose factors do
+    not meet is skipped as zero, and the inner Q-Q product of a three-factor
+    term is kept for the lifetime of the returned values when it is formed.
+    """
+    ring = V.ring
+    n = V.dim(sign)
+    m = V.dim(-sign)
+    # Q_{e_k} under the key k, and Q_{e_k,e_l} under (k, l) for every ordered
+    # pair, with the doubled diagonal; Qm holds the same on V^{-sign}
+    Q = dict(enumerate(V.Qdiag[sign]))
+    Q.update(((i, j), V.QB_basis(sign, i, j)) for i in range(n) for j in range(n))
+    Qm = dict(enumerate(V.Qdiag[-sign]))
+    Qm.update(((i, j), V.QB_basis(-sign, i, j)) for i in range(m) for j in range(m))
+    one = ring.coerce(1)
+    Dtab = {(i, j): V.D_op(sign, {i: one}, {j: one}) for i in range(n) for j in range(m)}
+    Dmtab = {(j, i): V.D_op(-sign, {j: one}, {i: one}) for j in range(m) for i in range(n)}
+
+    def col(op, j):
+        return op.get(j, {})
+
+    def Dvec(x: dict, d: int):
+        out = {}
+        for k, c in x.items():
+            _op_axpy(ring, out, Dtab[(k, d)], c)
+        return out
+
+    def Dvec2(i_idx: int, y: dict):
+        # D(e_i, y) for a vector y in V^{-sign}
+        out = {}
+        for k, c in y.items():
+            _op_axpy(ring, out, Dtab[(i_idx, k)], c)
+        return out
+
+    def Qbvec(x: dict, y: dict):
+        out = {}
+        for k, ck in x.items():
+            for l, cl in y.items():
+                _op_axpy(ring, out, Q[k, l], ring.mul(ck, cl))
+        return out
+
+    def Qvec(x: dict):
+        out = {}
+        items = sorted(x.items())
+        for idx, (k, ck) in enumerate(items):
+            _op_axpy(ring, out, Q[k], ring.mul(ck, ck))
+            for l, cl in items[idx + 1 :]:
+                _op_axpy(ring, out, Q[k, l], ring.mul(ck, cl))
+        return out
+
+    # the rows of the right-hand factors, for the structural zero test
+    Qrows = {k: _rows(op) for k, op in Q.items()}
+    Dmrows = {k: _rows(op) for k, op in Dmtab.items()}
+    # Qm[y] after Q[z], the inner product of every three-factor JP3 term,
+    # stored under the unordered keys of y and z (Q[k, l] is Q[l, k]) and
+    # only when the two meet.  qqq writes out the zero test instead of
+    # calling after, because most of its calls end there.
+    inner = {}
+    Qkey = {k: _unordered(k) for k in Q}
+    Qmkey = {k: _unordered(k) for k in Qm}
+
+    def after(A, B, B_rows):
+        """A after B; {} without composing when no row of B is a column of A."""
+        if A.keys().isdisjoint(B_rows):
+            return {}
+        return _op_compose(ring, A, B)
+
+    def dq(d, q):
+        """D(e_i, f_j) after Q[q], for d = (i, j)."""
+        return after(Dtab[d], Q[q], Qrows[q])
+
+    def qd(q, d):
+        """Q[q] after D(f_j, e_i) on V^{-sign}, for d = (j, i)."""
+        return after(Q[q], Dmtab[d], Dmrows[d])
+
+    def qqq(x, y, z):
+        """Q[x] after Qm[y] after Q[z], composed right to left."""
+        key = (Qmkey[y], Qkey[z])
+        yz = inner.get(key)
+        if yz is None:
+            Y = Qm[y]
+            if Y.keys().isdisjoint(Qrows[z]):
+                return {}
+            yz = inner[key] = _op_compose(ring, Y, Q[z])
+        return _op_compose(ring, Q[x], yz)
+
+    def total(*signed_terms):
+        acc = {}
+        for s, term in signed_terms:
+            if term:
+                _op_axpy(ring, acc, term, s)
+        return acc
+
+    return [
+        (
+            "JP1(3;1)",
+            "ab",
+            lambda a, b: total((1, dq((a, b), a)), (-1, qd(a, (b, a)))),
+        ),
+        (
+            "JP1(2,1;1)",
+            "aab",
+            lambda a, c, b: total(
+                (1, dq((a, b), (a, c))),
+                (1, dq((c, b), a)),
+                (-1, qd((a, c), (b, a))),
+                (-1, qd(a, (b, c))),
+            ),
+        ),
+        (
+            "JP1(1,1,1;1)",
+            "[aaa]b",
+            lambda a, c, e, b: total(
+                (1, dq((a, b), (c, e))),
+                (1, dq((c, b), (a, e))),
+                (1, dq((e, b), (a, c))),
+                (-1, qd((c, e), (b, a))),
+                (-1, qd((a, e), (b, c))),
+                (-1, qd((a, c), (b, e))),
+            ),
+        ),
+        (
+            "JP2(2;2)",
+            "ab",
+            lambda a, b: total(
+                (1, Dvec(col(Q[a], b), b)), (-1, Dvec2(a, col(Qm[b], a)))
+            ),
+        ),
+        (
+            "JP2(1,1;2)",
+            "[aa]b",
+            lambda a, c, b: total(
+                (1, Dvec(col(Q[a, c], b), b)),
+                (-1, Dvec2(a, col(Qm[b], c))),
+                (-1, Dvec2(c, col(Qm[b], a))),
+            ),
+        ),
+        (
+            "JP2(2;1,1)",
+            "a[bb]",
+            lambda a, b, d: total(
+                (1, Dvec(col(Q[a], b), d)),
+                (1, Dvec(col(Q[a], d), b)),
+                (-1, Dvec2(a, col(Qm[b, d], a))),
+            ),
+        ),
+        (
+            "JP2(1,1;1,1)",
+            "[aa][bb]",
+            lambda a, c, b, d: total(
+                (1, Dvec(col(Q[a, c], b), d)),
+                (1, Dvec(col(Q[a, c], d), b)),
+                (-1, Dvec2(a, col(Qm[b, d], c))),
+                (-1, Dvec2(c, col(Qm[b, d], a))),
+            ),
+        ),
+        (
+            "JP3(4;2)",
+            "ab",
+            lambda a, b: total(
+                (1, Qvec(col(Q[a], b))), (-1, qqq(a, b, a))
+            ),
+        ),
+        (
+            "JP3(4;1,1)",
+            "a[bb]",
+            lambda a, b, d: total(
+                (1, Qbvec(col(Q[a], b), col(Q[a], d))),
+                (-1, qqq(a, (b, d), a)),
+            ),
+        ),
+        (
+            "JP3(3,1;2)",
+            "aab",
+            lambda a, c, b: total(
+                (1, Qbvec(col(Q[a], b), col(Q[a, c], b))),
+                (-1, qqq((a, c), b, a)),
+                (-1, qqq(a, b, (a, c))),
+            ),
+        ),
+        (
+            "JP3(3,1;1,1)",
+            "aa[bb]",
+            lambda a, c, b, d: total(
+                (1, Qbvec(col(Q[a], b), col(Q[a, c], d))),
+                (1, Qbvec(col(Q[a], d), col(Q[a, c], b))),
+                (-1, qqq((a, c), (b, d), a)),
+                (-1, qqq(a, (b, d), (a, c))),
+            ),
+        ),
+        (
+            "JP3(2,2;2)",
+            "[aa]b",
+            lambda a, c, b: total(
+                (1, Qvec(col(Q[a, c], b))),
+                (1, Qbvec(col(Q[a], b), col(Q[c], b))),
+                (-1, qqq(a, b, c)),
+                (-1, qqq(c, b, a)),
+                (-1, qqq((a, c), b, (a, c))),
+            ),
+        ),
+        (
+            "JP3(2,2;1,1)",
+            "[aa][bb]",
+            lambda a, c, b, d: total(
+                (1, Qbvec(col(Q[a, c], b), col(Q[a, c], d))),
+                (1, Qbvec(col(Q[a], b), col(Q[c], d))),
+                (1, Qbvec(col(Q[a], d), col(Q[c], b))),
+                (-1, qqq(a, (b, d), c)),
+                (-1, qqq(c, (b, d), a)),
+                (-1, qqq((a, c), (b, d), (a, c))),
+            ),
+        ),
+        (
+            "JP3(2,1,1;2)",
+            "a[aa]b",
+            lambda a, c, e, b: total(
+                (1, Qbvec(col(Q[a], b), col(Q[c, e], b))),
+                (1, Qbvec(col(Q[a, c], b), col(Q[a, e], b))),
+                (-1, qqq(a, b, (c, e))),
+                (-1, qqq((c, e), b, a)),
+                (-1, qqq((a, c), b, (a, e))),
+                (-1, qqq((a, e), b, (a, c))),
+            ),
+        ),
+        (
+            "JP3(2,1,1;1,1)",
+            "a[aa][bb]",
+            lambda a, c, e, b, d: total(
+                (1, Qbvec(col(Q[a], b), col(Q[c, e], d))),
+                (1, Qbvec(col(Q[a], d), col(Q[c, e], b))),
+                (1, Qbvec(col(Q[a, c], b), col(Q[a, e], d))),
+                (1, Qbvec(col(Q[a, c], d), col(Q[a, e], b))),
+                (-1, qqq(a, (b, d), (c, e))),
+                (-1, qqq((c, e), (b, d), a)),
+                (-1, qqq((a, c), (b, d), (a, e))),
+                (-1, qqq((a, e), (b, d), (a, c))),
+            ),
+        ),
+        (
+            "JP3(1,1,1,1;2)",
+            "[aaaa]b",
+            lambda a, c, e, g, b: total(
+                *(
+                    term
+                    for (p, q), (r, s) in _pairings(a, c, e, g)
+                    for term in (
+                        (1, Qbvec(col(Q[p, q], b), col(Q[r, s], b))),
+                        (-1, qqq((p, q), b, (r, s))),
+                        (-1, qqq((r, s), b, (p, q))),
+                    )
+                )
+            ),
+        ),
+        (
+            "JP3(1,1,1,1;1,1)",
+            "[aaaa][bb]",
+            lambda a, c, e, g, b, d: total(
+                *(
+                    term
+                    for (p, q), (r, s) in _pairings(a, c, e, g)
+                    for term in (
+                        (1, Qbvec(col(Q[p, q], b), col(Q[r, s], d))),
+                        (1, Qbvec(col(Q[p, q], d), col(Q[r, s], b))),
+                        (-1, qqq((p, q), (b, d), (r, s))),
+                        (-1, qqq((r, s), (b, d), (p, q))),
+                    )
+                )
+            ),
+        ),
+    ]
+
+
+def _unordered(key):
+    """A table key with a pair (k, l) put in increasing order."""
+    return key if type(key) is int or key[0] <= key[1] else (key[1], key[0])
+
+
+def _rows(op: dict) -> set:
+    """The rows holding a nonzero entry of the sparse operator op."""
+    return set().union(*op.values())
+
+
+def _pairings(w, x, y, z):
+    return [((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))]
+
+
+def _orbit_parts(n, sizes):
+    """(part, orbit size) for every sorted index part: one combination with
+    repetition from range(n) per group of the given sizes, chained, in
+    lexicographic order."""
+    for combo in product(*(combinations_with_replacement(range(n), size) for size in sizes)):
+        yield tuple(chain.from_iterable(combo)), prod(_arrangements(c) for c in combo)
+
+
+def _oracle(V, families=_families):
+    """The report verify_pair_identities gives, by evaluating every family
+    on one sorted tuple per orbit; raises AssertionError at the
+    lexicographically least failing tuple of the first failing family."""
+    report = {}
+    for sign in (1, -1):
+        dims = {"a": V.dim(sign), "b": V.dim(-sign)}
+        for name, slots, value in families(V, sign):
+            key = f"{name}@{'+' if sign == 1 else '-'}"
+            groups = _slot_groups(slots)
+            a_parts, b_parts = (
+                list(_orbit_parts(dims[kind], [size for k, size in groups if k == kind]))
+                for kind in "ab"
+            )
+            count = 0
+            for pa, a_count in a_parts:
+                for pb, b_count in b_parts:
+                    count += a_count * b_count
+                    if value(*pa, *pb):
+                        raise AssertionError(f"Jordan pair identity {key} fails at {pa + pb}")
+            report[key] = (count, 0, "exhaustive")
+    return report
+
+
 
 _FAMILY_KEYS = [
     f"{name}@{s}"
@@ -299,41 +641,15 @@ _FAMILY_KEYS = [
     )
 ]
 
-# instances per family on one sign, in _FAMILY_KEYS order, and the mode of
-# each (e = exhaustive, w = windowed)
-_REPORTS = {
-    "M12O": (
-        [256, 4096, 5056, 256, 4096, 4096, 5776, 256, 4096, 4096, 5776, 4096, 5776,
-         5056, 24016, 20416, 96976],
-        "eeweeeweeewewwwww",
-    ),
-    "H4Q": (
-        [100, 1000, 10000, 100, 1000, 1000, 10000, 100, 1000, 1000, 10000, 1000,
-         10000, 10000, 12064, 9760, 50752],
-        "eeeeeeeeeeeeeewww",
-    ),
-    "H3Q": (
-        [36, 216, 1296, 36, 216, 216, 1296, 36, 216, 216, 1296, 216, 1296, 1296,
-         7776, 7776, 20992],
-        "eeeeeeeeeeeeeeeew",
-    ),
-}
-
-
-def _expected(counts, modes):
-    """The report of a pair with dim V+ = dim V-, whose two signs report alike."""
-    return [
-        (key, (count, 0, "exhaustive" if mode == "e" else "windowed"))
-        for key, count, mode in zip(_FAMILY_KEYS, counts * 2, modes * 2)
-    ]
+# numbers of (a, b) slots per family, in _FAMILY_KEYS order
+_SLOTS = [(1, 1), (2, 1), (3, 1), (1, 1), (2, 1), (1, 2), (2, 2), (1, 1), (1, 2),
+          (2, 1), (2, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
 
 
 def _exhaustive(d):
-    """Report of a pair with dim V+ = dim V- = d checked exhaustively."""
-    # numbers of (a, b) slots per family, in _FAMILY_KEYS order
-    slots = [(1, 1), (2, 1), (3, 1), (1, 1), (2, 1), (1, 2), (2, 2), (1, 1), (1, 2),
-             (2, 1), (2, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
-    return _expected([d ** (a + b) for a, b in slots], "e" * 17)
+    """Report of a pair with dim V+ = dim V- = d: every basis tuple decided."""
+    counts = [d ** (a + b) for a, b in _SLOTS] * 2
+    return [(key, (count, 0, "exhaustive")) for key, count in zip(_FAMILY_KEYS, counts)]
 
 
 def _random_pair(n, m, seed):
@@ -400,82 +716,74 @@ class TestIdentityOrbits:
     @pytest.mark.parametrize("i_size,j_size", [(1, 2), (1, 3), (2, 2)])
     def test_reports_rectangular(self, DQ, i_size, j_size):
         V = rectangular_pair(i_size, j_size, DQ)
-        rep = verify_pair_identities(V, budget=10_000)
+        rep = verify_pair_identities(V)
         assert V.dim(1) == V.dim(-1)
         assert list(rep.items()) == _exhaustive(V.dim(1))
 
     def test_report_h3(self, DQ):
-        rep = verify_pair_identities(hermitian_algebra(3, DQ).pair(), budget=8_000)
-        assert list(rep.items()) == _expected(*_REPORTS["H3Q"])
+        V = hermitian_algebra(3, DQ).pair()
+        rep = verify_pair_identities(V)
+        assert list(rep.items()) == _exhaustive(6)
+        assert _oracle(V) == rep
 
     def test_report_octonion_pair(self):
         rep = verify_pair_identities(rectangular_pair(1, 2, split_octonions(QQ)))
-        assert list(rep.items()) == _expected(*_REPORTS["M12O"])
-        assert sum(c for c, _, _ in rep.values()) == 388384
-        assert sum(mode == "exhaustive" for _, _, mode in rep.values()) == 18
+        assert list(rep.items()) == _exhaustive(16)
+        assert sum(c for c, _, _ in rep.values()) == 38454784
+        assert sum(mode == "exhaustive" for _, _, mode in rep.values()) == 34
 
     def test_report_h4(self, DQ):
         rep = verify_pair_identities(hermitian_algebra(4, DQ).pair())
-        assert list(rep.items()) == _expected(*_REPORTS["H4Q"])
-        assert sum(c for c, _, _ in rep.values()) == 257752
-        assert sum(mode == "exhaustive" for _, _, mode in rep.values()) == 28
+        assert list(rep.items()) == _exhaustive(10)
+        assert sum(c for c, _, _ in rep.values()) == 2512600
+        assert sum(mode == "exhaustive" for _, _, mode in rep.values()) == 34
 
     def test_corrupted_h3(self, DQ):
         V = hermitian_algebra(3, DQ).pair()
         V.Qlin[1][(0, 3)][0][1] = 5
         with pytest.raises(AssertionError) as exc:
-            verify_pair_identities(V, budget=8_000)
+            verify_pair_identities(V)
+        assert str(exc.value) == "Jordan pair identities fail: instr(V) is not bracket-closed"
+        with pytest.raises(AssertionError) as exc:
+            _oracle(V)
         assert str(exc.value) == "Jordan pair identity JP1(3;1)@+ fails at (3, 0)"
 
     def test_corrupted_octonion_pair(self):
         V = rectangular_pair(1, 2, split_octonions(QQ))
         V.Qlin[-1][max(V.Qlin[-1])].setdefault(3, {})[2] = 7
         with pytest.raises(AssertionError) as exc:
-            verify_pair_identities(V, budget=8_000)
+            verify_pair_identities(V)
+        assert str(exc.value) == "Jordan pair identities fail: instr(V) is not bracket-closed"
+        with pytest.raises(AssertionError) as exc:
+            _oracle(V)
         assert str(exc.value) == "Jordan pair identity JP1(2,1;1)@+ fails at (3, 6, 14)"
 
     def test_corrupted_first_failure_in_a_group(self, DQ):
-        # windowed: the first failing grid's least failing tuple has three
-        # distinct entries in the {a, c, e} group of JP1(1,1,1;1)
+        # the least failing tuple of JP1(1,1,1;1)@+ has three distinct
+        # entries in its {a, c, e} group
         V = rectangular_pair(2, 3, DQ)
         V.Qdiag[-1][5].setdefault(2, {})[1] = 5
         with pytest.raises(AssertionError) as exc:
-            verify_pair_identities(V, budget=100, window=3)
-        assert str(exc.value) == "Jordan pair identity JP1(1,1,1;1)@+ fails at (0, 2, 5, 5)"
+            verify_pair_identities(V)
+        assert str(exc.value) == "Jordan pair identities fail: instr(V) is not bracket-closed"
 
-    def test_window_below_two_rejected(self, DQ, M12):
-        for window in (1, 0):
-            with pytest.raises(ValueError):
-                verify_pair_identities(M12, window=window)
-            with pytest.raises(ValueError):
-                verify_pair_identities(rectangular_pair(2, 2, DQ), budget=10, window=window)
+        def jp1_111(V, sign):
+            return [f for f in _families(V, sign) if f[0] == "JP1(1,1,1;1)"]
+
+        with pytest.raises(AssertionError) as exc:
+            _oracle(V, jp1_111)
+        assert str(exc.value) == "Jordan pair identity JP1(1,1,1;1)@+ fails at (0, 2, 3, 5)"
 
 
 # ---------------------------------------------------------------------------
-# the identity verifier: each distinct tuple of the grids decided once, with
-# values and messages pinned from plain composition of every term on every
-# tuple of every grid
+# the oracle: each orbit decided once, and the failure it reports is the
+# least failing tuple of a plain scan of every tuple
 # ---------------------------------------------------------------------------
 
 
 def _kinds(slots):
     """The slot string without brackets: "a[aa][bb]" gives "aaabb"."""
     return "".join(kind * size for kind, size in _slot_groups(slots))
-
-
-def _grid_union(slots, dims, budget, window):
-    """The distinct tuples of every grid the verifier checks for a family
-    with these slots, read off the grids themselves."""
-    kinds = _kinds(slots)
-    if prod(dims[kind] for kind in kinds) <= budget:
-        windows = {kind: [range(d)] for kind, d in dims.items()}
-    else:
-        windows = {kind: _index_windows(d, window) for kind, d in dims.items()}
-    return {
-        t
-        for wa, wb in product(windows["a"], windows["b"])
-        for t in product(*(wa if kind == "a" else wb for kind in kinds))
-    }
 
 
 def _orbit_rep(t, slots):
@@ -505,72 +813,54 @@ def _value_digest(V):
     return h.hexdigest()[:16]
 
 
-def _scan_first_failure(V, bad, budget, window):
-    """The failure message of a plain scan of every tuple of every grid in
-    order, for families failing exactly on the orbits bad[sign, name]."""
+def _scan_first_failure(V, bad):
+    """The failure message of a plain scan of every tuple in order, for
+    families failing exactly on the orbits bad[sign, name]."""
     for sign in (1, -1):
         size = {"a": V.dim(sign), "b": V.dim(-sign)}
         for name, slots in _family_slots():
-            kinds = _kinds(slots)
-            if prod(size[kind] for kind in kinds) <= budget:
-                windows = {kind: [range(d)] for kind, d in size.items()}
-            else:
-                windows = {kind: _index_windows(d, window) for kind, d in size.items()}
-            for wa, wb in product(windows["a"], windows["b"]):
-                for t in product(*(wa if kind == "a" else wb for kind in kinds)):
-                    if _orbit_rep(t, slots) in bad[sign, name]:
-                        key = f"{name}@{'+' if sign == 1 else '-'}"
-                        return f"Jordan pair identity {key} fails at {t}"
+            for t in product(*(range(size[kind]) for kind in _kinds(slots))):
+                if _orbit_rep(t, slots) in bad[sign, name]:
+                    key = f"{name}@{'+' if sign == 1 else '-'}"
+                    return f"Jordan pair identity {key} fails at {t}"
     return None
 
 
 class TestDistinctTuples:
-    @pytest.mark.parametrize(
-        "pair,dim,budget", [("M12O", 16, 50_000), ("H4Q", 10, 50_000), ("H3Q", 6, 8_000)]
-    )
-    def test_recorded_instances_are_distinct_tuples(self, pair, dim, budget):
-        counts, modes = _REPORTS[pair]
-        dims = {"a": dim, "b": dim}
-        slots = [s for _, s in _family_slots()]
-        assert [len(_grid_union(s, dims, budget, 4)) for s in slots] == counts
-        windowed = [dim ** sum(ch in "ab" for ch in s) > budget for s in slots]
-        assert windowed == [mode == "w" for mode in modes]
-
-    def test_each_grid_tuple_evaluated_once(self, DQ, monkeypatch):
+    def test_each_grid_tuple_evaluated_once(self):
+        # families that hold everywhere, on a pair with dim V+ != dim V-
         calls = Counter()
-        families = jordan._families
 
         def counted(V, sign):
-            def wrap(name, value):
+            def wrap(name):
                 def traced(*t):
                     calls[sign, name, t] += 1
-                    return value(*t)
+                    return {}
 
                 return traced
 
-            return [(name, slots, wrap(name, value)) for name, slots, value in families(V, sign)]
+            return [(name, slots, wrap(name)) for name, slots in _family_slots()]
 
-        monkeypatch.setattr(jordan, "_families", counted)
-        V = rectangular_pair(2, 3, DQ)
-        rep = verify_pair_identities(V, budget=100, window=3)
+        V = _random_pair(4, 3, seed=11)
+        rep = _oracle(V, counted)
         assert set(calls.values()) == {1}
         expected = set()
         for sign in (1, -1):
             dims = {"a": V.dim(sign), "b": V.dim(-sign)}
             for name, slots in _family_slots():
-                union = _grid_union(slots, dims, 100, 3)
+                kinds = _kinds(slots)
+                tuples = list(product(*(range(dims[kind]) for kind in kinds)))
                 key = f"{name}@{'+' if sign == 1 else '-'}"
-                assert rep[key][0] == len(union), key
-                expected |= {(sign, name, _orbit_rep(t, slots)) for t in union}
+                assert rep[key] == (len(tuples), 0, "exhaustive"), key
+                expected |= {(sign, name, _orbit_rep(t, slots)) for t in tuples}
         assert set(calls) == expected
-        assert sum(mode == "windowed" for _, _, mode in rep.values()) == 2 * 14
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_first_failure_is_least_of_first_failing_grid(self, monkeypatch, seed):
+    def test_first_failure_is_least_of_first_failing_grid(self, seed):
         # families failing on random slot-group orbits, against a plain scan
-        # of every tuple of every grid in order
+        # of every tuple in order
         rng = random.Random(seed)
-        V = _random_pair(6, 5, seed=seed)
+        V = _random_pair(4, 3, seed=seed)
         bad = {(sign, name): set() for sign in (1, -1) for name, _ in _family_slots()}
         for sign, name in rng.sample(sorted(bad), 2):
             size = {"a": V.dim(sign), "b": V.dim(-sign)}
@@ -585,14 +875,9 @@ class TestDistinctTuples:
                 for name, slots in _family_slots()
             ]
 
-        expected = _scan_first_failure(V, bad, budget=50, window=3)
-        monkeypatch.setattr(jordan, "_families", fake)
-        if expected is None:
-            verify_pair_identities(V, budget=50, window=3)
-        else:
-            with pytest.raises(AssertionError) as exc:
-                verify_pair_identities(V, budget=50, window=3)
-            assert str(exc.value) == expected
+        with pytest.raises(AssertionError) as exc:
+            _oracle(V, fake)
+        assert str(exc.value) == _scan_first_failure(V, bad)
 
     def test_family_values_as_recorded(self, DQ):
         # digests recorded with plain left-to-right composition of every term
@@ -600,15 +885,143 @@ class TestDistinctTuples:
         assert _value_digest(hermitian_algebra(3, DQ).pair()) == "921f566e029a4567"
 
     def test_corrupted_failure_in_two_windows(self, DQ):
-        # windowed: (6, 9, 6) lies in the a-windows (6, 7, 8, 9) and
-        # (0, 3, 6, 9) and in three b-windows; message as recorded before
-        # tuples were owned by their first grid
+        # pinned when the verifier checked index windows: its failing tuple
+        # (6, 9, 6) lay in two of them; the oracle's least one is (0, 9, 6)
         V = hermitian_algebra(4, DQ).pair()
         V.Qlin[-1][(6, 8)].setdefault(9, {})[0] = -1
         with pytest.raises(AssertionError) as exc:
-            verify_pair_identities(V, budget=100, window=4)
-        assert str(exc.value) == "Jordan pair identity JP1(2,1;1)@+ fails at (6, 9, 6)"
+            verify_pair_identities(V)
+        assert str(exc.value) == "Jordan pair identities fail: instr(V) is not bracket-closed"
+        with pytest.raises(AssertionError) as exc:
+            _oracle(V)
+        assert str(exc.value) == "Jordan pair identity JP1(2,1;1)@+ fails at (0, 9, 6)"
 
+
+# ---------------------------------------------------------------------------
+# the TKK certificate against the oracle, and the rings it accepts
+# ---------------------------------------------------------------------------
+
+
+def _small_pairs(ring):
+    D = matrix_algebra(1, ring, involution="identity")
+    return [
+        rectangular_pair(1, 2, D),
+        rectangular_pair(1, 3, D),
+        rectangular_pair(2, 2, D),
+        hermitian_algebra(3, D).pair(),
+    ]
+
+
+def _corrupt(V, rng):
+    """A copy of V with one tensor entry changed by a nonzero amount."""
+    W = copy.deepcopy(V)
+    ring = W.ring
+    sign = rng.choice((1, -1))
+    n, m = W.dim(sign), W.dim(-sign)
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    if pairs and rng.random() < 0.5:
+        op = W.Qlin[sign].setdefault(rng.choice(pairs), {})
+    else:
+        op = W.Qdiag[sign][rng.randrange(n)]
+    j, row = rng.randrange(m), rng.randrange(n)
+    col = op.setdefault(j, {})
+    value = ring.coerce(col.get(row, 0) + rng.choice((-2, -1, 1, 2)))
+    if ring.is_zero(value):
+        del col[row]
+        if not col:
+            del op[j]
+    else:
+        col[row] = value
+    return W
+
+
+def _passes(check, V):
+    try:
+        check(V)
+    except AssertionError:
+        return False
+    return True
+
+
+class TestTKKCertificate:
+    def test_jacobi_only_pair(self):
+        # Q_e f = e on V+ but Q_f e = 2 f on V-: instr(V) is one-dimensional,
+        # hence closed, and only Jacobi on (T, x+, y-) fails
+        V = JordanPair(
+            QQ, {1: 1, -1: 1}, {1: ["e"], -1: ["f"]},
+            Qdiag={1: [{0: {0: 1}}], -1: [{0: {0: 2}}]}, Qlin={1: {}, -1: {}},
+        )
+        _instr(V)._verify_closed()
+        with pytest.raises(AssertionError) as exc:
+            verify_pair_identities(V)
+        assert str(exc.value) == (
+            "Jordan pair identities fail: Jacobi identity fails on basis triple (0, 1, 2)"
+        )
+        with pytest.raises(AssertionError) as exc:
+            _oracle(V)
+        assert str(exc.value) == "Jordan pair identity JP1(3;1)@+ fails at (0, 0)"
+
+    def test_centre_not_checked(self):
+        # the zero pair is a Jordan pair whose TKK is abelian
+        V = JordanPair(
+            QQ, {1: 1, -1: 1}, {1: ["e"], -1: ["f"]}, Qdiag={1: [{}], -1: [{}]},
+            Qlin={1: {}, -1: {}},
+        )
+        assert verify_pair_identities(V) == _oracle(V)
+        with pytest.raises(AssertionError, match="nontrivial centre"):
+            tkk(V)
+
+    def test_unlabelled_pair(self, DQ):
+        V = _u_polarization_pair(hermitian_algebra(3, DQ))
+        assert V.labels is None
+        assert list(verify_pair_identities(V).items()) == _exhaustive(6)
+        assert tkk(V).labels[:2] == ["x+0", "x+1"]
+
+    @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_oracle_agrees_on_valid_pairs(self, ring):
+        for V in _small_pairs(ring):
+            assert verify_pair_identities(V) == _oracle(V)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_oracle_agrees_on_corruptions(self, ring, seed):
+        # 4 seeds x 2 rings x 4 pairs x 8 corruptions = 256 in all
+        rng = random.Random(seed)
+        rejected = 0
+        for V in _small_pairs(ring):
+            for _ in range(8):
+                W = _corrupt(V, rng)
+                verdict = _passes(verify_pair_identities, W)
+                assert verdict == _passes(_oracle, W)
+                rejected += not verdict
+        assert rejected
+
+    @pytest.mark.parametrize(
+        "make,dim",
+        [
+            (lambda: rectangular_pair(1, 2, split_octonions(ZZ)), 16),
+            (lambda: rectangular_pair(2, 2, matrix_algebra(1, ZZ)), 4),
+            (lambda: albert_algebra(GF(5)).pair(), 27),
+            (lambda: albert_algebra(GF(7)).pair(), 27),
+            (lambda: hermitian_algebra(4, matrix_algebra(1, GF(5), involution="identity")).pair(), 10),
+        ],
+        ids=["M12O-Z", "M22-Z", "albert-F5", "albert-F7", "H4-F5"],
+    )
+    def test_ring_policy_accepts(self, make, dim):
+        assert list(verify_pair_identities(make()).items()) == _exhaustive(dim)
+
+    def test_corrupted_z_form_rejected(self):
+        V = rectangular_pair(1, 2, split_octonions(ZZ))
+        assert V.ring == ZZ
+        V.Qlin[-1][max(V.Qlin[-1])].setdefault(3, {})[2] = 7
+        with pytest.raises(AssertionError, match="^Jordan pair identities fail: "):
+            verify_pair_identities(V)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_small_characteristic_refused(self, p):
+        V = rectangular_pair(1, 2, matrix_algebra(1, GF(p)))
+        with pytest.raises(ValueError, match="Z-form"):
+            verify_pair_identities(V)
 
 class TestIntegerQTensors:
     @pytest.mark.parametrize("make", ["h3", "albert"])

@@ -15,6 +15,7 @@ COMMANDS = [
     ["tkk", "--model", "tkk-oct", "--ring", "Fp:5"],
     ["uce", "--model", "sl", "--n", "3", "--ring", "Z"],
     ["degsums", "--type", "E", "--rank", "8", "--method", "both"],
+    ["verify", "--suite", "jordan"],
 ]
 
 GUARD = f"""
