@@ -8,9 +8,10 @@ showing up in universal central extensions of root-graded Lie algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 
-from .linalg import SparseMatrix, integer_solver
+from .linalg import span
 from .rings import ZZ
 from .roots import RootSystem, vadd, vneg, vsub, dot
 
@@ -183,26 +184,15 @@ def degenerate_sums_algorithm(R: RootSystem) -> DegenerateSumReport:
     """
     by_divisor = {2: set(), 3: set()}
 
-    simple = R.simple_roots()
-    cols = len(simple)
-    lattice = SparseMatrix(
-        R.ambient_dim,
-        cols,
-        {
-            (i, j): simple[j][i]
-            for j in range(cols)
-            for i in range(R.ambient_dim)
-            if simple[j][i]
-        },
-        ZZ,
-    )
-    in_lattice = integer_solver(lattice)
+    root_lattice = span(ZZ, R.ambient_dim)
+    for a in R.simple_roots():
+        root_lattice.add(dict(enumerate(a)))
     for w in R.fundamental_weights():
         doubled = tuple(2 * c for c in w.coords)
-        if any(c.denominator != 1 for c in map(_as_fraction, doubled)):
+        if any(Fraction(c).denominator != 1 for c in doubled):
             continue
         doubled = tuple(int(c) for c in doubled)
-        if in_lattice(dict(enumerate(doubled))) is None:
+        if not root_lattice.contains(dict(enumerate(doubled))):
             continue  # 2*omega outside the root lattice
         if dot(doubled, doubled) > 2 * R.long_norm:
             continue
@@ -217,9 +207,3 @@ def degenerate_sums_algorithm(R: RootSystem) -> DegenerateSumReport:
                 if b != a and b != vneg(a) and R.pairing(a, b) == 1:
                     by_divisor[3].add(vadd(a, b))
     return _assemble(R, by_divisor)
-
-
-def _as_fraction(c):
-    from fractions import Fraction
-
-    return Fraction(c)

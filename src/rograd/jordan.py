@@ -27,7 +27,6 @@ from .linalg import (
     _op_scale,
     _vec_axpy,
     field_rank,
-    integer_kernel,
     kernel_basis,
     span,
 )
@@ -554,8 +553,7 @@ def _symmetric_basis(D: StructureAlgebra):
             ent[(i, j)] = v
         ent[(j, j)] = ring.sub(ent.get((j, j), ring.coerce(0)), ring.coerce(1))
     ent = {k: v for k, v in ent.items() if not ring.is_zero(v)}
-    mat = SparseMatrix(D.dim, D.dim, ent, ring)
-    return kernel_basis(mat) if ring.is_field else integer_kernel(mat)
+    return kernel_basis(SparseMatrix(D.dim, D.dim, ent, ring))
 
 
 def _nuclear_involution(D: StructureAlgebra) -> bool:

@@ -33,7 +33,6 @@ from .linalg import (
     _op_flatten,
     _op_scale,
     _vec_axpy,
-    integer_kernel,
     kernel_basis,
     lattice_span,
     quotient_shape,
@@ -367,8 +366,7 @@ class GradedLieAlgebra:
         row_list = rows_of(range(n))
         if rank_certified(lambda: iter(row_list), n, n, ring) == n:
             return []
-        M = SparseMatrix.from_rows(row_list, n, ring)
-        return integer_kernel(M) if ring.kind == "Z" else kernel_basis(M)
+        return kernel_basis(SparseMatrix.from_rows(row_list, n, ring))
 
     # -- reports ------------------------------------------------------------
     def to_json(self) -> dict:

@@ -1,16 +1,18 @@
 """Exact sparse linear algebra over Z, Q and F_p.
 
-Callers reach it through two entry points that pick the algorithm from the
+Callers reach it through entry points that pick the algorithm from the
 ring: span(ring, ncols) returns the ring's one echelon backend, and
 quotient_shape(ring, ...) reads R^m/R and ker(u)/R off a relation stream
 (a lattice basis and its factors-only Smith normal form over Z, a certified
 rank over a field).  The uce blocks, HC(V), HC_1(D) and the homology
 quotients all go through quotient_shape, and the sl_K degree-0 check
-compares two spans with same_span.  Also Smith normal form with unimodular
-transforms (integer_kernel, integer_solver), finitely presented module
-normalization, and rank_certified, which streams rows through a mod-p
-echelon (a mod-p rank is a lower bound for the rank over Q, so reaching a
-known upper bound proves the exact value).
+compares two spans with same_span.  Over Z every computation works on a
+lattice basis in Hermite normal form: kernel_basis reads the pure kernel
+off one, smith_normal_form and module_invariants the invariant factors,
+and integer membership is span(ZZ, n).contains; no unimodular transforms
+are formed.  rank_certified streams rows through a mod-p echelon (a mod-p
+rank is a lower bound for the rank over Q, so reaching a known upper
+bound proves the exact value).
 """
 from __future__ import annotations
 
@@ -210,104 +212,76 @@ def _op_flatten(op: dict, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(M: SparseMatrix, transforms: bool = True):
-    """Return (invariant factors, (U, V)) with U*M*V diagonal, U, V unimodular.
+def smith_normal_form(M: SparseMatrix):
+    """The invariant factors of the lattice R spanned by the rows of M.
 
-    The factor list has length rank(M); each factor is positive and divides
-    the next.  Pivots are chosen to minimize fill-in, with lexicographic
-    tie-breaking so results are deterministic.
-
-    With transforms=False the result is (factors, None), the same factors
-    found without U or V.  They depend only on the lattice R spanned by the
-    rows, so the rows first go into a LatticeEchelon in Hermite normal form,
-    which leaves a basis of r = rank(M) rows.  Each row with lead 1 gives a
-    factor 1.  The leads of the other k rows multiply to a k x k minor D of
-    them, so D * Z^k lies in their column lattice, and the elimination runs
-    modulo D (Domich-Kannan-Trotter): every entry stays within D/2, a
-    diagonal entry e stands for the factor gcd(e, D), and a missing one for
-    D.
+    The list has length rank(M); each factor is positive and divides the
+    next.  The factors depend only on R, so the rows first go into a
+    LatticeEchelon in Hermite normal form, whose basis _hermite_factors
+    reads them off.
     """
     if M.ring.kind != "Z":
         raise ValueError("Smith normal form requires integer entries")
-    if transforms:
-        m, n = M.rows, M.cols
-        entries = M.entries
-        D = 0  # no modulus
-    else:
-        lat = LatticeEchelon(hermite=True)
-        for row in M.row_dicts():
-            lat.add(row)
-        # a lead 1 is the only nonzero entry of its column in Hermite form,
-        # so column operations split it off as a factor 1
-        basis = [row for row in lat.basis_rows() if row[min(row)] != 1]
-        ones = lat.rank - len(basis)
-        m, n = len(basis), M.cols
-        entries = {(r, c): v for r, row in enumerate(basis) for c, v in row.items()}
-        D = prod(row[min(row)] for row in basis)
+    lat = LatticeEchelon(hermite=True)
+    for row in M.row_dicts():
+        lat.add(row)
+    return _hermite_factors(lat, M.cols)
+
+
+def _hermite_factors(lat: LatticeEchelon, n: int):
+    """The invariant factors of a lattice in Z^n from its Hermite basis.
+
+    Each basis row with lead 1 gives a factor 1: it is the only row with an
+    entry in its lead's column, so column operations split it off.  The
+    leads of the other k rows multiply to a k x k minor D of them, so
+    D * Z^k lies in their column lattice, and the elimination runs modulo D
+    (Domich-Kannan-Trotter): every entry stays within D/2, a diagonal entry
+    e stands for the factor gcd(e, D), and a missing one for D.  Pivots are
+    chosen to minimize fill-in, with lexicographic tie-breaking so results
+    are deterministic.
+    """
+    basis = [row for row in lat.basis_rows() if row[min(row)] != 1]
+    m, ones = len(basis), lat.rank - len(basis)
+    D = prod(row[min(row)] for row in basis)
     A = [dict() for _ in range(m)]
     colidx = [set() for _ in range(n)]
-    U = [{r: 1} for r in range(m)] if transforms else None
-    VT = [{c: 1} for c in range(n)] if transforms else None  # VT[j] = column j of V
 
     def set_entry(r, c, v):
-        if D:
-            v %= D
-            if 2 * v > D:
-                v -= D
+        v %= D
+        if 2 * v > D:
+            v -= D
         if v:
             A[r][c] = v
             colidx[c].add(r)
-        else:
-            if c in A[r]:
-                del A[r][c]
-                colidx[c].discard(r)
+        elif c in A[r]:
+            del A[r][c]
+            colidx[c].discard(r)
 
-    for (r, c), v in entries.items():
-        set_entry(r, c, v)
+    for r, row in enumerate(basis):
+        for c, v in row.items():
+            set_entry(r, c, v)
 
     def row_op(dst, src, q):
         # row dst -= q * row src
         for c, v in list(A[src].items()):
             set_entry(dst, c, A[dst].get(c, 0) - q * v)
-        if U is None:
-            return
-        for c, v in list(U[src].items()):
-            w = U[dst].get(c, 0) - q * v
-            if w:
-                U[dst][c] = w
-            elif c in U[dst]:
-                del U[dst][c]
 
     def col_op(dst, src, q):
         # col dst -= q * col src
         for r in list(colidx[src]):
             set_entry(r, dst, A[r].get(dst, 0) - q * A[r][src])
-        if VT is None:
-            return
-        for r, v in list(VT[src].items()):
-            w = VT[dst].get(r, 0) - q * v
-            if w:
-                VT[dst][r] = w
-            elif r in VT[dst]:
-                del VT[dst][r]
 
     def swap_rows(a, b):
-        if a == b:
-            return
         for c in set(A[a]) | set(A[b]):
             colidx[c].discard(a)
             colidx[c].discard(b)
         A[a], A[b] = A[b], A[a]
-        if U is not None:
-            U[a], U[b] = U[b], U[a]
         for c in A[a]:
             colidx[c].add(a)
         for c in A[b]:
             colidx[c].add(b)
 
     def swap_cols(a, b):
-        if a == b:
-            return
         for r in colidx[a] | colidx[b]:
             va, vb = A[r].get(a), A[r].get(b)
             for c, v in ((a, vb), (b, va)):
@@ -316,8 +290,6 @@ def smith_normal_form(M: SparseMatrix, transforms: bool = True):
                 else:
                     A[r][c] = v
         colidx[a], colidx[b] = colidx[b], colidx[a]
-        if VT is not None:
-            VT[a], VT[b] = VT[b], VT[a]
 
     t = 0
     limit = min(m, n)
@@ -383,68 +355,14 @@ def smith_normal_form(M: SparseMatrix, transforms: bool = True):
             if bad is None:
                 break
             row_op(t, bad, -1)  # add offending row into pivot row
-        if A[t][t] < 0:
-            row_op(t, t, 2)  # negate row t: r_t -= 2*r_t
         t += 1
 
-    factors = [A[i][i] for i in range(limit) if A[i].get(i)]
-    if not transforms:
-        factors = [1] * ones + [gcd(v, D) for v in factors] + [D] * (m - len(factors))
+    diagonal = [A[i][i] for i in range(limit) if A[i].get(i)]
+    factors = [1] * ones + [gcd(v, D) for v in diagonal] + [D] * (m - len(diagonal))
     for a, b in zip(factors, factors[1:]):
         if b % a != 0:
             raise AssertionError("invariant factor chain broken")
-    if not transforms:
-        return factors, None
-    Umat = SparseMatrix.from_rows(U, m, ZZ) if m else SparseMatrix(0, 0, {})
-    Vmat = SparseMatrix(
-        n, n, {(r, j): v for j, col in enumerate(VT) for r, v in col.items()}, ZZ
-    )
-    return factors, (Umat, Vmat)
-
-
-def integer_kernel(M: SparseMatrix):
-    """Basis (list of dict-vectors) of the pure lattice {x in Z^n : Mx = 0}."""
-    factors, (_, V) = smith_normal_form(M)
-    r = len(factors)
-    cols = [dict() for _ in range(M.cols)]
-    for (i, j), v in V.entries.items():
-        cols[j][i] = v
-    return cols[r:]
-
-
-def integer_solver(M: SparseMatrix):
-    """The function b -> one integer solution x of Mx = b, or None.  One SNF
-    of M serves every right-hand side."""
-    factors, (U, V) = smith_normal_form(M)
-    r = len(factors)
-    Urows = U.row_dicts()
-    Vrows = V.row_dicts()
-
-    def solve(b: dict):
-        ub = []
-        for i in range(M.rows):
-            ub.append(sum(v * b.get(c, 0) for c, v in Urows[i].items()))
-        y = {}
-        for i in range(M.rows):
-            if i < r:
-                if ub[i] % factors[i] != 0:
-                    return None
-                y[i] = ub[i] // factors[i]
-            elif ub[i] != 0:
-                return None
-        x = {}
-        for i in range(M.cols):
-            s = sum(v * y.get(j, 0) for j, v in Vrows[i].items())
-            if s:
-                x[i] = s
-        return x
-
-    return solve
-
-
-def solve_integer(M: SparseMatrix, b: dict):
-    """One integer solution x of Mx = b, or None."""
-    return integer_solver(M)(b)
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +399,10 @@ class FinitelyPresentedModule:
         self.generators = generators
         self.relations = relations
 
-    def invariants(self) -> ModuleShape:
-        return module_invariants(self)
+
+def _cokernel_shape(n: int, factors) -> ModuleShape:
+    """Z^n modulo a lattice with these invariant factors."""
+    return ModuleShape(n - len(factors), tuple(d for d in factors if d != 1))
 
 
 def module_invariants(m: FinitelyPresentedModule) -> ModuleShape:
@@ -490,9 +410,7 @@ def module_invariants(m: FinitelyPresentedModule) -> ModuleShape:
     over a field just the dimension.  Over Z the factors come from the
     factors-only SNF, which works on a lattice basis of the relations."""
     if m.ring.kind == "Z":
-        factors, _ = smith_normal_form(m.relations, transforms=False)
-        torsion = tuple(d for d in factors if d != 1)
-        return ModuleShape(m.generators - len(factors), torsion)
+        return _cokernel_shape(m.generators, smith_normal_form(m.relations))
     rank = field_rank(
         SparseMatrix(
             m.relations.rows, m.relations.cols, m.relations.entries, m.ring
@@ -601,7 +519,7 @@ class IntEchelon:
             row = new
         return False
 
-    def reduce(self, vec: dict, ring=QQ):
+    def reduce(self, vec: dict):
         """Return (residual, coords) reducing vec against the echelon.
 
         coords maps inserted-row index -> rational coefficient such that
@@ -1025,13 +943,28 @@ def op_span_dim(ops, ring: BaseRing) -> int:
 
 
 def kernel_basis(M: SparseMatrix):
-    """Basis of the null space of M over a field, as dict-vectors.
+    """Basis of the null space of M, as dict-vectors.
 
-    Deterministic: reduced echelon pivots with the natural column order;
+    Over a field: reduced echelon pivots with the natural column order;
     each basis vector has entry 1 at its free column.
+
+    Over Z: a basis of the pure lattice {x in Z^n : Mx = 0}.  The rows
+    (column j of M) + e_j span the lattice {(Mx, x)}, and the rows of its
+    Hermite basis whose lead lies past M's rows span its meet with 0 + Z^n
+    (Cohen, GTM 138, section 2.4).  Their e-parts are the basis, which depends
+    only on the kernel and has small entries.
     """
-    if not M.ring.is_field:
-        raise ValueError("kernel_basis requires field coefficients")
+    if M.ring.kind == "Z":
+        m = M.rows
+        rows = [{m + j: 1} for j in range(M.cols)]
+        for (i, j), v in M.entries.items():
+            rows[j][i] = v
+        lat = LatticeEchelon(hermite=True)
+        for row in rows:
+            lat.add(row)
+        return [
+            {c - m: v for c, v in row.items()} for row in lat.basis_rows() if min(row) >= m
+        ]
     ech = span(M.ring, M.cols)
     for row in M.row_dicts():
         ech.add(row)
@@ -1136,8 +1069,7 @@ def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int
         if any(image.values()):
             raise AssertionError(f"relation outside ker u (relation row {r})")
         lat.add(row)
-    basis = SparseMatrix.from_rows(lat.basis_rows(), ncols, ZZ)
-    quotient = module_invariants(FinitelyPresentedModule(ZZ, ncols, basis))
+    quotient = _cokernel_shape(ncols, _hermite_factors(lat, ncols))
     if quotient.free_rank < rank_u:
         raise AssertionError(
             f"Z^{ncols}/R has free rank {quotient.free_rank} below rank(u) = {rank_u}"

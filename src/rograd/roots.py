@@ -148,6 +148,8 @@ class RootSystem:
         return list(self._simple)
 
     def _bourbaki_order(self, simple):
+        if len(simple) == 1:  # A_1: one node, no end of degree 1
+            return list(simple)
         adj = {
             a: [b for b in simple if b != a and self.pairing(a, b) != 0]
             for a in simple

@@ -6,6 +6,7 @@ passes when every check is ok.  The checks are deterministic and exact.
 from __future__ import annotations
 
 import time
+from math import prod
 
 
 def _check(results, name, fn):
@@ -30,6 +31,12 @@ def suite_linalg():
 
     results = []
 
+    def det(a):  # Laplace expansion along the first row; a has at most 4 rows
+        if not a:
+            return 1
+        minors = ([r[:j] + r[j + 1:] for r in a[1:]] for j in range(len(a)))
+        return sum((-1) ** j * a[0][j] * det(m) for j, m in enumerate(minors))
+
     def snf_props():
         import random
 
@@ -38,15 +45,13 @@ def suite_linalg():
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             data = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
             M = SparseMatrix.from_dense(data)
-            factors, (U, V) = smith_normal_form(M)
-            D = (U @ M) @ V
-            for (r, c), v in D.entries.items():
-                assert r == c
-            got = [v for (r, c), v in sorted(D.entries.items())]
-            assert got == factors
+            factors = smith_normal_form(M)
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
-        return "40 random SNF transforms verified"
+            assert len(factors) == field_rank(SparseMatrix.from_dense(data, QQ))
+            if m == n and det(data):
+                assert prod(factors) == abs(det(data))
+        return "40 random SNF factor lists verified"
 
     def rank_nullity():
         import random
@@ -67,7 +72,7 @@ def suite_linalg():
         assert s1 == s2
         return str(s1)
 
-    _check(results, "snf unimodular transforms", snf_props)
+    _check(results, "snf invariant factors", snf_props)
     _check(results, "rank-nullity over Q", rank_nullity)
     _check(results, "module invariants row-op invariant", row_op_invariance)
     return results

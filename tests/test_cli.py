@@ -35,6 +35,12 @@ class TestDegsums:
         )
         assert code == 0 and "(none)" in out
 
+    def test_a1_empty(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "degsums", "--type", "A", "--rank", "1", "--method", "both"
+        )
+        assert code == 0 and "A_1 | - | (none)" in out
+
     def test_rank_cap(self, capsys):
         code, _, err = run_cli(capsys, "degsums", "--type", "B", "--rank", "9")
         assert code == 1 and "cap" in err

@@ -176,6 +176,15 @@ class TestPairStructure:
         assert overlap == two_eps(3)
 
 
+def test_a1_both_classifiers_agree():
+    # one node and no end of degree 1: the simple root is its own order
+    R = build("A", 1)
+    assert R.simple_roots() == [(1, -1)]
+    report = degenerate_sums_algorithm(R)
+    assert report == degenerate_sums_bruteforce(R)
+    assert report.to_json() == []
+
+
 def test_table_and_json_output():
     R = build("B", 3)
     report = degenerate_sums_bruteforce(R)

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 from math import prod
 
@@ -14,15 +16,17 @@ from rograd.linalg import (
     ModuleShape,
     SparseMatrix,
     field_rank,
-    integer_kernel,
     kernel_basis,
     module_invariants,
     quotient_shape,
     rank_certified,
+    same_span,
     smith_normal_form,
-    solve_integer,
+    span,
 )
 from rograd.rings import GF, QQ, ZZ
+from snf_reference import integer_kernel, solve_integer
+from snf_reference import smith_normal_form as reference_snf
 
 
 def dense(data, ring=ZZ):
@@ -30,7 +34,9 @@ def dense(data, ring=ZZ):
 
 
 def snf_diagonal_of(M):
-    factors, (U, V) = smith_normal_form(M)
+    """The reference SNF with its U*M*V checked, and the factors-only SNF
+    checked against it."""
+    factors, (U, V) = reference_snf(M)
     D = (U @ M) @ V
     diag = {}
     for (r, c), v in D.entries.items():
@@ -38,6 +44,7 @@ def snf_diagonal_of(M):
         diag[r] = v
     got = [diag[i] for i in sorted(diag)]
     assert got == factors
+    assert smith_normal_form(M) == factors
     return factors, U, V
 
 
@@ -87,16 +94,13 @@ def assert_chain(factors):
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):
-        factors, _ = smith_normal_form(dense([[2, 0], [0, 3]]))
-        assert factors == [1, 6]
+        assert smith_normal_form(dense([[2, 0], [0, 3]])) == [1, 6]
 
     def test_identity(self):
-        factors, _ = smith_normal_form(SparseMatrix.identity(3))
-        assert factors == [1, 1, 1]
+        assert smith_normal_form(SparseMatrix.identity(3)) == [1, 1, 1]
 
     def test_zero_matrix(self):
-        factors, _ = smith_normal_form(SparseMatrix(2, 4, {}))
-        assert factors == []
+        assert smith_normal_form(SparseMatrix(2, 4, {})) == []
 
     def test_transform_unimodularity(self):
         M = dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -126,9 +130,9 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError):
             smith_normal_form(dense([[Fraction(1, 2)]], QQ))
 
-    # The transforms of this SNF grow without bound on random sparse inputs
-    # past about 12 x 12 (ROADMAP item 1), so the tests that need U and V
-    # stay at 10 x 10; the factors-only mode is tested up to 60 x 60.
+    # The transforms of the reference SNF grow without bound on random
+    # sparse inputs past about 12 x 12, so the tests that need U and V stay
+    # at 10 x 10; the factors-only SNF is tested up to 60 x 60.
     @given(M=sparse_matrices(max_dim=10))
     @settings(max_examples=80, deadline=None)
     def test_sparse_transforms(self, M):
@@ -136,7 +140,6 @@ class TestSmithNormalForm:
         assert det_int(U) in (1, -1)
         assert det_int(V) in (1, -1)
         assert_chain(factors)
-        assert smith_normal_form(M, transforms=False) == (factors, None)
         # module_invariants reduces the rows to a lattice basis before its
         # SNF; the shape read off the SNF of the full matrix is the reference
         full = ModuleShape(M.cols - len(factors), tuple(d for d in factors if d != 1))
@@ -146,24 +149,23 @@ class TestSmithNormalForm:
         # the Hermite basis is the row itself with lead 5, so D = 5; the -2
         # left after reducing modulo 5 is a unit there, and (-5, 0, -2) is
         # primitive
-        assert smith_normal_form(dense([[-5, 0, -2]]), transforms=False) == ([1], None)
-        assert smith_normal_form(dense([[4, 6]]), transforms=False) == ([2], None)
-        assert smith_normal_form(dense([[2, 0], [0, 3]]), transforms=False) == ([1, 6], None)
+        assert smith_normal_form(dense([[-5, 0, -2]])) == [1]
+        assert smith_normal_form(dense([[4, 6]])) == [2]
+        assert smith_normal_form(dense([[2, 0], [0, 3]])) == [1, 6]
 
     @given(M=sparse_matrices())
     @settings(max_examples=60, deadline=None)
     def test_factors_only(self, M):
-        factors, transforms = smith_normal_form(M, transforms=False)
-        assert transforms is None
+        factors = smith_normal_form(M)
         assert_chain(factors)
         assert len(factors) == field_rank(SparseMatrix(M.rows, M.cols, M.entries, QQ))
         # the transpose has the same factors from another lattice and modulus
-        assert smith_normal_form(M.transpose(), transforms=False)[0] == factors
+        assert smith_normal_form(M.transpose()) == factors
 
     @given(M=sparse_matrices(square=True))
     @settings(max_examples=40, deadline=None)
     def test_factors_multiply_to_the_determinant(self, M):
-        factors, _ = smith_normal_form(M, transforms=False)
+        factors = smith_normal_form(M)
         det = det_int(M)
         if det:
             assert len(factors) == M.rows and prod(factors) == abs(det)
@@ -219,6 +221,68 @@ class TestKernelBasis:
                 assert sum(row.get(c, 0) * v for c, v in vec.items()) == 0
 
 
+def _lattice(rows):
+    lat = LatticeEchelon()
+    for row in rows:
+        lat.add(row)
+    return lat
+
+
+def _annihilates(M, vec):
+    return all(sum(v * vec.get(c, 0) for c, v in row.items()) == 0 for row in M.row_dicts())
+
+
+def _random_sparse(rng, n, max_entry=9):
+    """An n x n integer matrix with one to three nonzero entries in each row,
+    each at most max_entry in size."""
+    rows = []
+    for _ in range(n):
+        cols = rng.sample(range(n), rng.randint(1, 3))
+        rows.append({c: rng.choice([-1, 1]) * rng.randint(1, max_entry) for c in cols})
+    return SparseMatrix.from_rows(rows, n)
+
+
+class TestIntegerKernel:
+    """kernel_basis over Z: the pure lattice {x : Mx = 0} from one Hermite
+    basis, against the kernel read off the reference SNF's V."""
+
+    @given(M=sparse_matrices(max_dim=10))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_reference_kernel(self, M):
+        ker = kernel_basis(M)
+        rank = field_rank(SparseMatrix(M.rows, M.cols, M.entries, QQ))
+        assert len(ker) == M.cols - rank
+        assert all(_annihilates(M, vec) for vec in ker)
+        assert same_span(_lattice(ker), _lattice(integer_kernel(M)))
+
+    def test_large_sparse_inputs_are_fast_and_pure(self):
+        # the reference SNF took over 3 s on most inputs of this kind, and
+        # 16 s on one, from the growth of its transforms
+        rng = random.Random(20261020)
+        nullity = 0
+        for _ in range(20):
+            M = _random_sparse(rng, 30)
+            start = time.perf_counter()
+            ker = kernel_basis(M)
+            assert time.perf_counter() - start < 2.0
+            rank = field_rank(SparseMatrix(M.rows, M.cols, M.entries, QQ))
+            assert len(ker) == M.cols - rank
+            assert all(_annihilates(M, vec) for vec in ker)
+            # pure: Z^n modulo the kernel lattice is free
+            if ker:
+                assert smith_normal_form(SparseMatrix.from_rows(ker, M.cols)) == [1] * len(ker)
+            nullity += len(ker)
+        assert nullity > 0
+
+    def test_kernel_is_saturated(self):
+        # over Q (1, -1) and (2, -2) span the same kernel; over Z only the
+        # first spans it
+        assert kernel_basis(dense([[2, 2]])) == [{0: 1, 1: -1}]
+        assert kernel_basis(dense([[2, 4]])) == [{0: 2, 1: -1}]
+        assert kernel_basis(SparseMatrix.identity(3)) == []
+        assert kernel_basis(SparseMatrix(2, 2, {})) == [{0: 1}, {1: 1}]
+
+
 class TestModuleInvariants:
     def test_z_mod_3(self):
         m = FinitelyPresentedModule(ZZ, 1, dense([[3]]))
@@ -267,16 +331,23 @@ class TestModuleInvariants:
 class TestIntegerLattices:
     def test_integer_kernel(self):
         M = dense([[1, 1, 1]])
-        ker = integer_kernel(M)
+        ker = kernel_basis(M)
         assert len(ker) == 2
         for vec in ker:
             assert sum(vec.values()) == 0
+        assert ker == [{0: 1, 2: -1}, {1: 1, 2: -1}]
 
     def test_solve(self):
+        # the reference solver, and the lattice membership that replaced it
         M = dense([[2, 1], [0, 3]])
         x = solve_integer(M, {0: 5, 1: 3})
         assert x == {0: 2, 1: 1}
         assert solve_integer(dense([[2]]), {0: 3}) is None
+        columns = span(ZZ, 2)
+        for col in M.transpose().row_dicts():
+            columns.add(col)
+        assert columns.contains({0: 5, 1: 3})
+        assert not columns.contains({0: 5, 1: 2})
 
     def test_lattice_echelon_membership(self):
         lat = LatticeEchelon()

@@ -1,7 +1,8 @@
 """The one span interface of linalg: each ring's backend against the generic
-references (FieldEchelon over fields, SNF over Z), kernels read off the
-spans, quotient_shape against the per-ring computations it replaced, and
-the structural bound of rank_certified over F_p."""
+references (FieldEchelon over fields, the SNF with transforms of
+snf_reference over Z), kernels read off the spans, quotient_shape against
+the per-ring computations it replaced, and the structural bound of
+rank_certified over F_p."""
 from fractions import Fraction
 
 import pytest
@@ -28,11 +29,10 @@ from rograd.linalg import (
     quotient_shape,
     rank_certified,
     same_span,
-    smith_normal_form,
-    solve_integer,
     span,
 )
 from rograd.rings import GF, QQ, ZZ
+from snf_reference import smith_normal_form, solve_integer
 
 PRIMES = (2, 5, 2**61 - 1)
 
@@ -300,9 +300,13 @@ class TestKernels:
                 assert ring.is_zero(ring.coerce(dot)) if ring.kind == "Q" else dot % ring.p == 0
         assert free == sorted(set(free))
 
-    def test_kernel_basis_rejects_z(self):
-        with pytest.raises(ValueError, match="field"):
-            kernel_basis(SparseMatrix.identity(2, ZZ))
+    def test_kernel_basis_over_z(self):
+        # over Q the kernel vector with entry 1 in its free column is
+        # (-3/2, 1); over Z the kernel lattice is spanned by (3, -2)
+        M = SparseMatrix.from_rows([{0: 2, 1: 3}], 2, ZZ)
+        assert kernel_basis(SparseMatrix(1, 2, M.entries, QQ)) == [{0: Fraction(-3, 2), 1: 1}]
+        assert kernel_basis(M) == [{0: 3, 1: -2}]
+        assert kernel_basis(SparseMatrix.identity(2, ZZ)) == []
 
 
 class TestQuotientShape:
