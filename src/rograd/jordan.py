@@ -112,6 +112,42 @@ class JordanPair:
         Dm = _op_scale(self.ring, -1, self.D_op(-1, y, x))
         return (Dp, Dm)
 
+    def delta_table(self) -> dict:
+        """Every delta(e_i, f_j) as one block op on V^+ (+) V^-, keyed (i, j)
+        in row-major order, from one pass over the stored Q tensors.
+
+        Q_{e_a,e_b} = Q_{e_b,e_a}, so its column j is column b of
+        D(e_a, f_j) and column a of D(e_b, f_j); Q_{e_a,e_a} = 2 Q_{e_a}.
+        On V^- the same holds for -D(f_j, e_i), negated and shifted by
+        n = dim V^+.  Only the canonical keys a < b are read, as QB_basis
+        does, and the columns come out sorted, as from D_op."""
+        ring = self.ring
+        n, m = self.dims[1], self.dims[-1]
+        table = {(i, j): {} for i in range(n) for j in range(m)}
+
+        def put(sign, op, coef, *targets):
+            # for each target (a, b): column b of delta(e_a, f_j) (sign +1)
+            # or of delta(e_j, f_a) (sign -1) is coef times column j of op
+            for j, col in op.items():
+                vec = _vec_axpy(ring, {}, col, coef)
+                if not vec:
+                    continue
+                if sign == 1:
+                    for a, b in targets:
+                        table[(a, j)][b] = dict(vec)
+                else:
+                    vec = {n + r: v for r, v in vec.items()}
+                    for a, b in targets:
+                        table[(j, a)][n + b] = dict(vec)
+
+        for sign in (1, -1):
+            for a, op in enumerate(self.Qdiag[sign]):
+                put(sign, op, 2 * sign, (a, a))
+            for (a, b), op in self.Qlin[sign].items():
+                if a < b:
+                    put(sign, op, sign, (a, b), (b, a))
+        return {key: {c: op[c] for c in sorted(op)} for key, op in table.items()}
+
     def is_idempotent(self, e) -> bool:
         ep, em = e
         return (

@@ -27,7 +27,6 @@ from .jordan import JordanAlgebra, JordanPair
 from .linalg import (
     ModuleShape,
     SparseMatrix,
-    _op_apply,
     _op_axpy,
     _op_bracket,
     _op_flatten,
@@ -131,7 +130,8 @@ class OperatorLieAlgebra:
     (integral in characteristic 0, so coordinates mostly stay integral).
     Its rows have distinct leading columns, so coordinates come from one
     triangular solve.  With closure_check the bracket of every basis pair
-    a < b is checked to lie in the span.
+    a < b is checked to lie in the span, by the commutator loop
+    _basis_brackets that tkk also runs.
     """
 
     def __init__(self, ring: BaseRing, carrier_dim: int, generators, closure_check=True):
@@ -163,10 +163,16 @@ class OperatorLieAlgebra:
     def express(self, op):
         """Coordinates of op in the chosen basis, or None if outside.
 
-        Over Z a coordinate that is not an integer raises ValueError."""
+        Over Z a coordinate that is not an integer raises ValueError.  This
+        flattens op and calls _solve_flat; the commutator loop, which builds
+        its brackets flat, calls _solve_flat itself."""
+        return self._solve_flat(_vec_axpy(self.ring, {}, _op_flatten(op, self.carrier_dim)))
+
+    def _solve_flat(self, vec: dict):
+        """express for an op already flattened (entry (i, j) at i * N + j),
+        reduced and without zero entries; consumes vec."""
         ring = self.ring
         p = ring.characteristic
-        vec = _vec_axpy(ring, {}, _op_flatten(op, self.carrier_dim))
         coords = {}
         while vec:
             lead = min(vec)
@@ -185,15 +191,51 @@ class OperatorLieAlgebra:
             coords[k] = c
         return {k: ring.coerce(c) for k, c in coords.items()}
 
-    def bracket_ops(self, A, B):
-        return _op_bracket(self.ring, A, B)
+    def _basis_brackets(self):
+        """Yield (a, b, coords) for the basis pairs a < b whose bracket can
+        be nonzero; coords is None when the bracket leaves the span.
+
+        A pair is skipped when neither op's rows meet the other's columns,
+        for then AB = BA = 0.  AB - BA is summed in one sparse accumulator
+        (Gustavson, ACM TOMS 4, 1978) keyed i * N + j, as _op_flatten lays
+        ops out, and solved through the staircase directly."""
+        N = self.carrier_dim
+        p = self.ring.characteristic
+        # per op: its entries (column j, row t, value x), its columns t as
+        # (i * N, x) lists, its column keys and its row support
+        shapes = []
+        for op in self.basis:
+            entries = [(j, t, x) for j, col in op.items() for t, x in col.items()]
+            cols = {t: [(i * N, x) for i, x in col.items()] for t, col in op.items()}
+            shapes.append((entries, cols, op.keys(), {t for _, t, _ in entries}))
+        for a, (A, colsA, a_cols, a_rows) in enumerate(shapes):
+            for b in range(a + 1, len(shapes)):
+                B, colsB, b_cols, b_rows = shapes[b]
+                if a_rows.isdisjoint(b_cols) and b_rows.isdisjoint(a_cols):
+                    continue
+                acc = {}
+                for j, t, x in B:  # += A B
+                    colA = colsA.get(t)
+                    if colA:
+                        for iN, y in colA:
+                            key = iN + j
+                            acc[key] = acc.get(key, 0) + y * x
+                for j, t, x in A:  # -= B A
+                    colB = colsB.get(t)
+                    if colB:
+                        for iN, y in colB:
+                            key = iN + j
+                            acc[key] = acc.get(key, 0) - y * x
+                if p:
+                    vec = {key: v % p for key, v in acc.items() if v % p}
+                else:
+                    vec = {key: v for key, v in acc.items() if v}
+                yield a, b, self._solve_flat(vec) if vec else {}
 
     def _verify_closed(self):
-        for a in range(len(self.basis)):
-            for b in range(a + 1, len(self.basis)):
-                br = self.bracket_ops(self.basis[a], self.basis[b])
-                if br and self.express(br) is None:
-                    raise AssertionError("operator span is not bracket-closed")
+        for _, _, coords in self._basis_brackets():
+            if coords is None:
+                raise AssertionError("operator span is not bracket-closed")
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +472,11 @@ def instr(V: JordanPair) -> OperatorLieAlgebra:
     """Inner derivation algebra: the span of all delta(x, y).
 
     The span is already bracket-closed ([delta, delta'] = delta(delta x, y)
-    + delta(x, delta' y)); closure is nevertheless verified.  tkk performs
-    that check in its [T, S] loop instead, which brackets the same basis
-    pairs.  The result's deltas attribute maps each basis pair (i, j) to
-    delta(e_i, f_j) as a block op, for tkk and UIDer to reuse.
+    + delta(x, delta' y)); closure is nevertheless verified, by the one
+    commutator loop over basis pairs that tkk also runs for its [T, S]
+    brackets.  The result's deltas attribute maps each basis pair (i, j) to
+    delta(e_i, f_j) as a block op, read off V.delta_table(), for tkk and
+    UIDer to reuse.
     """
     inner = _instr(V)
     inner._verify_closed()
@@ -442,12 +485,7 @@ def instr(V: JordanPair) -> OperatorLieAlgebra:
 
 def _instr(V: JordanPair) -> OperatorLieAlgebra:
     """instr(V) without the closure check."""
-    one = V.ring.coerce(1)
-    deltas = {
-        (i, j): _delta_block_op(V, {i: one}, {j: one})
-        for i in range(V.dim(1))
-        for j in range(V.dim(-1))
-    }
+    deltas = V.delta_table()
     carrier = V.dim(1) + V.dim(-1)
     inner = OperatorLieAlgebra(
         V.ring, carrier, [op for op in deltas.values() if op], closure_check=False
@@ -478,13 +516,14 @@ def tkk(V: JordanPair) -> TKKAlgebra:
 def _tkk(V: JordanPair) -> TKKAlgebra:
     """TKK(V) with instr(V) closed and Jacobi verified, centre unchecked.
 
-    instr(V) is built unchecked: the [T, S] loop brackets every basis pair
-    a < b once and raises if a bracket leaves the span.
+    instr(V) is built unchecked: the [T, S] brackets come from
+    OperatorLieAlgebra._basis_brackets, one commutator per basis pair a < b
+    whose supports meet, and a bracket that leaves the span raises.
+    [T, x+] and [T, y-] are read off the columns of T.
     """
     ring = V.ring
     inner = _instr(V)
     n, m, k = V.dim(1), V.dim(-1), inner.dim
-    one = ring.coerce(1)
     # a pair built without labels gets its basis indices
     names = V.labels or {1: range(n), -1: range(m)}
     labels = (
@@ -501,27 +540,24 @@ def _tkk(V: JordanPair) -> TKKAlgebra:
             raise AssertionError("delta operator escaped instr(V)")
         if coords:
             bracket[(i, n + k + j)] = {n + t: c for t, c in coords.items()}
-    # [T, x+] and [T, y-]
+    # [T, x+] and [T, y-]: column i of T is T e_i, column n + j is T f_j
     for t, op in enumerate(inner.basis):
-        for i in range(n):
-            img = _op_apply(ring, op, {i: one})
-            vec = {p: v for p, v in img.items() if p < n}
-            if vec:
-                bracket[(i, n + t)] = {p: ring.neg(v) for p, v in vec.items()}
-        for j in range(m):
-            img = _op_apply(ring, op, {n + j: one})
-            vec = {p - n: v for p, v in img.items() if p >= n}
-            if vec:
-                bracket[(n + t, n + k + j)] = {n + k + q: v for q, v in vec.items()}
+        for c in sorted(op):
+            col = op[c]
+            if c < n:
+                vec = {p: ring.neg(v) for p, v in col.items() if p < n}
+                if vec:
+                    bracket[(c, n + t)] = vec
+            else:
+                vec = {k + p: v for p, v in col.items() if p >= n}
+                if vec:
+                    bracket[(n + t, k + c)] = vec
     # [T, S]
-    for a in range(k):
-        for b in range(a + 1, k):
-            br = inner.bracket_ops(inner.basis[a], inner.basis[b])
-            coords = inner.express(br) if br else {}
-            if coords is None:
-                raise AssertionError("instr(V) is not bracket-closed")
-            if coords:
-                bracket[(n + a, n + b)] = {n + t: c for t, c in coords.items()}
+    for a, b, coords in inner._basis_brackets():
+        if coords is None:
+            raise AssertionError("instr(V) is not bracket-closed")
+        if coords:
+            bracket[(n + a, n + b)] = {n + t: c for t, c in coords.items()}
     return TKKAlgebra(V, inner, labels, degrees, bracket)
 
 

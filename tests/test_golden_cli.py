@@ -44,6 +44,12 @@ GOLDEN = [
     (('dims', '--model', 'tkk-oct', '--ring', 'Q'), 0, "b1d638520ef39e7880032e8fa30cd90e638b712ec3851d804804d6bb9f3925f7"),
     (('dims', '--model', 'tkk-oct', '--ring', 'Fp:5'), 0, "b1d638520ef39e7880032e8fa30cd90e638b712ec3851d804804d6bb9f3925f7"),
     (('uce', '--model', 'tkk-oct', '--ring', 'Z', '--format', 'json'), 0, "8bc8b05315981158692bff82f2357c6fdd9acbb8cc70bedb952b73d8ad4fbb2a"),
+    # TKK assembly on rings the cases above leave out
+    (('tkk', '--model', 'tkk-oct', '--ring', 'Z', '--format', 'json'), 0, "1a51b06da941d51f844d059bad38d36dcf9663032778a3f285a3e1cfbbca78d4"),
+    (('tkk', '--model', 'tkk-oct', '--ring', 'Fp:2', '--format', 'json'), 0, "19a18c2cf5f0893bfbef499f28749605875d18e41e747ad09f4a7a1508c52ea7"),
+    (('tkk', '--model', 'tkk-albert', '--ring', 'Fp:5', '--format', 'json'), 0, "8b0fb789429f72adfd80f12a65db6c1a2c365fd57d7e7a7f1172861bde1f89b9"),
+    (('tkk', '--model', 'tkk-hermitian', '--n', '4', '--ring', 'Q', '--format', 'json'), 0, "52cbc2d6b0ef2ea32bb4cc7e1d58c255499c7139cd8021bc09dad2ce54fd4311"),
+    (('dims', '--model', 'tkk-albert', '--ring', 'Q'), 0, "960740dcaa5470ab161bc3683ec8aa6b0ad04df2802bb000d080b2ac8dd9ce2b"),
 ]
 
 # Every uce block over Z, one line per degree: "degree n_gens target_dim

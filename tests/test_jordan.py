@@ -26,8 +26,8 @@ from rograd.jordan import (
     verify_grid,
     verify_pair_identities,
 )
-from rograd.lie import _instr, tkk
-from rograd.linalg import _op_apply, _op_axpy, _op_compose
+from rograd.lie import OperatorLieAlgebra, _delta_block_op, _instr, ider, tkk
+from rograd.linalg import _op_apply, _op_axpy, _op_bracket, _op_compose
 from rograd.rings import GF, QQ, ZZ
 from rograd.roots import build, three_grading
 
@@ -1053,6 +1053,132 @@ class TestIntegerQTensors:
                     if vec:
                         want[k] = vec
                 assert V.D_op(sign, x, y) == want
+
+
+def _assert_delta_table(V):
+    """delta_table against one _delta_block_op call per basis pair, with
+    the keys in row-major order and each op's columns sorted."""
+    one = V.ring.coerce(1)
+    table = V.delta_table()
+    keys = [(i, j) for i in range(V.dim(1)) for j in range(V.dim(-1))]
+    assert list(table) == keys
+    for i, j in keys:
+        want = _delta_block_op(V, {i: one}, {j: one})
+        assert table[(i, j)] == want, (i, j)
+        assert list(table[(i, j)]) == list(want), (i, j)
+
+
+def _assembly_pairs():
+    def D(ring):
+        return matrix_algebra(1, ring, involution="identity")
+
+    return [
+        ("M12O-Q", lambda: rectangular_pair(1, 2, split_octonions(QQ))),
+        ("M12O-Z", lambda: rectangular_pair(1, 2, split_octonions(ZZ))),
+        ("M12O-F2", lambda: rectangular_pair(1, 2, split_octonions(GF(2)))),
+        ("M12O-F5", lambda: rectangular_pair(1, 2, split_octonions(GF(5)))),
+        ("albert-Q", lambda: albert_algebra(QQ).pair()),
+        ("albert-F5", lambda: albert_algebra(GF(5)).pair()),
+        ("H3-Q", lambda: hermitian_algebra(3, D(QQ)).pair()),
+        ("H3-F7", lambda: hermitian_algebra(3, D(GF(7))).pair()),
+        ("H4-Q", lambda: hermitian_algebra(4, D(QQ)).pair()),
+        ("H4-F7", lambda: hermitian_algebra(4, D(GF(7))).pair()),
+        ("M13-Q", lambda: rectangular_pair(1, 3, D(QQ))),
+    ]
+
+
+class TestDeltaTable:
+    @pytest.mark.parametrize(
+        "make", [m for _, m in _assembly_pairs()], ids=[k for k, _ in _assembly_pairs()]
+    )
+    def test_matches_delta_block_op(self, make):
+        _assert_delta_table(make())
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_corruptions(self, ring, seed):
+        # the single-entry corruptions of the oracle test above
+        rng = random.Random(seed)
+        for V in _small_pairs(ring):
+            for _ in range(8):
+                _assert_delta_table(_corrupt(V, rng))
+
+    def test_off_canonical_keys_ignored(self, DQ):
+        # QB_basis reads Qlin only at keys a < b, so entries stored at
+        # (b, a) or (a, a) change no delta
+        V = hermitian_algebra(3, DQ).pair()
+        plain = V.delta_table()
+        for sign in (1, -1):
+            V.Qlin[sign][(4, 1)] = {0: {2: 3}, 5: {0: -1}}
+            V.Qlin[sign][(2, 2)] = {3: {3: 7}}
+        _assert_delta_table(V)
+        assert V.delta_table() == plain
+
+    def test_unreduced_entries(self):
+        # stored F_5 entries outside 0..4, and one that is 0 mod 5, come out
+        # reduced, as from D_op
+        V = rectangular_pair(1, 2, matrix_algebra(1, GF(5), involution="identity"))
+        V.Qdiag[1][0].setdefault(1, {})[0] = 7
+        V.Qlin[-1].setdefault((0, 1), {}).setdefault(0, {})[1] = 10
+        _assert_delta_table(V)
+
+
+def _commutator_oracle(L):
+    """{(a, b): coords} of every nonzero basis bracket, by one generic
+    commutator and one express call per pair a < b (None: outside)."""
+    out = {}
+    for a in range(L.dim):
+        for b in range(a + 1, L.dim):
+            br = _op_bracket(L.ring, L.basis[a], L.basis[b])
+            coords = L.express(br) if br else {}
+            if coords != {}:
+                out[(a, b)] = coords
+    return out
+
+
+def _fused_brackets(L):
+    return {(a, b): c for a, b, c in L._basis_brackets() if c != {}}
+
+
+class TestBasisBrackets:
+    @pytest.mark.parametrize(
+        "make", [m for _, m in _assembly_pairs()], ids=[k for k, _ in _assembly_pairs()]
+    )
+    def test_instr_matches_commutator_oracle(self, make):
+        L = _instr(make())
+        assert _fused_brackets(L) == _commutator_oracle(L)
+
+    def test_ider_albert_matches_commutator_oracle(self):
+        L = ider(albert_algebra(QQ))
+        assert _fused_brackets(L) == _commutator_oracle(L)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_corruptions_match_commutator_oracle(self, ring, seed):
+        # a bracket that leaves the span is None on both sides
+        rng = random.Random(seed)
+        outside = 0
+        for V in _small_pairs(ring):
+            for _ in range(8):
+                L = _instr(_corrupt(V, rng))
+                want = _commutator_oracle(L)
+                assert _fused_brackets(L) == want
+                outside += None in want.values()
+        assert outside
+
+    def test_albert_work_counts(self):
+        # 79 basis ops: 3,081 pairs, 2,361 whose supports meet, 1,026
+        # nonzero brackets
+        L = _instr(albert_algebra(QQ).pair())
+        done = list(L._basis_brackets())
+        assert L.dim * (L.dim - 1) // 2 == 3081
+        assert len(done) == 2361
+        assert sum(1 for _, _, c in done if c) == 1026
+
+    def test_unclosed_span_raises(self):
+        # E_12 and E_21 bracket to E_11 - E_22, outside their span
+        with pytest.raises(AssertionError, match="operator span is not bracket-closed"):
+            OperatorLieAlgebra(QQ, 2, [{1: {0: 1}}, {0: {1: 1}}], closure_check=True)
 
 
 def _u_polarization_pair(J):
