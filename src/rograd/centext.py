@@ -13,6 +13,21 @@ chains, the rows of one basis element x are, up to sign, its action theta_x
 on L ^ L modulo x ^ L.  So over a field the rank certificate reaches every
 column early and stops after a fraction of the rows.
 
+Most blocks read no rows at all, by a weight argument (Chevalley-Eilenberg
+1948; the degree-0 concentration of Allison-Benkart-Gao, Memoirs AMS 158,
+2002).  Let h in L_0 act on L by a degree character, [h, x] = chi(deg x) x
+(GradedLieAlgebra.inner_weights), and let c in (L ^ L)_d.  Cartan's formula
+on the chains gives d(h ^ c) = -chi(d) c + h ^ u(c), so chi(d) c is a
+relation once u(c) = 0: chi(d) ker u lies in R.  When Jacobi holds
+(L.jacobi_ok), R lies in ker u, since u applied to a relation row is a
+Jacobiator.  So a block where some chi(d) is a unit of the ring (over Z:
+where the gcd g(d) of the chi_j(d) is 1) has ker u = R, kernel 0 and
+uce block k^m/ker u = u(k^m) = L_d (L is perfect), and is filled in
+without streaming a row.  Over a field that leaves degree 0 and the
+degrees where every weight vanishes mod p; over Z degree 0 and the blocks
+with g(d) > 1 (on sl_n(Z) the degenerate sums), and each of those has a
+kernel killed by g(d), which is checked.
+
 Also: the homology quotients D_2, D_3, <D,D>, the tilde-wedge and HC_1,
 and the explicit A_2 / A_3 cocycle extensions with their fibers.  The uce
 blocks, the homology quotients and HC_1 = ker(u)/R all go through
@@ -23,15 +38,17 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, product
+from math import gcd
 
 from .algebras import StructureAlgebra, standard_derivation
 from .degsums import degenerate_sums_bruteforce
-from .lie import GradedLieAlgebra
+from .lie import GradedLieAlgebra, _weight_at
 from .linalg import (
     ModuleShape,
     SparseMatrix,
     _op_axpy,
     _vec_axpy,
+    _xgcd,
     field_rank,
     op_span_dim,
     quotient_shape,
@@ -52,6 +69,10 @@ class UceBlock:
     uce_shape: ModuleShape
     kernel_shape: ModuleShape
     target_dim: int
+    # the inner weight (h, chi) whose unit value chi(degree) gave kernel 0
+    # without streaming a row, or None when the block was computed; not in
+    # any report
+    weight: tuple | None = None
 
     @property
     def bijective(self) -> bool:
@@ -79,6 +100,7 @@ class UceResult:
     # -- block assembly ------------------------------------------------
     def _build(self):
         L = self.L
+        ring = self.ring
         deg_of = L.degrees
         n = L.dim
         gen_blocks = {}
@@ -88,10 +110,22 @@ class UceResult:
                 gen_blocks.setdefault(d, []).append((i, j))
         self._gen_blocks = gen_blocks
         basis_blocks = L.degree_blocks()
+        # R inside ker u needs Jacobi (u applied to a relation row is a
+        # Jacobiator); only then does a unit weight make ker u = R
+        weights = L.inner_weights() if L.jacobi_ok else []
         for d in sorted(gen_blocks):
             gens = gen_blocks[d]
             target = basis_blocks.get(d, [])
-            self.blocks[d] = self._process_block(d, gens, target)
+            values = [_weight_at(ring, chi, d) for _, chi in weights]
+            unit = _unit_weight(ring, weights, values)
+            if unit is not None:
+                tdim = len(target)
+                blk = UceBlock(d, len(gens), ModuleShape(tdim), ModuleShape(0), tdim, unit)
+            else:
+                blk = self._process_block(d, gens, target)
+                if ring.kind == "Z":
+                    _check_killed(blk, gcd(*values))
+            self.blocks[d] = blk
 
     def _wedge_into(self, row: dict, a: int, b: int, coef, block_pos, sign=1):
         """row += sign * coef * (x_a ^ x_b), in the block's generators."""
@@ -228,6 +262,35 @@ class UceResult:
             if not ech.is_full(len(gens)):
                 return False
         return True
+
+
+def _unit_weight(ring, weights, values):
+    """An inner weight (h, chi) whose value chi(d) is a unit of the ring, from
+    the weights and their values at d, or None.  Over Z it is the integer
+    combination of the weights with value 1, when their gcd is 1."""
+    if ring.is_field:
+        return next((w for w, v in zip(weights, values) if not ring.is_zero(v)), None)
+    g, coefs = 0, []
+    for v in values:
+        g, s, t = _xgcd(g, v)
+        coefs = [s * c for c in coefs] + [t]
+    if g != 1:
+        return None
+    h, chi = {}, [0] * len(weights[0][1])
+    for c, (hj, chij) in zip(coefs, weights):
+        _vec_axpy(ring, h, hj, c)
+        chi = [a + c * b for a, b in zip(chi, chij)]
+    return h, tuple(chi)
+
+
+def _check_killed(blk: UceBlock, g: int):
+    """A block over Z whose weights have gcd g != 0 has g * ker u inside R,
+    so its kernel ker(u)/R is torsion with every factor dividing g."""
+    shape = blk.kernel_shape
+    if g and (shape.free_rank or any(g % f for f in shape.torsion)):
+        raise AssertionError(
+            f"uce block {blk.degree} has kernel {shape}, not killed by its weight gcd {g}"
+        )
 
 
 def uce(L: GradedLieAlgebra) -> UceResult:

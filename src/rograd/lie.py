@@ -105,6 +105,15 @@ def _generating_set(L, ad):
     return gens if W.is_full(n) else None
 
 
+def _weight_at(ring, chi, d):
+    """chi(d) = sum chi_i d_i in the ring, for an integer degree d."""
+    w = ring.coerce(0)
+    for c, x in zip(chi, d):
+        if x:
+            w = ring.add(w, ring.mul(c, ring.coerce(x)))
+    return w
+
+
 def _jacobiator(ad, i, j, k, p) -> bool:
     """Whether J(e_i, e_j, e_k) is nonzero (mod p when p > 0)."""
     out = {}
@@ -316,6 +325,59 @@ class GradedLieAlgebra:
         if not hasattr(self, "_generators"):
             self._generators = _generating_set(self, _integral_ad(self))
         return self._generators
+
+    def inner_weights(self):
+        """Pairs (h, chi) with h in L_0 (a dict vector) and chi a tuple of
+        ring scalars such that [h, x] = chi(deg x) x on every basis vector,
+        for chi(d) = sum chi_i d_i; cached.
+
+        The unknowns (h, chi) solve [h, s] = chi(deg s) s for the s in
+        generators() (every basis index when that is None), through one
+        kernel_basis: over Z a basis of the solution lattice, over a field
+        of the solution space.  A solution is kept only once ad h = E_chi
+        holds on every basis vector, and only when E_chi is not zero.
+        """
+        if hasattr(self, "_inner_weights"):
+            return self._inner_weights
+        ring = self.ring
+        zero = [i for i, d in enumerate(self.degrees) if not any(d)]
+        r = len(self.degrees[0]) if self.degrees else 0
+        gens = self.generators()
+        eqs, entries = {}, {}
+        # column a < len(zero): coefficient of e_{zero[a]} in h; then chi
+        for s in range(self.dim) if gens is None else gens:
+            for a, z in enumerate(zero):
+                for t, v in self.bracket_basis(z, s).items():
+                    entries[(eqs.setdefault((s, t), len(eqs)), a)] = v
+            row = eqs.setdefault((s, s), len(eqs))
+            for i, c in enumerate(self.degrees[s]):
+                if c:
+                    entries[(row, len(zero) + i)] = ring.coerce(-c)
+        M = SparseMatrix(len(eqs), len(zero) + r, entries, ring)
+        weights = []
+        for vec in kernel_basis(M):
+            h = {zero[a]: vec[a] for a in range(len(zero)) if a in vec}
+            chi = tuple(vec.get(len(zero) + i, ring.coerce(0)) for i in range(r))
+            if self._is_weight(h, chi):
+                weights.append((h, chi))
+        self._inner_weights = weights
+        return weights
+
+    def _is_weight(self, h: dict, chi: tuple) -> bool:
+        """Whether ad h = E_chi on every basis vector and E_chi != 0."""
+        ring = self.ring
+        ad_h = {}
+        for (i, j), vec in self.bracket.items():
+            if i in h:
+                _vec_axpy(ring, ad_h.setdefault(j, {}), vec, h[i])
+            if j in h:
+                _vec_axpy(ring, ad_h.setdefault(i, {}), vec, ring.neg(h[j]))
+        want = {}
+        for b, d in enumerate(self.degrees):
+            w = _weight_at(ring, chi, d)
+            if not ring.is_zero(w):
+                want[b] = {b: w}
+        return bool(want) and want == {b: v for b, v in ad_h.items() if v}
 
     def verify_jacobi(self):
         """Jacobi identity on the basis triples that meet generators().
@@ -918,11 +980,13 @@ class StarModule:
 
     def dim_and_kernel(self):
         """(dim J*J, HC(J) shape) over a field, exactly."""
-        # the relations lie in ker ud_JA, of dimension gens - dim IDer(J)
-        bound = self.gens - self.inner.dim
-        rank = rank_certified(self.relation_rows, self.gens, bound, self.ring)
-        dim = self.gens - rank
-        return dim, ModuleShape(dim - self.inner.dim, ())
+        # the relations lie in ker ud_JA, and ud_JA maps onto IDer(J), so its
+        # rank is dim IDer(J); J*J needs 1/2, so the ring is a field and the
+        # field route reads only that rank, not the columns of ud_JA
+        quotient, kernel = quotient_shape(
+            self.ring, self.relation_rows, self.gens, {}, self.inner.dim
+        )
+        return quotient.free_rank, kernel
 
     def hc(self):
         return self.dim_and_kernel()[1]

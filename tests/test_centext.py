@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -6,6 +7,7 @@ from rograd import linalg
 from rograd.algebras import StructureAlgebra, matrix_algebra, split_octonions
 from rograd.centext import (
     CocycleExtension,
+    UceResult,
     _tilde_relation_rows,
     angle,
     cocycle_extension,
@@ -314,9 +316,10 @@ class TestRelationRowOrder:
     @pytest.mark.parametrize(
         "make, rows",
         [
-            # 26,624 and 103,424 rows with the triples of L_0 first
-            (lambda: tkk(rectangular_pair(1, 2, split_octonions(QQ))), 16_384),
-            (lambda: tkk(albert_algebra(QQ).pair()), 30_720),
+            # 26,624 and 103,424 rows with the triples of L_0 first, and
+            # 16,384 and 30,720 with every degree block streamed
+            (lambda: tkk(rectangular_pair(1, 2, split_octonions(QQ))), 7_168),
+            (lambda: tkk(albert_algebra(QQ).pair()), 15_360),
         ],
         ids=["tkk-oct-Q", "tkk-albert-Q"],
     )
@@ -332,9 +335,20 @@ class TestRelationRowOrder:
                     yield row
             return certify(counted, *args)
 
+        streamed = []  # the degree of every relation row built
+        relation_rows = UceResult._relation_rows
+
+        def recording(self, degree, gens):
+            for row in relation_rows(self, degree, gens):
+                streamed.append(degree)
+                yield row
+
         monkeypatch.setattr(linalg, "rank_certified", counting)
+        monkeypatch.setattr(UceResult, "_relation_rows", recording)
         assert uce(L).total_kernel().is_trivial
         assert len(pulled) == rows
+        # the nonzero-degree blocks are certified by the grading weight
+        assert set(streamed) == {(0,)}
 
 
 def _subquotient_oracle(u_cols, tdim, rel_rows, m, ring=ZZ):
@@ -414,3 +428,159 @@ class TestIntegerKernelFromCokernel:
         rep = kernel_report(u, build("A", 3))
         assert all(s.is_trivial for s in rep.by_degree.values())
         assert u.total_kernel().is_trivial
+
+
+def _hermitian_tkk(n, ring):
+    return tkk(hermitian_algebra(n, matrix_algebra(1, ring, involution="identity")).pair())
+
+
+def _oct_tkk(ring):
+    return tkk(rectangular_pair(1, 2, split_octonions(ring)))
+
+
+# model -> (blocks, blocks certified by a weight)
+WEIGHT_MODELS = {
+    "sl3-Z": (lambda: sl_algebra(3, matrix_algebra(1, ZZ)), 13, 6),
+    "sl4-Z": (lambda: sl_algebra(4, matrix_algebra(1, ZZ)), 43, 36),
+    "sl5-Z": (lambda: sl_algebra(5, matrix_algebra(1, ZZ)), 111, 110),
+    "sl3-M2Z": (lambda: sl_algebra(3, matrix_algebra(2, ZZ)), 19, 6),
+    "tkk-oct-Q": (lambda: _oct_tkk(QQ), 5, 4),
+    # the grading element acts by 3 on V+ over Z, by 1 = 3 over F_2, and
+    # by 0 = 3 over F_3
+    "tkk-oct-Z": (lambda: _oct_tkk(ZZ), 5, 0),
+    "tkk-oct-F2": (lambda: _oct_tkk(GF(2)), 5, 2),
+    "tkk-oct-F3": (lambda: _oct_tkk(GF(3)), 5, 0),
+    "tkk-oct-F5": (lambda: _oct_tkk(GF(5)), 5, 4),
+    "tkk-H3-Q": (lambda: _hermitian_tkk(3, QQ), 5, 4),
+    "tkk-H4-Q": (lambda: _hermitian_tkk(4, QQ), 5, 4),
+    "tkk-albert-Q": (lambda: tkk(albert_algebra(QQ).pair()), 5, 4),
+    "tkk-albert-F5": (lambda: tkk(albert_algebra(GF(5)).pair()), 5, 4),
+}
+
+
+def _block_u_cols(L, gens, target):
+    """The covering map u of one block, by its columns."""
+    tpos = {b: p for p, b in enumerate(target)}
+    u_cols = {}
+    for p, (i, j) in enumerate(gens):
+        col = {tpos[t]: v for t, v in L.bracket_basis(i, j).items()}
+        if col:
+            u_cols[p] = col
+    return u_cols
+
+
+def _chi_at(chi, d):
+    return sum(c * x for c, x in zip(chi, d))
+
+
+def _acts_by(L, h, chi) -> bool:
+    """Whether [h, e_b] = chi(deg e_b) e_b for every basis vector e_b, by
+    bracket_vec."""
+    ring = L.ring
+    for b, d in enumerate(L.degrees):
+        w = ring.coerce(_chi_at(chi, d))
+        if L.bracket_vec(h, {b: ring.coerce(1)}) != ({b: w} if w else {}):
+            return False
+    return True
+
+
+class TestWeightCertificate:
+    """A block whose inner weight value chi(d) is a unit has kernel 0 and
+    reads no relation row; every other block is computed."""
+
+    @pytest.mark.parametrize("name", sorted(WEIGHT_MODELS))
+    def test_skipped_blocks_match_the_full_quotient(self, name):
+        make, blocks, certified = WEIGHT_MODELS[name]
+        L = make()
+        ring = L.ring
+        u = uce(L)
+        assert len(u.blocks) == blocks
+        assert sum(b.weight is not None for b in u.blocks.values()) == certified
+        zero = tuple(0 for _ in L.degrees[0])
+        assert u.blocks[zero].weight is None
+        targets = L.degree_blocks()
+        for d, blk in u.blocks.items():
+            if blk.weight is None:
+                continue
+            h, chi = blk.weight
+            assert all(not any(L.degrees[i]) for i in h)
+            assert _acts_by(L, h, chi)
+            value = ring.coerce(_chi_at(chi, d))
+            assert value == 1 if ring.kind == "Z" else not ring.is_zero(value)
+            gens, target = u._gen_blocks[d], targets.get(d, [])
+            got = linalg.quotient_shape(
+                ring,
+                lambda: u._relation_rows(d, gens),
+                len(gens),
+                _block_u_cols(L, gens, target),
+                len(target),
+            )
+            assert got == (ModuleShape(len(target)), ModuleShape(0)), d
+            assert (blk.uce_shape, blk.kernel_shape) == got
+
+    @pytest.mark.parametrize(
+        "make, kernels",
+        [
+            (lambda: sl_algebra(4, matrix_algebra(1, GF(2))), 6),
+            (lambda: sl_algebra(3, matrix_algebra(1, GF(3))), 6),
+            (lambda: _oct_tkk(GF(3)), 1),
+        ],
+        ids=["sl4-F2", "sl3-F3", "tkk-oct-F3"],
+    )
+    def test_weights_vanishing_mod_p_leave_the_kernels(self, make, kernels):
+        u = uce(make())
+        nonzero = [b for b in u.blocks.values() if not b.kernel_shape.is_trivial]
+        assert len(nonzero) == kernels
+        assert all(b.weight is None and b.kernel_shape == ModuleShape(1) for b in nonzero)
+
+    def test_unchecked_algebra_skips_nothing(self):
+        L = sl_algebra(4, matrix_algebra(1, QQ))
+        bare = GradedLieAlgebra(L.ring, L.labels, L.degrees, L.bracket, check=False)
+        assert bare.jacobi_ok is None
+        u, checked = uce(bare), uce(L)
+        assert all(b.weight is None for b in u.blocks.values())
+        assert sum(b.weight is not None for b in checked.blocks.values()) == 42
+        for d, blk in u.blocks.items():
+            assert (blk.uce_shape, blk.kernel_shape) == (
+                checked.blocks[d].uce_shape,
+                checked.blocks[d].kernel_shape,
+            )
+
+    def test_sl3_z_torsion_sits_where_the_gcd_is_3(self, Dz):
+        L = sl_algebra(3, Dz)
+        u = uce(L)
+        g = {d: gcd(*(_chi_at(chi, d) for _, chi in L.inner_weights())) for d in u.blocks}
+        assert sorted(g.values()) == [0] + [1] * 6 + [3] * 6
+        for d, blk in u.blocks.items():
+            assert (blk.weight is None) == (g[d] != 1), d
+            assert blk.kernel_shape == (ModuleShape(0, (3,)) if g[d] == 3 else ModuleShape(0)), d
+
+    def test_kernel_not_killed_by_the_weight_raises(self, monkeypatch, Dz):
+        process = UceResult._process_block
+
+        def wrong(self, degree, gens, target):
+            blk = process(self, degree, gens, target)
+            if blk.kernel_shape.torsion:
+                blk.kernel_shape = ModuleShape(0, (9,))
+            return blk
+
+        monkeypatch.setattr(UceResult, "_process_block", wrong)
+        with pytest.raises(AssertionError, match="not killed by its weight gcd 3"):
+            uce(sl_algebra(3, Dz))
+
+    def test_inner_weights_hold_on_every_basis_vector(self):
+        L = tkk(albert_algebra(QQ).pair())
+        [(h, chi)] = L.inner_weights()
+        assert chi == (1,) and _acts_by(L, h, chi)
+        # double [z, e_t] for some z in h and some t outside generators():
+        # the equations on the generators still hold, ad h = E_chi does not
+        gens = set(L.generators())
+        z = min(h)
+        t = next(t for t in range(L.dim) if t not in gens and L.bracket_basis(z, t))
+        bracket = {k: dict(v) for k, v in L.bracket.items()}
+        key = (min(z, t), max(z, t))
+        bracket[key] = {k: 2 * v for k, v in bracket[key].items()}
+        bad = GradedLieAlgebra(QQ, L.labels, L.degrees, bracket, check=False)
+        assert bad.generators() == L.generators()
+        assert all(_acts_by(bad, h2, chi2) for h2, chi2 in bad.inner_weights())
+        assert bad.inner_weights() == []

@@ -50,6 +50,15 @@ GOLDEN = [
     (('tkk', '--model', 'tkk-albert', '--ring', 'Fp:5', '--format', 'json'), 0, "8b0fb789429f72adfd80f12a65db6c1a2c365fd57d7e7a7f1172861bde1f89b9"),
     (('tkk', '--model', 'tkk-hermitian', '--n', '4', '--ring', 'Q', '--format', 'json'), 0, "52cbc2d6b0ef2ea32bb4cc7e1d58c255499c7139cd8021bc09dad2ce54fd4311"),
     (('dims', '--model', 'tkk-albert', '--ring', 'Q'), 0, "960740dcaa5470ab161bc3683ec8aa6b0ad04df2802bb000d080b2ac8dd9ce2b"),
+    # uce over small primes, recorded with every block streamed: the inner
+    # weights vanish on the degenerate sums of sl_4/F_2 and sl_3/F_3, on
+    # degrees +-2 of tkk-oct/F_2 and on every degree of tkk-oct/F_3, and are
+    # units on every nonzero degree of tkk-albert/F_5
+    (('uce', '--model', 'sl', '--n', '4', '--ring', 'Fp:2', '--format', 'json'), 0, "d79a9a44de3f0bf02fb2c9e39817bdc8f68544bd4ec29c3dca64b778cb045fdc"),
+    (('uce', '--model', 'sl', '--n', '3', '--ring', 'Fp:3', '--format', 'json'), 0, "6e32da0416678616083728c674e1f38a56f60c8d43e7c0eec9b8d49c64293ea4"),
+    (('uce', '--model', 'tkk-oct', '--ring', 'Fp:2', '--format', 'json'), 0, "b9163925d9be8fabe1647e9bb5038a583e993f2e91472512b2781ac8461d0cac"),
+    (('uce', '--model', 'tkk-oct', '--ring', 'Fp:3', '--format', 'json'), 0, "ae29911a97ea7d573b051563373b338e2eeefafa8f41e83836e4118ae46adbcb"),
+    (('uce', '--model', 'tkk-albert', '--ring', 'Fp:5', '--format', 'json'), 0, "95595ca64fb6416232b0210ac2d5eb5bc6ce6dd7e976a15b194e66a47019419c"),
 ]
 
 # Every uce block over Z, one line per degree: "degree n_gens target_dim
