@@ -630,7 +630,8 @@ def star_kernel(J) -> ModuleShape:
                     t_vecs.append(t_vec)
         # rank gain of the T classes over the relation span = dim span{T} in J*J
         probe = span(ring, S.gens)
-        probe.pivots = dict(S.relation_echelon().pivots)
+        for row in S.relation_echelon().basis_rows():
+            probe.add(row)
         gained = sum(1 for v in t_vecs if probe.add(v))
         if gained != shape.free_rank:
             raise AssertionError(

@@ -26,6 +26,7 @@ from .linalg import (
     _op_axpy,
     _op_scale,
     _vec_axpy,
+    coordinates,
     field_rank,
     kernel_basis,
     span,
@@ -730,15 +731,13 @@ def hermitian_algebra(n: int, D: StructureAlgebra) -> JordanAlgebra:
 def _coords_in(ring, basis, dim):
     """Coordinates in an independent basis: vec -> sorted (index, coef)
     pairs with nonzero coef; raises ValueError outside the span."""
-    ech = span(ring, dim, track=True)
-    for b in basis:
-        ech.add(b)
+    solve = coordinates(ring, basis, dim)
 
     def coords(vec):
-        residual, found = ech.reduce(vec)
-        if residual:
+        found = solve(vec)
+        if found is None:
             raise ValueError("vector not in the symmetric-part span")
-        return sorted((i, ring.coerce(c)) for i, c in found.items() if c)
+        return sorted(found.items())
 
     return coords
 

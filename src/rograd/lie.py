@@ -18,20 +18,19 @@ Jacobi and centre checks run on a generating set S of basis elements:
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
 
 from .algebras import StructureAlgebra, tensor_matrix_algebra
 from .jordan import JordanAlgebra, JordanPair
 from .linalg import (
-    ModuleShape,
     SparseMatrix,
     _op_axpy,
     _op_bracket,
     _op_flatten,
     _op_scale,
     _vec_axpy,
+    coordinates,
     kernel_basis,
     lattice_span,
     quotient_shape,
@@ -136,11 +135,10 @@ class OperatorLieAlgebra:
 
     Generators are sparse ops (dict col -> dict row -> scalar).  The basis
     is the staircase of linalg.lattice_span on the flattened generators
-    (integral in characteristic 0, so coordinates mostly stay integral).
-    Its rows have distinct leading columns, so coordinates come from one
-    triangular solve.  With closure_check the bracket of every basis pair
-    a < b is checked to lie in the span, by the commutator loop
-    _basis_brackets that tkk also runs.
+    (integral in characteristic 0, so coordinates mostly stay integral),
+    and linalg.coordinates solves in it.  With closure_check the bracket of
+    every basis pair a < b is checked to lie in the span, by the commutator
+    loop _basis_brackets that tkk also runs.
     """
 
     def __init__(self, ring: BaseRing, carrier_dim: int, generators, closure_check=True):
@@ -153,7 +151,7 @@ class OperatorLieAlgebra:
             gen.add(_op_flatten(op, carrier_dim))
         rows = gen.basis_rows()
         self.basis = [self._unflatten(row) for row in rows]
-        self._staircase = {min(row): (k, row) for k, row in enumerate(rows)}
+        self._coords = coordinates(ring, rows, width)
         if closure_check:
             self._verify_closed()
 
@@ -172,33 +170,8 @@ class OperatorLieAlgebra:
     def express(self, op):
         """Coordinates of op in the chosen basis, or None if outside.
 
-        Over Z a coordinate that is not an integer raises ValueError.  This
-        flattens op and calls _solve_flat; the commutator loop, which builds
-        its brackets flat, calls _solve_flat itself."""
-        return self._solve_flat(_vec_axpy(self.ring, {}, _op_flatten(op, self.carrier_dim)))
-
-    def _solve_flat(self, vec: dict):
-        """express for an op already flattened (entry (i, j) at i * N + j),
-        reduced and without zero entries; consumes vec."""
-        ring = self.ring
-        p = ring.characteristic
-        coords = {}
-        while vec:
-            lead = min(vec)
-            hit = self._staircase.get(lead)
-            if hit is None:
-                return None
-            k, row = hit
-            x, a = vec[lead], row[lead]
-            if p:
-                c = x * pow(a, p - 2, p) % p
-            elif x % a:
-                c = Fraction(x) / a
-            else:
-                c = x // a
-            _vec_axpy(ring, vec, row, -c)
-            coords[k] = c
-        return {k: ring.coerce(c) for k, c in coords.items()}
+        Over Z a coordinate that is not an integer raises ValueError."""
+        return self._coords(_op_flatten(op, self.carrier_dim))
 
     def _basis_brackets(self):
         """Yield (a, b, coords) for the basis pairs a < b whose bracket can
@@ -207,9 +180,8 @@ class OperatorLieAlgebra:
         A pair is skipped when neither op's rows meet the other's columns,
         for then AB = BA = 0.  AB - BA is summed in one sparse accumulator
         (Gustavson, ACM TOMS 4, 1978) keyed i * N + j, as _op_flatten lays
-        ops out, and solved through the staircase directly."""
+        ops out, and solved in the basis directly."""
         N = self.carrier_dim
-        p = self.ring.characteristic
         # per op: its entries (column j, row t, value x), its columns t as
         # (i * N, x) lists, its column keys and its row support
         shapes = []
@@ -235,11 +207,7 @@ class OperatorLieAlgebra:
                         for iN, y in colB:
                             key = iN + j
                             acc[key] = acc.get(key, 0) - y * x
-                if p:
-                    vec = {key: v % p for key, v in acc.items() if v % p}
-                else:
-                    vec = {key: v for key, v in acc.items() if v}
-                yield a, b, self._solve_flat(vec) if vec else {}
+                yield a, b, self._coords(acc)
 
     def _verify_closed(self):
         for _, _, coords in self._basis_brackets():
@@ -568,10 +536,12 @@ class TKKAlgebra(GradedLieAlgebra):
 
 
 def tkk(V: JordanPair) -> TKKAlgebra:
-    """Tits-Kantor-Koecher algebra of a Jordan pair; centre checked trivial."""
+    """Tits-Kantor-Koecher algebra of a Jordan pair; centre checked trivial
+    (ValueError otherwise: a valid pair can have a centred TKK, such as
+    M(1,1,F_2), whose TKK is sl_2 over F_2)."""
     L = _tkk(V)
     if L.centre_basis():
-        raise AssertionError("TKK(V) has a nontrivial centre")
+        raise ValueError("TKK(V) has a nontrivial centre")
     return L
 
 
@@ -824,15 +794,13 @@ def sl_algebra(k_size: int, D: StructureAlgebra) -> GradedLieAlgebra:
     for vec, deg in zip(basis, degrees):
         assert all(degree_of(c) == deg for c in vec), "inhomogeneous basis vector"
 
-    coord = span(ring, width, track=True)
-    for row in basis:
-        coord.add(row)
+    solve = coordinates(ring, basis, width)  # echelon rows: independent
 
     def coords_of(vec):
-        residual, coords = coord.reduce(vec)
-        if residual:
+        coords = solve(vec)
+        if coords is None:
             raise AssertionError("bracket left the generated span")
-        return {k: ring.coerce(c) for k, c in coords.items() if c}
+        return coords
 
     bracket = {}
     nbasis = len(basis)
@@ -1155,20 +1123,15 @@ def assign_root_grading(L: TKKAlgebra, family: dict, grading) -> GradedLieAlgebr
             new_degrees.append(neg)
             new_labels.append(f"V-[{alpha}]{t}")
     # change of basis
-    coord = span(ring, L.dim, track=True)
-    for vec in new_basis:
-        if not coord.add(vec):
-            raise AssertionError("graded basis is not independent")
+    solve = coordinates(ring, new_basis, L.dim)
+    if solve is None:
+        raise AssertionError("graded basis is not independent")
 
     def coords_of(vec):
-        residual, coords = coord.reduce(dict(vec))
-        if residual:
+        coords = solve(vec)
+        if coords is None:
             raise AssertionError("vector escaped the graded basis")
-        return {
-            idx: ring.coerce(c)
-            for idx, c in coords.items()
-            if not ring.is_zero(ring.coerce(c))
-        }
+        return coords
 
     bracket = {}
     nb = len(new_basis)

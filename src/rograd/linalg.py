@@ -6,7 +6,10 @@ quotient_shape(ring, ...) reads R^m/R and ker(u)/R off a relation stream
 (a lattice basis and its factors-only Smith normal form over Z, a certified
 rank over a field).  The uce blocks, HC(V), HC_1(D) and the homology
 quotients all go through quotient_shape, and the sl_K degree-0 check
-compares two spans with same_span.  Over Z every computation works on a
+compares two spans with same_span.  Coordinates in a basis (a bracket
+written in the basis of its algebra) come from coordinates(ring, basis,
+ncols), which reduces against the span of the rows (b_k | e_k) over the
+field (Q over Z); no backend tracks combinations.  Over Z every computation works on a
 lattice basis in Hermite normal form: kernel_basis reads the pure kernel
 off one, smith_normal_form and module_invariants the invariant factors,
 and integer membership is span(ZZ, n).contains; no unimodular transforms
@@ -425,11 +428,13 @@ def module_invariants(m: FinitelyPresentedModule) -> ModuleShape:
 #
 # span(ring, ncols) returns the backend of the ring: LatticeEchelon over Z,
 # IntEchelon over Q, ModularEchelon over F_p.  Every backend has add(row)
-# (True when the span grew), rank, reduce(vec) -> (residual, coords),
-# contains(vec), basis_rows() (sorted by lead column) and is_full(n) (the
-# span is all of R^n), and same_span(a, b) compares two of them.
-# FieldEchelon is the generic-ring reference the backends are tested
-# against; no computation uses it.
+# (True when the span grew), rank, reduce(vec) -> residual, contains(vec),
+# basis_rows() (sorted by lead column) and is_full(n) (the span is all of
+# R^n), and same_span(a, b) compares two of them.  coordinates(ring, basis,
+# ncols) solves for coordinates in a basis through the same backends.
+# FieldEchelon, which can track the combination behind each pivot row, is
+# the generic-ring reference the backends are tested against; no
+# computation uses it.
 
 
 def _cleared(row: dict):
@@ -446,119 +451,82 @@ class IntEchelon:
     """Incremental echelon of rational rows over Q, kept as integer rows.
 
     Rows are cleared of denominators and kept primitive (gcd 1, positive
-    leading entry), so rank is the rank over Q.  With track=True each
-    echelon row remembers an exact rational combination of the inserted
-    rows, enabling coordinate solves.
+    leading entry), so rank is the rank over Q.
     """
 
-    def __init__(self, track: bool = False, ncols: int = 0):
-        self.pivots = {}  # lead col -> (row dict, combo dict | None)
-        self.track = track
+    def __init__(self, ncols: int = 0):
+        self.pivots = {}  # lead col -> row dict
         self.ncols = ncols
-        self.count = 0  # rows inserted so far (for combo indexing)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def basis_rows(self):
-        return [self.pivots[c][0] for c in sorted(self.pivots)]
+        return [self.pivots[c] for c in sorted(self.pivots)]
 
     def is_full(self, n: int) -> bool:
         return self.rank == n
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True if it increased the rank."""
-        idx = self.count
-        self.count += 1
-        row, d = _cleared(row)
-        combo = {idx: Fraction(d)} if self.track else None
+        row, _ = _cleared(row)
         while row:
             lead = min(row)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
+            prow = self.pivots.get(lead)
+            if prow is None:
+                g = _content(row)
                 if row[lead] < 0:
                     g = -g
                 if g != 1:
                     row = {c: v // g for c, v in row.items()}
-                    if self.track:
-                        combo = {k: v / g for k, v in combo.items()}
-                self.pivots[lead] = (row, combo)
+                self.pivots[lead] = row
                 return True
-            prow, pcombo = hit
-            a, b = prow[lead], row[lead]
-            # row := a*row - b*prow  (kills the lead, stays integral)
-            new = {}
-            for c in set(row) | set(prow):
-                v = a * row.get(c, 0) - b * prow.get(c, 0)
-                if v:
-                    new[c] = v
-            if self.track:
-                combo = {k: v * a for k, v in combo.items()}
-                for k, v in pcombo.items():
-                    w = combo.get(k, Fraction(0)) - b * v
-                    if w:
-                        combo[k] = w
-                    else:
-                        combo.pop(k, None)
-            if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
+            # a*row - b*prow kills the lead and stays integral
+            row = _combine(row, prow, prow[lead], -row[lead])
+            if row:
+                g = _content(row)
                 if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                    if self.track:
-                        combo = {k: v / g for k, v in combo.items()}
-            row = new
+                    row = {c: v // g for c, v in row.items()}
         return False
 
-    def reduce(self, vec: dict):
-        """Return (residual, coords) reducing vec against the echelon.
-
-        coords maps inserted-row index -> rational coefficient such that
-        vec = sum(coords * rows) + residual, residual having no support on
-        pivot columns.  Requires track=True for meaningful coords.
-        """
-        residual = {c: Fraction(v) for c, v in vec.items() if v}
-        coords = {}
+    def reduce(self, vec: dict) -> dict:
+        """vec minus the multiples of pivot rows that clear its leads while
+        they lie on pivot columns.  Integers stay integers while the pivot's
+        lead divides the entry; otherwise the step goes to Fraction."""
+        residual = {c: v for c, v in vec.items() if v}
         while residual:
             lead = min(residual)
-            hit = self.pivots.get(lead)
-            if hit is None:
+            prow = self.pivots.get(lead)
+            if prow is None:
                 break
-            prow, pcombo = hit
-            coef = residual[lead] / prow[lead]
+            x, a = residual[lead], prow[lead]
+            coef = x // a if x % a == 0 else Fraction(x) / a
             for c, v in prow.items():
-                w = residual.get(c, Fraction(0)) - coef * v
+                w = residual.get(c, 0) - coef * v
                 if w:
                     residual[c] = w
                 else:
                     residual.pop(c, None)
-            if self.track and pcombo:
-                for k, v in pcombo.items():
-                    w = coords.get(k, Fraction(0)) + coef * v
-                    if w:
-                        coords[k] = w
-                    else:
-                        coords.pop(k, None)
-        return residual, coords
+        return residual
 
     def contains(self, vec: dict) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
+        return not self.reduce(vec)
 
     def kernel(self) -> list:
         """Kernel basis over Q, one vector per free column (entry 1 there),
         read off the reduced row echelon form."""
-        rows = {lead: row for lead, (row, _) in self.pivots.items()}
-        return _rref_kernel(rows, self.ncols, QQ)
+        return _rref_kernel(self.pivots, self.ncols, QQ)
+
+
+def _content(row: dict) -> int:
+    """gcd of the entries of an integer row (stops early at 1)."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            break
+    return g
 
 
 class FieldEchelon:
@@ -724,10 +692,9 @@ class LatticeEchelon:
                 else:
                     vec.pop(cc, None)
 
-    def reduce(self, vec: dict):
-        """(residual, {}): vec minus the lattice vector that clears its leads
-        while each lead is a multiple of the pivot's; the lattice keeps no
-        coordinates."""
+    def reduce(self, vec: dict) -> dict:
+        """vec minus the lattice vector that clears its leads while each
+        lead is a multiple of the pivot's."""
         vec = {c: int(v) for c, v in vec.items() if v}
         while vec:
             lead = min(vec)
@@ -741,11 +708,10 @@ class LatticeEchelon:
                 if v:
                     new[c] = v
             vec = new
-        return vec, {}
+        return vec
 
     def contains(self, vec: dict) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
+        return not self.reduce(vec)
 
 
 def _combine(row: dict, prow: dict, s: int, t: int) -> dict:
@@ -782,16 +748,13 @@ class ModularEchelon:
     for every prime p.  Over F_p this is exact linear algebra; over Z or Q
     it yields a lower bound on the rank (reduction mod p cannot increase
     rank), which certifies the exact rank whenever a structural upper bound
-    is hit.  With track=True each pivot row remembers its combination of the
-    inserted rows (mod p), enabling coordinate solves.
+    is hit.
     """
 
-    def __init__(self, ncols: int, p: int = CERT_PRIMES[0], track: bool = False):
+    def __init__(self, ncols: int, p: int = CERT_PRIMES[0]):
         self.ncols = ncols
         self.p = p
         self.pivots = {}  # lead col -> row dict with lead entry 1
-        self.combos = {} if track else None  # lead col -> combo dict
-        self.count = 0  # rows inserted so far (for combo indexing)
 
     @property
     def rank(self) -> int:
@@ -807,9 +770,6 @@ class ModularEchelon:
         """Insert a row; returns True if it increased the rank."""
         p = self.p
         pivots = self.pivots
-        combos = self.combos
-        combo = None if combos is None else {self.count: 1}
-        self.count += 1
         row = {c: v % p for c, v in row.items() if v % p}
         while row:
             lead = min(row)
@@ -817,8 +777,6 @@ class ModularEchelon:
             if prow is None:
                 inv = pow(row[lead], p - 2, p)
                 pivots[lead] = {c: v * inv % p for c, v in row.items()}
-                if combo is not None:
-                    combos[lead] = {k: v * inv % p for k, v in combo.items()}
                 return True
             f = row[lead]
             for c, v in prow.items():
@@ -827,8 +785,6 @@ class ModularEchelon:
                     row[c] = w
                 else:
                     del row[c]
-            if combo is not None:
-                _axpy_mod(combo, combos[lead], -f, p)
         return False
 
     def add_batch(self, batch) -> int:
@@ -838,13 +794,11 @@ class ModularEchelon:
             self.add(row)
         return len(self.pivots) - before
 
-    def reduce(self, vec: dict):
-        """Return (residual, coords) with vec = sum(coords * inserted rows)
-        + residual mod p, the residual having no support on pivot columns;
-        coords needs track=True."""
+    def reduce(self, vec: dict) -> dict:
+        """vec mod p minus the multiples of pivot rows that clear its leads
+        while they lie on pivot columns."""
         p = self.p
         residual = {c: v % p for c, v in vec.items() if v % p}
-        coords = {}
         while residual:
             lead = min(residual)
             prow = self.pivots.get(lead)
@@ -857,28 +811,15 @@ class ModularEchelon:
                     residual[c] = w
                 else:
                     del residual[c]
-            if self.combos is not None:
-                _axpy_mod(coords, self.combos[lead], f, p)
-        return residual, coords
+        return residual
 
     def contains(self, vec: dict) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
+        return not self.reduce(vec)
 
     def kernel(self) -> list:
         """Kernel basis (valid when p is the base field characteristic), one
         vector per free column, read off the reduced row echelon form."""
         return _rref_kernel(self.pivots, self.ncols, GF(self.p))
-
-
-def _axpy_mod(dst: dict, src: dict, f: int, p: int):
-    """dst += f * src over F_p, dropping zeros."""
-    for k, v in src.items():
-        w = (dst.get(k, 0) + f * v) % p
-        if w:
-            dst[k] = w
-        else:
-            dst.pop(k, None)
 
 
 def _rref_kernel(rows: dict, ncols: int, ring) -> list:
@@ -902,19 +843,43 @@ def _rref_kernel(rows: dict, ncols: int, ring) -> list:
     return list(basis.values())
 
 
-def span(ring: BaseRing, ncols: int, track: bool = False):
+def span(ring: BaseRing, ncols: int):
     """The span backend of the ring on rows of width ncols.
 
     F_p: ModularEchelon.  Q: IntEchelon (rational rows, cleared).  Z:
-    LatticeEchelon; with track=True, Z gets the rational IntEchelon, whose
-    coordinates the caller coerces into Z (which raises if they are not
-    integral).
+    LatticeEchelon.
     """
     if ring.kind == "Fp":
-        return ModularEchelon(ncols, ring.p, track=track)
-    if ring.kind == "Z" and not track:
+        return ModularEchelon(ncols, ring.p)
+    if ring.kind == "Z":
         return LatticeEchelon()
-    return IntEchelon(track=track, ncols=ncols)
+    return IntEchelon(ncols)
+
+
+def coordinates(ring: BaseRing, basis, ncols: int):
+    """Coordinate solver of a basis of sparse rows of width ncols: a function
+    vec -> {index: nonzero coefficient}, or None when vec is outside the
+    span.  Returns None itself when the basis is dependent.
+
+    Row k enters the span of the field (Q over Z) as (b_k | e_k), e_k in
+    column ncols + k, so reducing (vec | 0) leaves (0 | -coords) when vec
+    is in the span.  Over Z a coefficient that is not an integer raises
+    ValueError (ZZ.coerce).
+    """
+    ech = span(QQ if ring.kind == "Z" else ring, ncols + len(basis))
+    for k, row in enumerate(basis):
+        ech.add({**row, ncols + k: 1})
+    # b_k in the span of the earlier rows leaves a lead in the e part
+    if any(min(row) >= ncols for row in ech.basis_rows()):
+        return None
+
+    def solve(vec: dict):
+        residual = ech.reduce(vec)
+        if residual and min(residual) < ncols:
+            return None
+        return {c - ncols: ring.coerce(-v) for c, v in residual.items()}
+
+    return solve
 
 
 def same_span(a, b) -> bool:

@@ -113,6 +113,18 @@ class TestVerify:
         assert code == 1
 
 
+class TestPreconditionExit:
+    @pytest.mark.parametrize("command", ["tkk", "uce"])
+    def test_centred_tkk_exits_1(self, capsys, command):
+        # TKK(M(1,1,F_2)) is sl_2 over F_2, where h is central: a valid
+        # model without a trivial centre, not a failed internal check
+        code, out, err = run_cli(
+            capsys, command, "--model", "tkk-rect", "--n", "2", "--ring", "Fp:2"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: TKK(V) has a nontrivial centre\n"
+
+
 class TestInternalCheckExit:
     def test_assertion_exits_3_with_one_line(self, capsys, monkeypatch):
         import rograd.cli as cli

@@ -968,7 +968,7 @@ class TestTKKCertificate:
             Qlin={1: {}, -1: {}},
         )
         assert verify_pair_identities(V) == _oracle(V)
-        with pytest.raises(AssertionError, match="nontrivial centre"):
+        with pytest.raises(ValueError, match="nontrivial centre"):
             tkk(V)
 
     def test_unlabelled_pair(self, DQ):

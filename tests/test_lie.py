@@ -201,9 +201,7 @@ class TestStarModule:
         for i in range(J.dim):
             vec = S.star_vec(J.unit, J.basis_vec(i))
             assert S.relation_echelon() is not None
-            residual, _ = S.relation_echelon().reduce(
-                {k: int(v) for k, v in vec.items()}
-            )
+            residual = S.relation_echelon().reduce({k: int(v) for k, v in vec.items()})
             assert not residual  # 1 * a = 0 in J*J
 
     def test_bracket_formula_on_peirce(self, DQ):

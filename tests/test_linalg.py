@@ -15,6 +15,7 @@ from rograd.linalg import (
     ModularEchelon,
     ModuleShape,
     SparseMatrix,
+    coordinates,
     field_rank,
     kernel_basis,
     module_invariants,
@@ -130,9 +131,8 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError):
             smith_normal_form(dense([[Fraction(1, 2)]], QQ))
 
-    # The transforms of the reference SNF grow without bound on random
-    # sparse inputs past about 12 x 12, so the tests that need U and V stay
-    # at 10 x 10; the factors-only SNF is tested up to 60 x 60.
+    # The tests that need U and V run at up to 10 x 10; the factors-only
+    # SNF is tested up to 60 x 60.
     @given(M=sparse_matrices(max_dim=10))
     @settings(max_examples=80, deadline=None)
     def test_sparse_transforms(self, M):
@@ -256,8 +256,8 @@ class TestIntegerKernel:
         assert same_span(_lattice(ker), _lattice(integer_kernel(M)))
 
     def test_large_sparse_inputs_are_fast_and_pure(self):
-        # the reference SNF took over 3 s on most inputs of this kind, and
-        # 16 s on one, from the growth of its transforms
+        # the SNF with unreduced transforms that this kernel replaced took
+        # over 3 s on most inputs of this kind, and 16 s on one
         rng = random.Random(20261020)
         nullity = 0
         for _ in range(20):
@@ -361,14 +361,11 @@ class TestIntegerLattices:
         assert not lat.contains({0: 1})
 
     def test_int_echelon_tracked_solve(self):
-        ech = IntEchelon(track=True)
-        ech.add({0: 2, 1: 0})
-        ech.add({0: 1, 1: 1})
-        residual, coords = ech.reduce({0: 3, 1: 1})
-        assert not residual
-        # reconstruct: coords refer to inserted row indices
-        rebuilt = {}
         originals = {0: {0: 2, 1: 0}, 1: {0: 1, 1: 1}}
+        coords = coordinates(QQ, [originals[0], originals[1]], 2)({0: 3, 1: 1})
+        assert coords is not None
+        # reconstruct: coords refer to basis indices
+        rebuilt = {}
         for k, coef in coords.items():
             for c, v in originals[k].items():
                 rebuilt[c] = rebuilt.get(c, Fraction(0)) + coef * v

@@ -22,6 +22,7 @@ from rograd.linalg import (
     SparseMatrix,
     _op_axpy,
     _op_flatten,
+    coordinates,
     field_rank,
     integer_kernel_mod_relations,
     kernel_basis,
@@ -32,7 +33,7 @@ from rograd.linalg import (
     span,
 )
 from rograd.rings import GF, QQ, ZZ
-from snf_reference import smith_normal_form, solve_integer
+from snf_reference import integer_solver, smith_normal_form
 
 PRIMES = (2, 5, 2**61 - 1)
 
@@ -60,6 +61,47 @@ def _reference(ring, ncols, rows):
 def _ref_contains(ref, vec):
     residual, _ = ref.reduce(vec)
     return not residual
+
+
+def _independent(ring, rows):
+    """The rows that raise the rank over the field of the ring (Q over Z),
+    in order."""
+    ref = FieldEchelon(QQ if ring.kind == "Z" else ring)
+    return [row for row in rows if ref.add(row)]
+
+
+def _ref_coordinates(ring, basis, vec):
+    """Oracle for coordinates: a tracked FieldEchelon of the basis over the
+    field (Q over Z), its coefficients coerced into the ring (which raises
+    over Z on a fraction); None outside the span."""
+    ref = FieldEchelon(QQ if ring.kind == "Z" else ring, track=True)
+    for row in basis:
+        ref.add(row)
+    residual, coords = ref.reduce(vec)
+    if residual:
+        return None
+    coords = {k: ring.coerce(c) for k, c in coords.items()}
+    return {k: c for k, c in coords.items() if not ring.is_zero(c)}
+
+
+def _check_coordinates(ring, rows, probes, ncols):
+    """coordinates of the independent rows against the oracle on probes;
+    a dependent list gives None."""
+    basis = _independent(ring, rows)
+    if len(basis) < len(rows):
+        assert coordinates(ring, rows, ncols) is None
+    solve = coordinates(ring, basis, ncols)
+    for vec in probes:
+        try:
+            expected = _ref_coordinates(ring, basis, vec)
+        except ValueError:
+            with pytest.raises(ValueError, match="not an integer"):
+                solve(vec)
+            continue
+        got = solve(vec)
+        assert got == expected
+        if got is not None:
+            assert _rebuilds(ring, basis, vec, {}, got)
 
 
 def _rebuilds(ring, rows, vec, residual, coords):
@@ -117,17 +159,13 @@ class TestFieldBackends:
     @settings(max_examples=50, deadline=None)
     @given(data=sparse_rows(RATIONALS))
     def test_tracked_reduce_rebuilds_the_vector(self, ring, data):
+        """coordinates against the tracked reduce of FieldEchelon: the same
+        coefficients, which rebuild the vector, and None outside the span."""
         ncols, rows, probe = data
         if ring.kind == "Fp":
             rows = [{c: ring.coerce(v.numerator) for c, v in r.items()} for r in rows]
             probe = {c: ring.coerce(v.numerator) for c, v in probe.items()}
-        ech = span(ring, ncols, track=True)
-        for row in rows:
-            ech.add(row)
-        for vec in rows + [probe]:
-            residual, coords = ech.reduce(vec)
-            assert _rebuilds(ring, rows, vec, residual, coords)
-            assert (not residual) == ech.contains(vec)
+        _check_coordinates(ring, rows, rows + [probe], ncols)
 
 
 class TestLatticeBackend:
@@ -146,10 +184,12 @@ class TestLatticeBackend:
         assert lat.is_full(ncols) == quotient.is_trivial
         # membership: probe is an integer combination of the rows
         if rows:
-            in_lattice = solve_integer(rel.transpose(), {c: v for c, v in probe.items() if v})
+            # one reference SNF of the relations serves every right-hand side
+            solve = integer_solver(rel.transpose())
+            in_lattice = solve({c: v for c, v in probe.items() if v})
             assert lat.contains(probe) == (in_lattice is not None)
             for row in lat.basis_rows():
-                assert solve_integer(rel.transpose(), row) is not None
+                assert solve(row) is not None
         for row in rows:
             assert lat.contains(row)
         leads = [min(row) for row in lat.basis_rows()]
@@ -197,21 +237,17 @@ class TestLatticeBackend:
     @settings(max_examples=40, deadline=None)
     @given(data=sparse_rows(INTS))
     def test_z_tracked_coordinates_are_rational(self, data):
+        """Over Z coordinates solves over Q: the rational coefficients of
+        the oracle, or ValueError where one of them is not an integer."""
         ncols, rows, probe = data
-        ech = span(ZZ, ncols, track=True)
-        for row in rows:
-            ech.add(row)
-        for vec in rows + [probe]:
-            residual, coords = ech.reduce(vec)
-            assert _rebuilds(QQ, rows, vec, residual, coords)
+        _check_coordinates(ZZ, rows, rows + [probe], ncols)
 
     def test_z_tracked_coordinates_need_not_be_integral(self):
-        ech = span(ZZ, 1, track=True)
-        ech.add({0: 2})
-        residual, coords = ech.reduce({0: 1})
-        assert not residual and coords == {0: Fraction(1, 2)}
-        with pytest.raises(ValueError):
-            ZZ.coerce(coords[0])
+        solve = coordinates(ZZ, [{0: 2}], 1)
+        assert solve({0: -4}) == {0: -2}
+        assert solve({}) == {}
+        with pytest.raises(ValueError, match="not an integer"):
+            solve({0: 1})
 
 
 def _ring_op(ring, op):
@@ -226,17 +262,10 @@ def _ring_op(ring, op):
 
 
 def _tracked_express(L, op):
-    """Reference coordinates of op: a tracked span of the basis, its
-    coordinates coerced into the ring (which raises over Z on a fraction)."""
+    """Reference coordinates of op in the basis of L, by _ref_coordinates."""
     n = L.carrier_dim
-    ech = span(L.ring, n * n, track=True)
-    for b in L.basis:
-        ech.add(_op_flatten(b, n))
-    residual, coords = ech.reduce(_op_flatten(op, n))
-    if residual:
-        return None
-    coords = {k: L.ring.coerce(c) for k, c in coords.items()}
-    return {k: c for k, c in coords.items() if not L.ring.is_zero(c)}
+    basis = [_op_flatten(b, n) for b in L.basis]
+    return _ref_coordinates(L.ring, basis, _op_flatten(op, n))
 
 
 class TestOperatorCoordinates:
@@ -276,6 +305,28 @@ class TestOperatorCoordinates:
         assert L.express({0: {0: 0}}) == {}
         with pytest.raises(ValueError, match="not an integer"):
             L.express({0: {0: 1}})
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("ring", [QQ, ZZ, GF(5)], ids=str)
+    def test_dependent_basis_gives_none(self, ring):
+        assert coordinates(ring, [{0: 1, 1: 2}, {1: 1}, {0: 2, 1: 1}], 2) is None
+        assert coordinates(ring, [{0: 1}, {0: 3}], 2) is None
+        assert coordinates(ring, [{}], 2) is None
+
+    @pytest.mark.parametrize("ring", [QQ, ZZ, GF(5)], ids=str)
+    def test_vector_outside_the_span_gives_none(self, ring):
+        solve = coordinates(ring, [{0: 1, 2: 1}, {1: 1}], 3)
+        assert solve({0: 1}) is None
+        assert solve({2: 1}) is None
+        assert solve({0: 2, 1: -1, 2: 2}) == {0: ring.coerce(2), 1: ring.coerce(-1)}
+
+    def test_fractional_coordinate_over_z_raises(self):
+        solve = coordinates(ZZ, [{0: 2}], 1)
+        with pytest.raises(ValueError, match="not an integer"):
+            solve({0: 1})
+        # over Q the same solve is exact
+        assert coordinates(QQ, [{0: 2}], 1)({0: 1}) == {0: Fraction(1, 2)}
 
 
 class TestKernels:
