@@ -5,7 +5,8 @@ commutators and associators, multiplication operators, standard derivations
 and trialities, all operators sparse and column-major (see linalg).  Laws
 (associative / alternative / commutative) are checked eagerly at
 construction, including the linearizations that make the checks valid in
-every scalar extension, and cached as flags.
+every scalar extension, and cached as flags; M_n(D) takes associativity
+from an associative D instead of scanning its associators.
 """
 from __future__ import annotations
 
@@ -116,7 +117,9 @@ class StructureAlgebra:
         return c
 
     # -- verification -------------------------------------------------------
-    def _verify(self):
+    def _verify(self, associative=False):
+        """Check the declared structure and set flags; a caller that has
+        proved associativity passes associative=True to skip the scan."""
         ring = self.ring
         dim = self.dim
         basis = [self.basis_vec(i) for i in range(dim)]
@@ -134,7 +137,7 @@ class StructureAlgebra:
                 rhs = self.mul(self.conj(basis[j]), self.conj(basis[i]))
                 if lhs != rhs:
                     raise ValueError("involution is not an anti-automorphism")
-        assoc = all(
+        assoc = associative or all(
             not self.associator(basis[i], basis[j], basis[k])
             for i, j, k in self._associator_triples()
         )
@@ -347,7 +350,11 @@ def tensor_matrix_algebra(n: int, D: StructureAlgebra) -> StructureAlgebra:
         for i in range(n):
             for t, c in D.unit.items():
                 unit[idx(i, i, t)] = c
-    return StructureAlgebra(ring, labels, mult, unit=unit)
+    M = StructureAlgebra(ring, labels, mult, unit=unit, check=False)
+    # M_n(D) = M_n(Z) (x) D is associative when D is (Jacobson, Basic
+    # Algebra II, ch. 3); a non-associative D keeps the full scan
+    M._verify(associative=bool(D.flags.get("associative")))
+    return M
 
 
 def split_octonions(ring: BaseRing) -> StructureAlgebra:

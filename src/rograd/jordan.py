@@ -9,7 +9,9 @@ ring.coerce, so integral rational entries are plain ints, not Fraction(k, 1),
 and the products built from them stay integer arithmetic.
 
 Operators are kept sparse as dicts column -> (dict row -> scalar), with the
-helpers of linalg.
+helpers of linalg.  Every pair's tensors are read off structure constants:
+rectangular_pair's off D's multiplication table by the matrix-unit rule,
+JordanAlgebra.pair()'s off the circle constants by the linearized U-operator.
 
 verify_pair_identities certifies JP1-JP3 and all their linearizations with
 one exact build of TKK(V) (lie._tkk, imported inside the function because
@@ -230,28 +232,20 @@ def verify_pair_identities(V: JordanPair) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _dmatrix_mul(D: StructureAlgebra, A, B, cols):
-    """Multiply matrices over D given as dicts (r,c) -> D-vector; B has
-    cols columns."""
-    out = {}
-    for (r, k), x in A.items():
-        for c in range(cols):
-            y = B.get((k, c))
-            if y:
-                prod = D.mul(x, y)
-                if prod:
-                    cur = out.get((r, c))
-                    out[(r, c)] = D.add(cur, prod) if cur else prod
-    return {k: v for k, v in out.items() if v}
-
-
 def rectangular_pair(i_size: int, j_size: int, D: StructureAlgebra) -> JordanPair:
     """The rectangular matrix Jordan pair M(I, J, D).
 
     V+ = I x J matrices over D, V- = J x I; Q_x(y) = x(yx) on V+ and
-    Q_y(x) = (yx)y on V- (the polarization-consistent reading of "xyx",
-    matching the stated triple products {xyz} = x(yz) + z(yx)).
+    Q_y(x) = (yx)y on V- (the polarization-consistent reading of "xyx"), so
+    {x y z} = x(yz) + z(yx) on V+ and {y x w} = (yx)w + (wx)y on V-.
     D must be unital alternative, and associative once i+j >= 4.
+
+    The tensors are read off D's multiplication table by the matrix-unit
+    rule.  On V+ take x = a E_{r1,c1}, z = d E_{r2,c2} and y = b E_{c,r}
+    for basis vectors a, b, d of D: x(yz) is a(bd) in cell (r1, c2) when
+    (c, r) = (c1, r2), z(yx) is d(ba) in cell (r2, c1) when (c, r) =
+    (c2, r1), and Q_x y = x(yx) is a(ba) in cell (r1, c1).  V- is the
+    mirror image, with (ba)d, (da)b and (ba)b.  No entry is divided.
     """
     if D.unit is None or not D.flags.get("alternative"):
         raise ValueError("coordinates must be a unital alternative algebra")
@@ -259,33 +253,22 @@ def rectangular_pair(i_size: int, j_size: int, D: StructureAlgebra) -> JordanPai
         raise ValueError("card K >= 4 needs associative coordinates")
     ring = D.ring
     dd = D.dim
-
-    def to_dmat(vec: dict, width: int):
-        # index (r * width + c) * dd + t is coordinate t of cell (r, c)
-        out = {}
-        for p, v in vec.items():
-            cell, t = divmod(p, dd)
-            out.setdefault(divmod(cell, width), {})[t] = v
-        return out
-
-    def from_dmat(M, width: int) -> dict:
-        return {
-            (r * width + c) * dd + t: v for (r, c), cell in M.items() for t, v in cell.items()
-        }
-
-    def q_plus(x: dict, y: dict) -> dict:
-        # x (y x), shapes (I x J)(J x I)(I x J)
-        X = to_dmat(x, j_size)
-        YX = _dmatrix_mul(D, to_dmat(y, i_size), X, j_size)
-        return from_dmat(_dmatrix_mul(D, X, YX, j_size), j_size)
-
-    def q_minus(y: dict, x: dict) -> dict:
-        # (y x) y
-        Y = to_dmat(y, i_size)
-        YX = _dmatrix_mul(D, Y, to_dmat(x, j_size), j_size)
-        return from_dmat(_dmatrix_mul(D, YX, Y, i_size), i_size)
-
+    e = [{t: ring.coerce(1)} for t in range(dd)]
+    right = {}  # the nonzero a(bd), for V+
+    left = {}  # the nonzero (ab)d, for V-
+    for (a, b), ab in D.mult.items():
+        for d in range(dd):
+            vec = D.mul(e[d], ab)
+            if vec:
+                right[(d, a, b)] = {u: ring.coerce(v) for u, v in vec.items()}
+            vec = D.mul(ab, e[d])
+            if vec:
+                left[(a, b, d)] = {u: ring.coerce(v) for u, v in vec.items()}
     dims = {1: i_size * j_size * dd, -1: j_size * i_size * dd}
+    Qdiag = {}
+    Qlin = {}
+    for sign, rows, cols, nest in ((1, i_size, j_size, right), (-1, j_size, i_size, left)):
+        Qdiag[sign], Qlin[sign] = _rect_tensors(ring, rows, cols, dd, nest)
     labels = {
         1: [
             f"E[{i + 1},{i_size + j + 1}]{D.labels[t]}"
@@ -300,7 +283,7 @@ def rectangular_pair(i_size: int, j_size: int, D: StructureAlgebra) -> JordanPai
             for t in range(dd)
         ],
     }
-    V = _pair_from_q(ring, dims, labels, {1: q_plus, -1: q_minus})
+    V = JordanPair(ring, dims, labels, Qdiag, Qlin)
     ktot = i_size + j_size
 
     def root(i, j):
@@ -318,40 +301,43 @@ def rectangular_pair(i_size: int, j_size: int, D: StructureAlgebra) -> JordanPai
     return V
 
 
-def _pair_from_q(ring, dims, labels, q_funcs) -> JordanPair:
-    """Build the stored tensors from black-box quadratic maps q(x)(y).
+def _rect_tensors(ring, rows, cols, dd, nest):
+    """Qdiag and Qlin of the side of M(I, J, D) with rows x cols cells.
 
-    Entries are stored through ring.coerce, so an integral rational is an
-    int however q computed it."""
-    one = ring.coerce(1)
-    Qdiag = {}
-    Qlin = {}
-    for sign in (1, -1):
-        q = q_funcs[sign]
-        n, m = dims[sign], dims[-sign]
-        diag = []
-        for i in range(n):
-            cols = {}
-            for j in range(m):
-                vec = q({i: one}, {j: one})
-                if vec:
-                    cols[j] = {r: ring.coerce(v) for r, v in vec.items()}
-            diag.append(cols)
-        lin = {}
-        for i in range(n):
-            for k in range(i + 1, n):
-                cols = {}
-                for j in range(m):
-                    v = q({i: one, k: one}, {j: one})
-                    _vec_axpy(ring, v, diag[i].get(j, {}), -1)
-                    _vec_axpy(ring, v, diag[k].get(j, {}), -1)
-                    if v:
-                        cols[j] = {r: ring.coerce(c) for r, c in v.items()}
-                if cols:
-                    lin[(i, k)] = cols
-        Qdiag[sign] = diag
-        Qlin[sign] = lin
-    return JordanPair(ring, dims, labels, Qdiag, Qlin)
+    Coordinate t of cell (r, c) is index (r * cols + c) * dd + t there, and
+    of cell (c, r) on the other side (c * rows + r) * dd + t.  nest[(x, y,
+    z)] is the product of basis vectors x, y, z of D nested as on this side,
+    x(yz) or (xy)z, with coerced entries; keys whose product is 0 are absent."""
+
+    def term(x, y, z, r, c):
+        base = (r * cols + c) * dd
+        return {base + u: v for u, v in nest.get((x, y, z), {}).items()}
+
+    basis = [divmod(cell, cols) + (t,) for cell in range(rows * cols) for t in range(dd)]
+    diag = []
+    for r1, c1, a in basis:
+        j0 = (c1 * rows + r1) * dd
+        diag.append({j0 + b: term(a, b, a, r1, c1) for b in range(dd) if (a, b, a) in nest})
+    lin = {}
+    for i, (r1, c1, a) in enumerate(basis):
+        for k in range(i + 1, len(basis)):
+            r2, c2, d = basis[k]
+            op = {}
+            first = (c1 * rows + r2) * dd  # y cell of x(yz), out cell (r1, c2)
+            second = (c2 * rows + r1) * dd  # y cell of z(yx), out cell (r2, c1)
+            if first == second:  # x and z share a cell
+                for b in range(dd):
+                    vec = _vec_axpy(ring, term(a, b, d, r1, c1), term(d, b, a, r1, c1))
+                    if vec:
+                        op[first + b] = {u: ring.coerce(v) for u, v in vec.items()}
+            else:
+                for j0, x, z, r, c in sorted([(first, a, d, r1, c2), (second, d, a, r2, c1)]):
+                    for b in range(dd):
+                        if (x, b, z) in nest:
+                            op[j0 + b] = term(x, b, z, r, c)
+            if op:
+                lin[(i, k)] = op
+    return diag, lin
 
 
 def rectangular_grid(i_size: int, j_size: int, D: StructureAlgebra):

@@ -419,3 +419,39 @@ class TestLawFlags:
     def test_named_algebras(self):
         for A in (matrix_algebra(3, ZZ), split_octonions(GF(3)), tensor_matrix_algebra(2, _oct(QQ))):
             assert A.flags == _full_scan_flags(A)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: matrix_algebra(1, ZZ), lambda: matrix_algebra(2, ZZ), lambda: matrix_algebra(2, GF(5))],
+        ids=["Z", "M2Z", "M2F5"],
+    )
+    def test_matrices_over_associative(self, make, K, monkeypatch):
+        # M_K(D) takes associativity from D without the associator scan
+        M = _unscanned(monkeypatch, K, make())
+        assert M.flags["associative"]
+        assert M.flags == _full_scan_flags(M)
+
+    @settings(max_examples=30, deadline=None)
+    @given(D=incidence_algebras(), K=st.integers(1, 3))
+    def test_matrices_over_incidence_algebras(self, D, K):
+        with pytest.MonkeyPatch.context() as mp:
+            M = _unscanned(mp, K, D)
+        assert M.flags == _full_scan_flags(M)
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_matrices_over_octonions_scanned(self, K):
+        M = tensor_matrix_algebra(K, _oct(QQ))
+        assert M.flags == _full_scan_flags(M)
+        assert not M.flags["associative"]
+        assert M.flags["alternative"] == (K == 1)  # M_2(O) is not alternative
+
+
+def _unscanned(monkeypatch, K, D):
+    """tensor_matrix_algebra(K, D) with the associator scan forbidden."""
+
+    def forbidden(self):
+        raise AssertionError("associator scan on M_K(D) with D associative")
+
+    monkeypatch.setattr(StructureAlgebra, "_associator_triples", forbidden)
+    return tensor_matrix_algebra(K, D)

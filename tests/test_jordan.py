@@ -15,7 +15,6 @@ from rograd.algebras import matrix_algebra, split_octonions
 from rograd.jordan import (
     JordanAlgebra,
     JordanPair,
-    _pair_from_q,
     albert_algebra,
     hermitian_algebra,
     hermitian_grid,
@@ -27,9 +26,10 @@ from rograd.jordan import (
     verify_pair_identities,
 )
 from rograd.lie import OperatorLieAlgebra, _delta_block_op, _instr, ider, tkk
-from rograd.linalg import _op_apply, _op_axpy, _op_bracket, _op_compose
+from rograd.linalg import _op_apply, _op_axpy, _op_bracket, _op_compose, _vec_axpy
 from rograd.rings import GF, QQ, ZZ
 from rograd.roots import build, three_grading
+from test_algebras import incidence_algebras
 
 
 @pytest.fixture(scope="module")
@@ -1181,6 +1181,94 @@ class TestBasisBrackets:
             OperatorLieAlgebra(QQ, 2, [{1: {0: 1}}, {0: {1: 1}}], closure_check=True)
 
 
+def _pair_from_q(ring, dims, labels, q_funcs) -> JordanPair:
+    """The stored tensors from black-box quadratic maps q(x)(y): Q_{e_i} is
+    q(e_i) and Q_{e_i,e_k} is q(e_i + e_k) - q(e_i) - q(e_k), entries
+    through ring.coerce."""
+    one = ring.coerce(1)
+    Qdiag = {}
+    Qlin = {}
+    for sign in (1, -1):
+        q = q_funcs[sign]
+        n, m = dims[sign], dims[-sign]
+        diag = []
+        for i in range(n):
+            cols = {}
+            for j in range(m):
+                vec = q({i: one}, {j: one})
+                if vec:
+                    cols[j] = {r: ring.coerce(v) for r, v in vec.items()}
+            diag.append(cols)
+        lin = {}
+        for i in range(n):
+            for k in range(i + 1, n):
+                cols = {}
+                for j in range(m):
+                    v = q({i: one, k: one}, {j: one})
+                    _vec_axpy(ring, v, diag[i].get(j, {}), -1)
+                    _vec_axpy(ring, v, diag[k].get(j, {}), -1)
+                    if v:
+                        cols[j] = {r: ring.coerce(c) for r, c in v.items()}
+                if cols:
+                    lin[(i, k)] = cols
+        Qdiag[sign] = diag
+        Qlin[sign] = lin
+    return JordanPair(ring, dims, labels, Qdiag, Qlin)
+
+
+def _closure_pair(i_size, j_size, D):
+    """M(I, J, D) from the quadratic maps x(yx) on V+ and (yx)y on V-,
+    evaluated as products of matrices over D: the construction
+    rectangular_pair reads off D's multiplication table instead."""
+    dd = D.dim
+
+    def to_dmat(vec, width):
+        # index (r * width + c) * dd + t is coordinate t of cell (r, c)
+        out = {}
+        for p, v in vec.items():
+            cell, t = divmod(p, dd)
+            out.setdefault(divmod(cell, width), {})[t] = v
+        return out
+
+    def from_dmat(M, width):
+        return {(r * width + c) * dd + t: v for (r, c), cell in M.items() for t, v in cell.items()}
+
+    def dmul(A, B, cols):
+        out = {}
+        for (r, k), x in A.items():
+            for c in range(cols):
+                y = B.get((k, c))
+                if y:
+                    prod = D.mul(x, y)
+                    if prod:
+                        cur = out.get((r, c))
+                        out[(r, c)] = D.add(cur, prod) if cur else prod
+        return {k: v for k, v in out.items() if v}
+
+    def q_plus(x, y):
+        X = to_dmat(x, j_size)
+        return from_dmat(dmul(X, dmul(to_dmat(y, i_size), X, j_size), j_size), j_size)
+
+    def q_minus(y, x):
+        Y = to_dmat(y, i_size)
+        return from_dmat(dmul(dmul(Y, to_dmat(x, j_size), j_size), Y, i_size), i_size)
+
+    dims = {1: i_size * j_size * dd, -1: j_size * i_size * dd}
+    return _pair_from_q(D.ring, dims, None, {1: q_plus, -1: q_minus})
+
+
+def _layout(V):
+    """The stored tensors as nested item lists with each entry's type: equal
+    layouts are equal tensors with the same key order at every level."""
+    def items(op):
+        return [(j, [(r, v, type(v)) for r, v in col.items()]) for j, col in op.items()]
+
+    return [
+        ([items(op) for op in V.Qdiag[s]], [(key, items(op)) for key, op in V.Qlin[s].items()])
+        for s in (1, -1)
+    ]
+
+
 def _u_polarization_pair(J):
     """The (J, J) tensors as Q_x y = U_x y and its polarization, through
     U_apply: the construction JordanAlgebra.pair() reads off circ instead."""
@@ -1259,3 +1347,38 @@ class TestPairTensorsFromCirc:
         op = next(iter(V.Qlin[-1].values()))
         op.clear()
         assert V.Qlin[1] != V.Qlin[-1]
+
+
+def _rect_cases():
+    rings = [("Q", QQ), ("Z", ZZ), ("F2", GF(2)), ("F3", GF(3)), ("F5", GF(5))]
+    shapes = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
+    cases = []
+    for name, ring in rings:
+        for i, j in shapes:
+            for k in (1, 2):
+                cases.append((f"M{k}{name}-{i}x{j}", i, j, lambda k=k, ring=ring: matrix_algebra(k, ring)))
+            if i + j <= 3:
+                cases.append((f"O{name}-{i}x{j}", i, j, lambda ring=ring: split_octonions(ring)))
+    return cases
+
+
+class TestRectangularTensors:
+    """rectangular_pair reads the tensors off D's multiplication table; the
+    quadratic maps on matrices over D, polarized, are the oracle."""
+
+    @pytest.mark.parametrize(
+        "i_size,j_size,make", [c[1:] for c in _rect_cases()], ids=[c[0] for c in _rect_cases()]
+    )
+    def test_equal_to_closure_pair(self, i_size, j_size, make):
+        D = make()
+        V, W = rectangular_pair(i_size, j_size, D), _closure_pair(i_size, j_size, D)
+        assert V.dims == W.dims
+        assert _same_tensors(V, W)
+        assert _layout(V) == _layout(W)
+
+    @settings(max_examples=30, deadline=None)
+    @given(D=incidence_algebras())
+    def test_equal_to_closure_pair_on_incidence_algebras(self, D):
+        V, W = rectangular_pair(2, 2, D), _closure_pair(2, 2, D)
+        assert _same_tensors(V, W)
+        assert _layout(V) == _layout(W)
