@@ -13,20 +13,18 @@ chains, the rows of one basis element x are, up to sign, its action theta_x
 on L ^ L modulo x ^ L.  So over a field the rank certificate reaches every
 column early and stops after a fraction of the rows.
 
-Most blocks read no rows at all, by a weight argument (Chevalley-Eilenberg
-1948; the degree-0 concentration of Allison-Benkart-Gao, Memoirs AMS 158,
-2002).  Let h in L_0 act on L by a degree character, [h, x] = chi(deg x) x
-(GradedLieAlgebra.inner_weights), and let c in (L ^ L)_d.  Cartan's formula
-on the chains gives d(h ^ c) = -chi(d) c + h ^ u(c), so chi(d) c is a
-relation once u(c) = 0: chi(d) ker u lies in R.  When Jacobi holds
-(L.jacobi_ok), R lies in ker u, since u applied to a relation row is a
-Jacobiator.  So a block where some chi(d) is a unit of the ring (over Z:
-where the gcd g(d) of the chi_j(d) is 1) has ker u = R, kernel 0 and
-uce block k^m/ker u = u(k^m) = L_d (L is perfect), and is filled in
-without streaming a row.  Over a field that leaves degree 0 and the
-degrees where every weight vanishes mod p; over Z degree 0 and the blocks
-with g(d) > 1 (on sl_n(Z) the degenerate sums), and each of those has a
-kernel killed by g(d), which is checked.
+Most of each block reads no rows at all, by a weight argument
+(Chevalley-Eilenberg 1948; the degree-0 concentration of
+Allison-Benkart-Gao, Memoirs AMS 158, 2002).  The h in L_0 with ad h
+diagonal on the basis form a torus (GradedLieAlgebra.diagonal_torus),
+[h, x_b] = lambda_b(h) x_b.  When Jacobi holds (L.jacobi_ok) its weights
+grade the bracket, so a block splits into sub-blocks of weight
+mu = lambda_i + lambda_j, and R lies in ker u (u of a relation row is a
+Jacobiator).  For c in a sub-block, Cartan's formula gives
+d(h ^ c) = -mu(h) c + h ^ u(c): mu(h) ker u lies in R.  So a sub-block
+where some mu(h) is a unit (over Z: gcd(mu) = 1) has kernel 0 and uce part
+L_{d,mu}, without streaming a row.  The other sub-blocks are computed; over
+Z their kernels must be killed by gcd(mu).
 
 Also: the homology quotients D_2, D_3, <D,D>, the tilde-wedge and HC_1,
 and the explicit A_2 / A_3 cocycle extensions with their fibers.  The uce
@@ -37,18 +35,18 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
 from math import gcd
 
 from .algebras import StructureAlgebra, standard_derivation
 from .degsums import degenerate_sums_bruteforce
-from .lie import GradedLieAlgebra, _weight_at
+from .lie import GradedLieAlgebra
 from .linalg import (
     ModuleShape,
     SparseMatrix,
     _op_axpy,
     _vec_axpy,
-    _xgcd,
     field_rank,
     op_span_dim,
     quotient_shape,
@@ -69,10 +67,8 @@ class UceBlock:
     uce_shape: ModuleShape
     kernel_shape: ModuleShape
     target_dim: int
-    # the inner weight (h, chi) whose unit value chi(degree) gave kernel 0
-    # without streaming a row, or None when the block was computed; not in
-    # any report
-    weight: tuple | None = None
+    # generators of the sub-blocks certified by a unit weight (no row read)
+    certified: int = 0
 
     @property
     def bijective(self) -> bool:
@@ -80,6 +76,44 @@ class UceBlock:
             self.kernel_shape.is_trivial
             and self.uce_shape == ModuleShape(self.target_dim, ())
         )
+
+
+class _Keys:
+    """Torus weight and degree of each basis vector as one int (balanced
+    digits in base B, the r weight digits lowest): the key of a wedge or a
+    triple is a sum of ints.  Over F_p canon() reduces the weight mod p."""
+
+    def __init__(self, degrees, weights, ring):
+        rows = [tuple(w) + tuple(d) for d, w in zip(degrees, weights)]
+        self.r, self.a, self.p = len(weights[0]), len(degrees[0]), ring.p
+        # a sum or difference of three keys has digits within 3 * big
+        self.base = 6 * max((abs(c) for row in rows for c in row), default=0) + 3
+        self.wbase = self.base**self.r
+        self.of = [self.pack(row) for row in rows]
+
+    def pack(self, digits) -> int:
+        return sum(c * self.base**k for k, c in enumerate(digits))
+
+    def unpack(self, x: int, width: int) -> list:
+        digits, half = [], self.base // 2
+        for _ in range(width):
+            digits.append((x + half) % self.base - half)
+            x = (x - digits[-1]) // self.base
+        return digits
+
+    def weight(self, x: int) -> int:
+        """The packed weight of a key; x - weight(x) is its degree part."""
+        return (x + self.wbase // 2) % self.wbase - self.wbase // 2
+
+    def degree(self, x: int) -> tuple:
+        return tuple(self.unpack((x - self.weight(x)) // self.wbase, self.a))
+
+    def canon(self, x: int) -> int:
+        """The key with the same degree and weight mod p (x outside F_p)."""
+        if self.p is None:
+            return x
+        w = self.weight(x)
+        return x - w + self.pack([c % self.p for c in self.unpack(w, self.r)])
 
 
 class UceResult:
@@ -94,38 +128,63 @@ class UceResult:
         self.L = L
         self.ring = L.ring
         self.blocks = {}
-        self._gen_blocks = {}
         self._build()
 
     # -- block assembly ------------------------------------------------
     def _build(self):
         L = self.L
         ring = self.ring
-        deg_of = L.degrees
         n = L.dim
-        gen_blocks = {}
-        for i in range(n):
+        # the torus weights grade L, and a unit weight makes ker u = R, only
+        # once Jacobi holds (u applied to a relation row is a Jacobiator)
+        weights = L.diagonal_torus()[1] if L.jacobi_ok else [()] * n
+        keys = self._keys = _Keys(L.degrees, weights, ring)
+        pairs = {}  # weight sub-block key -> its sorted generator pairs
+        for i, ki in enumerate(keys.of):
             for j in range(i + 1, n):
-                d = tuple(a + b for a, b in zip(deg_of[i], deg_of[j]))
-                gen_blocks.setdefault(d, []).append((i, j))
-        self._gen_blocks = gen_blocks
+                pairs.setdefault(ki + keys.of[j], []).append((i, j))
+        if keys.p is not None:
+            merged = {}
+            for key, gens in pairs.items():
+                merged.setdefault(keys.canon(key), []).extend(gens)
+            pairs = {key: sorted(gens) for key, gens in merged.items()}
+        self._pairs = pairs
+        # the gcd of a packed weight's digits over Z; over a field 1 when
+        # some digit is nonzero, else 0.  A sub-block with 1 is certified.
+        weight_gcd = (lambda w: gcd(*keys.unpack(w, keys.r))) if ring.kind == "Z" else bool
+        by_degree = {}  # degree part of a key -> [generators, computed sub-blocks]
+        for key, gens in pairs.items():
+            w = keys.weight(key)
+            entry = by_degree.setdefault(key - w, [0, []])
+            entry[0] += len(gens)
+            if (g := weight_gcd(w)) != 1:
+                entry[1].append((key, gens, g))
         basis_blocks = L.degree_blocks()
-        # R inside ker u needs Jacobi (u applied to a relation row is a
-        # Jacobiator); only then does a unit weight make ker u = R
-        weights = L.inner_weights() if L.jacobi_ok else []
-        for d in sorted(gen_blocks):
-            gens = gen_blocks[d]
+        for d, (m, computed) in sorted((keys.degree(k), v) for k, v in by_degree.items()):
             target = basis_blocks.get(d, [])
-            values = [_weight_at(ring, chi, d) for _, chi in weights]
-            unit = _unit_weight(ring, weights, values)
-            if unit is not None:
-                tdim = len(target)
-                blk = UceBlock(d, len(gens), ModuleShape(tdim), ModuleShape(0), tdim, unit)
-            else:
-                blk = self._process_block(d, gens, target)
-                if ring.kind == "Z":
-                    _check_killed(blk, gcd(*values))
-            self.blocks[d] = blk
+            parts = []
+            for key, gens, g in computed:
+                blk = self._process_block(d, gens, [b for b in target if keys.of[b] == key])
+                k = blk.kernel_shape  # over Z, g ker u lies in R: g kills k
+                if ring.kind == "Z" and g and (k.free_rank or any(g % f for f in k.torsion)):
+                    raise AssertionError(
+                        f"uce block {d} has kernel {k}, not killed by its weight gcd {g}"
+                    )
+                parts.append(blk)
+            # each certified sub-block has uce part L_{d, mu}, free
+            free = len(target) - sum(b.target_dim for b in parts)
+            uce_shape = sum((b.uce_shape for b in parts), ModuleShape(free))
+            kernel = sum((b.kernel_shape for b in parts), ModuleShape(0))
+            certified = m - sum(b.n_gens for b in parts)
+            self.blocks[d] = UceBlock(d, m, uce_shape, kernel, len(target), certified)
+
+    @cached_property
+    def _gen_blocks(self):
+        """The sorted generator pairs x_i ^ x_j (i < j) of each degree."""
+        blocks = {}
+        for key, gens in self._pairs.items():
+            blocks.setdefault(self._keys.degree(key), []).extend(gens)
+        return {d: sorted(gens) for d, gens in blocks.items()}
 
     def _wedge_into(self, row: dict, a: int, b: int, coef, block_pos, sign=1):
         """row += sign * coef * (x_a ^ x_b), in the block's generators."""
@@ -146,9 +205,10 @@ class UceResult:
             row[pos] = w
 
     def _relation_rows(self, degree, gens):
-        """Rows x_i^[x_j,x_k] + x_j^[x_k,x_i] + x_k^[x_i,x_j] of this degree,
-        one per triple i < j < k with a nonzero row, in order of the least
-        index i (then of (j, k)).
+        """Rows x_i^[x_j,x_k] + x_j^[x_k,x_i] + x_k^[x_i,x_j] on gens, the
+        generators of a degree block or of a weight sub-block: one per
+        triple i < j < k with a nonzero row, sub-block by sub-block, each in
+        order of the least index i (then of (j, k)).
 
         The row of (i, j, k) is the boundary of x_i ^ x_j ^ x_k.  By Cartan's
         formula theta_x = d iota_x + iota_x d on the Chevalley-Eilenberg
@@ -162,44 +222,36 @@ class UceResult:
         empty = {}
         block_pos = {g: p for p, g in enumerate(gens)}
         n = self.L.dim
-        deg_of = self.L.degrees
-        # the pair (j, k) of each triple comes from the sorted generator
-        # pairs of the complementary degree, from the first one with j > i
-        for i in range(n):
-            rest = tuple(a - b for a, b in zip(degree, deg_of[i]))
-            pairs = self._gen_blocks.get(rest)
-            if not pairs:
-                continue
-            for j, k in islice(pairs, bisect_right(pairs, (i, n)), None):
-                row = {}
-                for t, v in br.get((j, k), empty).items():
-                    self._wedge_into(row, i, t, v, block_pos)
-                # [x_k, x_i] = -[x_i, x_k] since i < k
-                for t, v in br.get((i, k), empty).items():
-                    self._wedge_into(row, j, t, v, block_pos, -1)
-                for t, v in br.get((i, j), empty).items():
-                    self._wedge_into(row, k, t, v, block_pos)
-                if row:
-                    yield row
+        keys = self._keys
+        for key in dict.fromkeys(keys.canon(keys.of[i] + keys.of[j]) for i, j in gens):
+            # the pair (j, k) of each triple comes from the sorted generator
+            # pairs of the complementary key, from the first one with j > i
+            for i in range(n):
+                pairs = self._pairs.get(keys.canon(key - keys.of[i]))
+                if not pairs:
+                    continue
+                for j, k in islice(pairs, bisect_right(pairs, (i, n)), None):
+                    row = {}
+                    for t, v in br.get((j, k), empty).items():
+                        self._wedge_into(row, i, t, v, block_pos)
+                    # [x_k, x_i] = -[x_i, x_k] since i < k
+                    for t, v in br.get((i, k), empty).items():
+                        self._wedge_into(row, j, t, v, block_pos, -1)
+                    for t, v in br.get((i, j), empty).items():
+                        self._wedge_into(row, k, t, v, block_pos)
+                    if row:
+                        yield row
 
     def _process_block(self, degree, gens, target) -> UceBlock:
-        m = len(gens)
-        tdim = len(target)
         tpos = {b: p for p, b in enumerate(target)}
-        # covering map u on this block
-        u_cols = {}
-        for p, (i, j) in enumerate(gens):
-            vec = self.L.bracket.get((i, j), {})
-            col = {}
-            for t, v in vec.items():
-                col[tpos[t]] = v
-            if col:
-                u_cols[p] = col
-        # L is perfect and brackets are homogeneous, so rank(u) = tdim
+        # covering map u on this block; L is perfect and brackets are
+        # homogeneous, so rank(u) = len(target)
+        br = self.L.bracket
+        u_cols = {p: {tpos[t]: v for t, v in br[g].items()} for p, g in enumerate(gens) if g in br}
         uce_shape, kernel = quotient_shape(
-            self.ring, lambda: self._relation_rows(degree, gens), m, u_cols, tdim
+            self.ring, lambda: self._relation_rows(degree, gens), len(gens), u_cols, len(target)
         )
-        return UceBlock(degree, m, uce_shape, kernel, tdim)
+        return UceBlock(degree, len(gens), uce_shape, kernel, len(target))
 
     # -- derived data ---------------------------------------------------
     def total_kernel(self) -> ModuleShape:
@@ -224,73 +276,29 @@ class UceResult:
         span every generator block."""
         L = self.L
         ring = self.ring
-        total_gens = sum(len(g) for g in self._gen_blocks.values())
-        if total_gens > max_gens:
+        if sum(len(g) for g in self._gen_blocks.values()) > max_gens:
             raise ValueError("direct perfectness test limited to small algebras")
+        brackets = {  # degree -> the nonzero [e_a, e_b] of that degree
+            d: [x for x in (L.bracket_basis(a, b) for a, b in gens) if x]
+            for d, gens in self._gen_blocks.items()
+        }
         for d, gens in self._gen_blocks.items():
             block_pos = {g: p for p, g in enumerate(gens)}
             ech = span(ring, len(gens))
             for row in self._relation_rows(d, gens):
                 ech.add(row)
             # brackets of uce generators: <[e_a,e_b], [e_c,e_d]>
-            pairs = [(a, b) for a in range(L.dim) for b in range(a + 1, L.dim)]
-            for (a, b) in pairs:
-                x = L.bracket_basis(a, b)
-                if not x:
-                    continue
-                for (c, e) in pairs:
-                    dsum = tuple(
-                        p + q + r + s
-                        for p, q, r, s in zip(
-                            L.degrees[a], L.degrees[b], L.degrees[c], L.degrees[e]
-                        )
-                    )
-                    if dsum != d:
-                        continue
-                    y = L.bracket_basis(c, e)
-                    if not y:
-                        continue
+            for d1, xs in brackets.items():
+                for x, y in product(xs, brackets.get(tuple(p - q for p, q in zip(d, d1)), ())):
                     row = {}
-                    for i, vi in x.items():
-                        for j, vj in y.items():
-                            if i != j:
-                                self._wedge_into(
-                                    row, i, j, ring.mul(vi, vj), block_pos
-                                )
+                    for (i, vi), (j, vj) in product(x.items(), y.items()):
+                        if i != j:
+                            self._wedge_into(row, i, j, ring.mul(vi, vj), block_pos)
                     if row:
                         ech.add(row)
             if not ech.is_full(len(gens)):
                 return False
         return True
-
-
-def _unit_weight(ring, weights, values):
-    """An inner weight (h, chi) whose value chi(d) is a unit of the ring, from
-    the weights and their values at d, or None.  Over Z it is the integer
-    combination of the weights with value 1, when their gcd is 1."""
-    if ring.is_field:
-        return next((w for w, v in zip(weights, values) if not ring.is_zero(v)), None)
-    g, coefs = 0, []
-    for v in values:
-        g, s, t = _xgcd(g, v)
-        coefs = [s * c for c in coefs] + [t]
-    if g != 1:
-        return None
-    h, chi = {}, [0] * len(weights[0][1])
-    for c, (hj, chij) in zip(coefs, weights):
-        _vec_axpy(ring, h, hj, c)
-        chi = [a + c * b for a, b in zip(chi, chij)]
-    return h, tuple(chi)
-
-
-def _check_killed(blk: UceBlock, g: int):
-    """A block over Z whose weights have gcd g != 0 has g * ker u inside R,
-    so its kernel ker(u)/R is torsion with every factor dividing g."""
-    shape = blk.kernel_shape
-    if g and (shape.free_rank or any(g % f for f in shape.torsion)):
-        raise AssertionError(
-            f"uce block {blk.degree} has kernel {shape}, not killed by its weight gcd {g}"
-        )
 
 
 def uce(L: GradedLieAlgebra) -> UceResult:

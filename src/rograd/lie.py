@@ -104,15 +104,6 @@ def _generating_set(L, ad):
     return gens if W.is_full(n) else None
 
 
-def _weight_at(ring, chi, d):
-    """chi(d) = sum chi_i d_i in the ring, for an integer degree d."""
-    w = ring.coerce(0)
-    for c, x in zip(chi, d):
-        if x:
-            w = ring.add(w, ring.mul(c, ring.coerce(x)))
-    return w
-
-
 def _jacobiator(ad, i, j, k, p) -> bool:
     """Whether J(e_i, e_j, e_k) is nonzero (mod p when p > 0)."""
     out = {}
@@ -294,58 +285,45 @@ class GradedLieAlgebra:
             self._generators = _generating_set(self, _integral_ad(self))
         return self._generators
 
-    def inner_weights(self):
-        """Pairs (h, chi) with h in L_0 (a dict vector) and chi a tuple of
-        ring scalars such that [h, x] = chi(deg x) x on every basis vector,
-        for chi(d) = sum chi_i d_i; cached.
+    def diagonal_torus(self):
+        """(hs, weights), cached: a basis hs of the h in L_0 with ad h
+        diagonal on the basis (over Z of that lattice), and per basis index
+        b the tuple weights[b] of the integers (mod p over F_p) lambda_k with
+        [h_k, e_b] = lambda_k e_b, each h_k over Q scaled to make them so.
+        The h solve [h, s] in k s for the s in generators() (one
+        kernel_basis) and are checked on every basis vector; if one fails,
+        every basis vector takes the place of S."""
+        if not hasattr(self, "_torus"):
+            gens = self.generators()
+            torus = gens is not None and self._solve_torus(gens)
+            self._torus = torus or self._solve_torus(range(self.dim))
+        return self._torus
 
-        The unknowns (h, chi) solve [h, s] = chi(deg s) s for the s in
-        generators() (every basis index when that is None), through one
-        kernel_basis: over Z a basis of the solution lattice, over a field
-        of the solution space.  A solution is kept only once ad h = E_chi
-        holds on every basis vector, and only when E_chi is not zero.
-        """
-        if hasattr(self, "_inner_weights"):
-            return self._inner_weights
+    def _solve_torus(self, cols):
+        """diagonal_torus solved on cols; None if an h is not diagonal."""
         ring = self.ring
         zero = [i for i, d in enumerate(self.degrees) if not any(d)]
-        r = len(self.degrees[0]) if self.degrees else 0
-        gens = self.generators()
         eqs, entries = {}, {}
-        # column a < len(zero): coefficient of e_{zero[a]} in h; then chi
-        for s in range(self.dim) if gens is None else gens:
+        for s in cols:
             for a, z in enumerate(zero):
                 for t, v in self.bracket_basis(z, s).items():
-                    entries[(eqs.setdefault((s, t), len(eqs)), a)] = v
-            row = eqs.setdefault((s, s), len(eqs))
-            for i, c in enumerate(self.degrees[s]):
-                if c:
-                    entries[(row, len(zero) + i)] = ring.coerce(-c)
-        M = SparseMatrix(len(eqs), len(zero) + r, entries, ring)
-        weights = []
-        for vec in kernel_basis(M):
-            h = {zero[a]: vec[a] for a in range(len(zero)) if a in vec}
-            chi = tuple(vec.get(len(zero) + i, ring.coerce(0)) for i in range(r))
-            if self._is_weight(h, chi):
-                weights.append((h, chi))
-        self._inner_weights = weights
-        return weights
-
-    def _is_weight(self, h: dict, chi: tuple) -> bool:
-        """Whether ad h = E_chi on every basis vector and E_chi != 0."""
-        ring = self.ring
-        ad_h = {}
-        for (i, j), vec in self.bracket.items():
-            if i in h:
-                _vec_axpy(ring, ad_h.setdefault(j, {}), vec, h[i])
-            if j in h:
-                _vec_axpy(ring, ad_h.setdefault(i, {}), vec, ring.neg(h[j]))
-        want = {}
-        for b, d in enumerate(self.degrees):
-            w = _weight_at(ring, chi, d)
-            if not ring.is_zero(w):
-                want[b] = {b: w}
-        return bool(want) and want == {b: v for b, v in ad_h.items() if v}
+                    if t != s:
+                        entries[(eqs.setdefault((s, t), len(eqs)), a)] = v
+        kernel = kernel_basis(SparseMatrix(len(eqs), len(zero), entries, ring))
+        hs = [{zero[a]: v for a, v in vec.items()} for vec in kernel]
+        lams = []
+        for h in hs:
+            out = [{} for _ in range(self.dim)]  # out[b] = [h, e_b]
+            for z, c in h.items():
+                for b, vec in enumerate(out):
+                    _vec_axpy(ring, vec, self.bracket_basis(z, b), c)
+            if any(set(vec) - {b} for b, vec in enumerate(out)):
+                return None
+            lam = [vec.get(b, 0) for b, vec in enumerate(out)]
+            scale = lcm(1, *(getattr(v, "denominator", 1) for v in lam))
+            h.update((z, ring.coerce(c * scale)) for z, c in h.items())
+            lams.append([ring.coerce(v * scale) for v in lam])
+        return hs, list(zip(*lams)) or [()] * self.dim
 
     def verify_jacobi(self):
         """Jacobi identity on the basis triples that meet generators().

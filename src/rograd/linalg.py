@@ -384,6 +384,17 @@ class ModuleShape:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
+    def __add__(self, other: "ModuleShape") -> "ModuleShape":
+        """The direct sum, torsion merged into invariant factors by
+        Z/a + Z/b = Z/lcm(a, b) + Z/gcd(a, b), from the largest down."""
+        factors = list(self.torsion)
+        for carry in other.torsion:
+            for k in reversed(range(len(factors))):
+                factors[k], carry = lcm(factors[k], carry), gcd(factors[k], carry)
+            if carry != 1:
+                factors.insert(0, carry)
+        return ModuleShape(self.free_rank + other.free_rank, tuple(factors))
+
     def __str__(self):
         parts = []
         if self.free_rank:
@@ -948,16 +959,13 @@ def field_rank(M: SparseMatrix) -> int:
 # ranks and quotients of relation streams
 # ---------------------------------------------------------------------------
 
-_BATCH = 1024  # rows per ModularEchelon.add_batch call in rank_certified
-
-
 def rank_certified(rows_factory, ncols: int, upper_bound: int, ring: BaseRing = QQ):
     """Exact rank of rows known to have rank <= upper_bound; Z and Q rows
     have their rank over Q, F_p rows their rank over F_p.
 
-    Streams rows through a mod-p echelon in batches of _BATCH (1024) rows
-    and checks the bound after each batch, so it stops at the end of the
-    first batch that reaches the bound.  Over F_p that is one exact pass.
+    Streams rows through a mod-p echelon in batches of min(1024,
+    max(64, upper_bound)) rows and stops after the first batch that
+    reaches the bound.  Over F_p that is one exact pass.
     Over Q it proves rank = bound (a mod-p rank is a lower bound); when the
     bound is not attained it falls back to a second prime and finally to
     exact integer elimination, so the result is exact in every case.  A
@@ -971,12 +979,13 @@ def rank_certified(rows_factory, ncols: int, upper_bound: int, ring: BaseRing = 
         return rank == upper_bound
 
     modular = ring.kind == "Fp"
+    batch = min(1024, max(64, upper_bound))
     for p in (ring.p,) if modular else CERT_PRIMES[:2]:
         ech = ModularEchelon(ncols, p)
         buf = []
         for row in rows_factory():
             buf.append(row if modular else _cleared(row)[0])
-            if len(buf) >= _BATCH:
+            if len(buf) >= batch:
                 ech.add_batch(buf)
                 buf = []
                 if _hit(ech.rank):
@@ -998,21 +1007,31 @@ def quotient_shape(ring: BaseRing, rel_rows_factory, ncols: int, u_cols: dict, r
     map u given by its columns (col -> {row: value}) of rank rank_u, with R
     inside ker u.
 
-    Over Z: the relation rows go into a lattice, each checked to lie in
-    ker u, and one factors-only SNF of its basis gives Z^ncols/R
-    (integer_kernel_mod_relations).  Over a field: dimensions from the
-    certified rank of R, bounded by dim ker u = ncols - rank_u.
+    Over Z: the relation rows go into a lattice, and one factors-only SNF
+    of its basis gives Z^ncols/R (integer_kernel_mod_relations).  Over a
+    field: dimensions from the certified rank of R, bounded by
+    dim ker u = ncols - rank_u.
 
-    On the field route R inside ker u is the caller's contract and is not
-    checked: the certificate stops at the first batch that reaches the
-    bound, so it never sees every row.  The uce blocks meet it because
-    u applied to a relation row is a Jacobiator, which verify_jacobi has
-    certified to vanish; the Z route checks every row.
+    Every row read is checked to lie in ker u.  The field route stops at
+    the batch that reaches the bound; the uce blocks meet the contract on
+    the rest, as u of a relation row is a Jacobiator (verify_jacobi).
     """
     if ring.kind == "Z":
         return integer_kernel_mod_relations(u_cols, rank_u, rel_rows_factory(), ncols)
-    rank = rank_certified(rel_rows_factory, ncols, ncols - rank_u, ring)
+    rows = lambda: _in_ker_u(ring, rel_rows_factory(), u_cols)  # noqa: E731
+    rank = rank_certified(rows, ncols, ncols - rank_u, ring)
     return ModuleShape(ncols - rank, ()), ModuleShape(ncols - rank - rank_u, ())
+
+
+def _in_ker_u(ring: BaseRing, rows, u_cols: dict):
+    """The rows, each checked to have u(row) = 0."""
+    for r, row in enumerate(rows):
+        image = {}
+        for c, v in row.items():
+            _vec_axpy(ring, image, u_cols.get(c, {}), v)
+        if image:
+            raise AssertionError(f"relation outside ker u (relation row {r})")
+        yield row
 
 
 def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int):
@@ -1025,15 +1044,8 @@ def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int
     lattice; the SNF runs on the lattice basis, at most one row per column.
     """
     lat = LatticeEchelon(hermite=True)
-    for r, row in enumerate(rel_rows):
-        row = {c: int(v) for c, v in row.items()}
-        image = {}
-        for c, v in row.items():
-            for t, w in u_cols.get(c, {}).items():
-                image[t] = image.get(t, 0) + v * w
-        if any(image.values()):
-            raise AssertionError(f"relation outside ker u (relation row {r})")
-        lat.add(row)
+    for row in _in_ker_u(ZZ, rel_rows, u_cols):
+        lat.add({c: int(v) for c, v in row.items()})
     quotient = _cokernel_shape(ncols, _hermite_factors(lat, ncols))
     if quotient.free_rank < rank_u:
         raise AssertionError(

@@ -82,6 +82,8 @@ class BaseRing:
 
     # -- scalar arithmetic --------------------------------------------
     def coerce(self, x):
+        if type(x) is int:  # skips the ABC isinstance check below (bool does not)
+            return x % self.p if self.kind == "Fp" else x
         if self.kind == "Z":
             if isinstance(x, Fraction):
                 if x.denominator != 1:

@@ -316,10 +316,14 @@ class TestRelationRowOrder:
     @pytest.mark.parametrize(
         "make, rows",
         [
-            # 26,624 and 103,424 rows with the triples of L_0 first, and
-            # 16,384 and 30,720 with every degree block streamed
-            (lambda: tkk(rectangular_pair(1, 2, split_octonions(QQ))), 7_168),
-            (lambda: tkk(albert_algebra(QQ).pair()), 15_360),
+            # 26,624 and 103,424 rows with the triples of L_0 first,
+            # 16,384 and 30,720 with every degree block streamed, and 7,168
+            # and 15,360 with all of degree 0 in 1,024-row batches.  Now
+            # only the weight-0 part of degree 0 streams, in batches sized
+            # to its bound: 45 on 51 generators (batches of 64) and 77 on
+            # 84 (batches of 77, reached at row 138)
+            (lambda: tkk(rectangular_pair(1, 2, split_octonions(QQ))), 128),
+            (lambda: tkk(albert_algebra(QQ).pair()), 154),
         ],
         ids=["tkk-oct-Q", "tkk-albert-Q"],
     )
@@ -438,23 +442,31 @@ def _oct_tkk(ring):
     return tkk(rectangular_pair(1, 2, split_octonions(ring)))
 
 
-# model -> (blocks, blocks certified by a weight)
+def _rect_tkk(n, ring):
+    return tkk(rectangular_pair(1, n, matrix_algebra(1, ring)))
+
+
+# model -> (blocks, blocks whose every generator is certified by a torus
+# weight, generators in the computed weight sub-blocks)
 WEIGHT_MODELS = {
-    "sl3-Z": (lambda: sl_algebra(3, matrix_algebra(1, ZZ)), 13, 6),
-    "sl4-Z": (lambda: sl_algebra(4, matrix_algebra(1, ZZ)), 43, 36),
-    "sl5-Z": (lambda: sl_algebra(5, matrix_algebra(1, ZZ)), 111, 110),
-    "sl3-M2Z": (lambda: sl_algebra(3, matrix_algebra(2, ZZ)), 19, 6),
-    "tkk-oct-Q": (lambda: _oct_tkk(QQ), 5, 4),
+    "sl3-Z": (lambda: sl_algebra(3, matrix_algebra(1, ZZ)), 13, 6, 10),
+    "sl4-Z": (lambda: sl_algebra(4, matrix_algebra(1, ZZ)), 43, 36, 21),
+    "sl5-Z": (lambda: sl_algebra(5, matrix_algebra(1, ZZ)), 111, 110, 16),
+    "sl3-M2Z": (lambda: sl_algebra(3, matrix_algebra(2, ZZ)), 19, 18, 25),
+    "tkk-oct-Q": (lambda: _oct_tkk(QQ), 5, 4, 51),
     # the grading element acts by 3 on V+ over Z, by 1 = 3 over F_2, and
-    # by 0 = 3 over F_3
-    "tkk-oct-Z": (lambda: _oct_tkk(ZZ), 5, 0),
-    "tkk-oct-F2": (lambda: _oct_tkk(GF(2)), 5, 2),
-    "tkk-oct-F3": (lambda: _oct_tkk(GF(3)), 5, 0),
-    "tkk-oct-F5": (lambda: _oct_tkk(GF(5)), 5, 4),
-    "tkk-H3-Q": (lambda: _hermitian_tkk(3, QQ), 5, 4),
-    "tkk-H4-Q": (lambda: _hermitian_tkk(4, QQ), 5, 4),
-    "tkk-albert-Q": (lambda: tkk(albert_algebra(QQ).pair()), 5, 4),
-    "tkk-albert-F5": (lambda: tkk(albert_algebra(GF(5)).pair()), 5, 4),
+    # by 0 = 3 over F_3; the rest of the torus decides degrees +-1 and +-2
+    "tkk-oct-Z": (lambda: _oct_tkk(ZZ), 5, 4, 51),
+    "tkk-oct-F2": (lambda: _oct_tkk(GF(2)), 5, 4, 51),
+    "tkk-oct-F3": (lambda: _oct_tkk(GF(3)), 5, 4, 46),
+    "tkk-oct-F5": (lambda: _oct_tkk(GF(5)), 5, 4, 51),
+    "tkk-H3-Q": (lambda: _hermitian_tkk(3, QQ), 5, 4, 12),
+    "tkk-H4-Q": (lambda: _hermitian_tkk(4, QQ), 5, 4, 22),
+    "tkk-albert-Q": (lambda: tkk(albert_algebra(QQ).pair()), 5, 4, 84),
+    "tkk-albert-F5": (lambda: tkk(albert_algebra(GF(5)).pair()), 5, 4, 84),
+    # rograd uce --model tkk-rect --n 4 --ring Z: (Z/2)^3 at +-1, one Z/2
+    # from each of three weight sub-blocks
+    "tkk-rect4-Z": (lambda: _rect_tkk(3, ZZ), 5, 2, 21),
 }
 
 
@@ -469,45 +481,53 @@ def _block_u_cols(L, gens, target):
     return u_cols
 
 
-def _chi_at(chi, d):
-    return sum(c * x for c, x in zip(chi, d))
-
-
-def _acts_by(L, h, chi) -> bool:
-    """Whether [h, e_b] = chi(deg e_b) e_b for every basis vector e_b, by
+def _acts_by(L, h, lam) -> bool:
+    """Whether [h, e_b] = lam[b] e_b for every basis vector e_b, by
     bracket_vec."""
     ring = L.ring
-    for b, d in enumerate(L.degrees):
-        w = ring.coerce(_chi_at(chi, d))
+    for b in range(L.dim):
+        w = ring.coerce(lam[b])
         if L.bracket_vec(h, {b: ring.coerce(1)}) != ({b: w} if w else {}):
             return False
     return True
 
 
+def _pair_weight(L, i, j):
+    """The torus weight lambda_i + lambda_j of x_i ^ x_j, in the ring."""
+    ring = L.ring
+    return [ring.coerce(a + b) for a, b in zip(*(L.diagonal_torus()[1][k] for k in (i, j)))]
+
+
+def _is_unit(ring, mu) -> bool:
+    """Whether some h in the torus has h(mu) a unit: over Z, gcd(mu) = 1."""
+    return gcd(*mu) == 1 if ring.kind == "Z" else any(mu)
+
+
 class TestWeightCertificate:
-    """A block whose inner weight value chi(d) is a unit has kernel 0 and
-    reads no relation row; every other block is computed."""
+    """A weight sub-block whose torus weight mu is a unit has kernel 0 and
+    reads no relation row; every other sub-block is computed."""
 
     @pytest.mark.parametrize("name", sorted(WEIGHT_MODELS))
     def test_skipped_blocks_match_the_full_quotient(self, name):
-        make, blocks, certified = WEIGHT_MODELS[name]
+        make, blocks, certified, computed = WEIGHT_MODELS[name]
         L = make()
         ring = L.ring
         u = uce(L)
         assert len(u.blocks) == blocks
-        assert sum(b.weight is not None for b in u.blocks.values()) == certified
+        assert sum(b.certified == b.n_gens for b in u.blocks.values()) == certified
+        assert sum(b.n_gens - b.certified for b in u.blocks.values()) == computed
         zero = tuple(0 for _ in L.degrees[0])
-        assert u.blocks[zero].weight is None
+        assert u.blocks[zero].certified < u.blocks[zero].n_gens
+        hs, lam = L.diagonal_torus()
+        for k, h in enumerate(hs):
+            assert all(not any(L.degrees[i]) for i in h)
+            assert _acts_by(L, h, [w[k] for w in lam])
         targets = L.degree_blocks()
         for d, blk in u.blocks.items():
-            if blk.weight is None:
-                continue
-            h, chi = blk.weight
-            assert all(not any(L.degrees[i]) for i in h)
-            assert _acts_by(L, h, chi)
-            value = ring.coerce(_chi_at(chi, d))
-            assert value == 1 if ring.kind == "Z" else not ring.is_zero(value)
             gens, target = u._gen_blocks[d], targets.get(d, [])
+            assert blk.certified == sum(_is_unit(ring, _pair_weight(L, i, j)) for i, j in gens)
+            # every block, certified or computed in parts, against the
+            # quotient by all of its relation rows
             got = linalg.quotient_shape(
                 ring,
                 lambda: u._relation_rows(d, gens),
@@ -515,8 +535,26 @@ class TestWeightCertificate:
                 _block_u_cols(L, gens, target),
                 len(target),
             )
-            assert got == (ModuleShape(len(target)), ModuleShape(0)), d
-            assert (blk.uce_shape, blk.kernel_shape) == got
+            assert (blk.uce_shape, blk.kernel_shape) == got, d
+
+    @pytest.mark.parametrize(
+        "make, rank",
+        [
+            (lambda: _oct_tkk(QQ), 6),
+            (lambda: _oct_tkk(ZZ), 6),
+            (lambda: _oct_tkk(GF(5)), 6),
+            (lambda: _oct_tkk(GF(3)), 5),
+            (lambda: tkk(albert_algebra(QQ).pair()), 7),
+            (lambda: _hermitian_tkk(4, QQ), 4),
+            (lambda: sl_algebra(3, matrix_algebra(1, ZZ)), 2),
+            (lambda: sl_algebra(4, matrix_algebra(1, ZZ)), 3),
+            (lambda: sl_algebra(5, matrix_algebra(1, ZZ)), 4),
+            (lambda: sl_algebra(3, matrix_algebra(2, ZZ)), 5),
+        ],
+        ids=["oct-Q", "oct-Z", "oct-F5", "oct-F3", "albert-Q", "H4-Q", "sl3-Z", "sl4-Z", "sl5-Z", "sl3-M2Z"],
+    )
+    def test_torus_rank(self, make, rank):
+        assert len(make().diagonal_torus()[0]) == rank
 
     @pytest.mark.parametrize(
         "make, kernels",
@@ -531,15 +569,15 @@ class TestWeightCertificate:
         u = uce(make())
         nonzero = [b for b in u.blocks.values() if not b.kernel_shape.is_trivial]
         assert len(nonzero) == kernels
-        assert all(b.weight is None and b.kernel_shape == ModuleShape(1) for b in nonzero)
+        assert all(b.certified < b.n_gens and b.kernel_shape == ModuleShape(1) for b in nonzero)
 
     def test_unchecked_algebra_skips_nothing(self):
         L = sl_algebra(4, matrix_algebra(1, QQ))
         bare = GradedLieAlgebra(L.ring, L.labels, L.degrees, L.bracket, check=False)
         assert bare.jacobi_ok is None
         u, checked = uce(bare), uce(L)
-        assert all(b.weight is None for b in u.blocks.values())
-        assert sum(b.weight is not None for b in checked.blocks.values()) == 42
+        assert all(b.certified == 0 for b in u.blocks.values())
+        assert sum(b.certified == b.n_gens for b in checked.blocks.values()) == 42
         for d, blk in u.blocks.items():
             assert (blk.uce_shape, blk.kernel_shape) == (
                 checked.blocks[d].uce_shape,
@@ -549,10 +587,13 @@ class TestWeightCertificate:
     def test_sl3_z_torsion_sits_where_the_gcd_is_3(self, Dz):
         L = sl_algebra(3, Dz)
         u = uce(L)
-        g = {d: gcd(*(_chi_at(chi, d) for _, chi in L.inner_weights())) for d in u.blocks}
+        g = {
+            d: gcd(*(c for i, j in u._gen_blocks[d] for c in _pair_weight(L, i, j)))
+            for d in u.blocks
+        }
         assert sorted(g.values()) == [0] + [1] * 6 + [3] * 6
         for d, blk in u.blocks.items():
-            assert (blk.weight is None) == (g[d] != 1), d
+            assert (blk.certified == blk.n_gens) == (g[d] == 1), d
             assert blk.kernel_shape == (ModuleShape(0, (3,)) if g[d] == 3 else ModuleShape(0)), d
 
     def test_kernel_not_killed_by_the_weight_raises(self, monkeypatch, Dz):
@@ -568,19 +609,49 @@ class TestWeightCertificate:
         with pytest.raises(AssertionError, match="not killed by its weight gcd 3"):
             uce(sl_algebra(3, Dz))
 
-    def test_inner_weights_hold_on_every_basis_vector(self):
+    @pytest.mark.parametrize(
+        "make, computed",
+        [(lambda: tkk(albert_algebra(QQ).pair()), 84), (lambda: _oct_tkk(QQ), 51)],
+        ids=["albert-Q", "oct-Q"],
+    )
+    def test_only_the_weight_zero_part_of_degree_0_is_computed(self, make, computed):
+        L = make()
+        u = uce(L)
+        zero = u.blocks[(0,)]
+        assert zero.n_gens - zero.certified == computed
+        assert all(b.certified == b.n_gens for d, b in u.blocks.items() if d != (0,))
+        weight_zero = [g for g in u._gen_blocks[(0,)] if not any(_pair_weight(L, *g))]
+        assert len(weight_zero) == computed
+
+    def test_torus_is_diagonal_on_every_basis_vector(self):
         L = tkk(albert_algebra(QQ).pair())
-        [(h, chi)] = L.inner_weights()
-        assert chi == (1,) and _acts_by(L, h, chi)
-        # double [z, e_t] for some z in h and some t outside generators():
-        # the equations on the generators still hold, ad h = E_chi does not
+        hs, lam = L.diagonal_torus()
+        assert len(hs) == 7
+        assert all(_acts_by(L, h, [w[k] for w in lam]) for k, h in enumerate(hs))
+        # corrupt [z, e_t] for a z in the support of h and a t outside
+        # generators(): the equations on the generators still hold, so the
+        # torus rests on the check of ad h on every basis vector
         gens = set(L.generators())
-        z = min(h)
+        z = min(hs[0])
         t = next(t for t in range(L.dim) if t not in gens and L.bracket_basis(z, t))
-        bracket = {k: dict(v) for k, v in L.bracket.items()}
         key = (min(z, t), max(z, t))
-        bracket[key] = {k: 2 * v for k, v in bracket[key].items()}
-        bad = GradedLieAlgebra(QQ, L.labels, L.degrees, bracket, check=False)
-        assert bad.generators() == L.generators()
-        assert all(_acts_by(bad, h2, chi2) for h2, chi2 in bad.inner_weights())
-        assert bad.inner_weights() == []
+        other = next(
+            s for s in range(L.dim) if L.degrees[s] == L.degrees[t] and s not in L.bracket[key]
+        )
+        doubled = {k: 2 * v for k, v in L.bracket[key].items()}
+        # doubled, ad z stays diagonal; with an e_other term it does not
+        for vec, rank in ((doubled, 7), ({**doubled, other: 1}, 6)):
+            bad = GradedLieAlgebra(QQ, L.labels, L.degrees, {**L.bracket, key: vec}, check=False)
+            assert bad.generators() == L.generators()
+            bad_hs, bad_lam = bad.diagonal_torus()
+            assert all(_acts_by(bad, h, [w[k] for w in bad_lam]) for k, h in enumerate(bad_hs))
+            assert len(bad_hs) == rank
+
+
+class TestModuleShapeSum:
+    def test_torsion_merges_into_invariant_factors(self):
+        two, three = ModuleShape(0, (2,)), ModuleShape(0, (3,))
+        assert two + three == ModuleShape(0, (6,))
+        assert two + two == ModuleShape(0, (2, 2))
+        assert ModuleShape(1, (2, 4)) + ModuleShape(2, (6,)) == ModuleShape(3, (2, 2, 12))
+        assert sum([two, two, two], ModuleShape(0)) == ModuleShape(0, (2, 2, 2))

@@ -398,8 +398,15 @@ class TestQuotientShape:
         # u has rank 1 on two generators, so R fits in a line; two
         # independent relations cannot lie in ker u
         rows = [{0: 1}, {1: 1}]
-        with pytest.raises(AssertionError, match="upper bound"):
+        with pytest.raises(AssertionError, match="relation outside ker u"):
             quotient_shape(ring, lambda: iter(rows), 2, {0: {0: 1}}, 1)
+
+    @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=str)
+    def test_a_relation_outside_ker_u_raises_over_a_field(self, ring):
+        # ker u = k e_0, and the one relation e_1 has rank 1 <= dim ker u:
+        # only applying u to the row shows that it lies outside ker u
+        with pytest.raises(AssertionError, match=r"relation outside ker u \(relation row 0\)"):
+            quotient_shape(ring, lambda: iter([{1: 1}]), 2, {1: {0: 1}}, 1)
 
 
 class TestRankCertifiedOverFp:
