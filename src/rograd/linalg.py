@@ -9,13 +9,14 @@ quotients all go through quotient_shape, and the sl_K degree-0 check
 compares two spans with same_span.  Coordinates in a basis (a bracket
 written in the basis of its algebra) come from coordinates(ring, basis,
 ncols), which reduces against the span of the rows (b_k | e_k) over the
-field (Q over Z); no backend tracks combinations.  Over Z every computation works on a
-lattice basis in Hermite normal form: kernel_basis reads the pure kernel
-off one, smith_normal_form and module_invariants the invariant factors,
-and integer membership is span(ZZ, n).contains; no unimodular transforms
-are formed.  rank_certified streams rows through a mod-p echelon (a mod-p
-rank is a lower bound for the rank over Q, so reaching a known upper
-bound proves the exact value).
+field (Q over Z); no backend tracks combinations.  Over Z every
+computation works on a lattice basis in Hermite normal form: kernel_basis
+reads the pure kernel off one, smith_normal_form and module_invariants the
+invariant factors (by alternating it with the Hermite basis of its
+columns), and integer membership is span(ZZ, n).contains; no unimodular
+transforms are formed.  rank_certified streams rows through a mod-p
+echelon (a mod-p rank is a lower bound for the rank over Q, so reaching a
+known upper bound proves the exact value).
 """
 from __future__ import annotations
 
@@ -228,144 +229,37 @@ def smith_normal_form(M: SparseMatrix):
     lat = LatticeEchelon(hermite=True)
     for row in M.row_dicts():
         lat.add(row)
-    return _hermite_factors(lat, M.cols)
+    return _hermite_factors(lat)
 
 
-def _hermite_factors(lat: LatticeEchelon, n: int):
-    """The invariant factors of a lattice in Z^n from its Hermite basis.
+def _hermite_factors(lat: LatticeEchelon):
+    """The invariant factors of a lattice from its Hermite basis.
 
     Each basis row with lead 1 gives a factor 1: it is the only row with an
     entry in its lead's column, so column operations split it off.  The
-    leads of the other k rows multiply to a k x k minor D of them, so
-    D * Z^k lies in their column lattice, and the elimination runs modulo D
-    (Domich-Kannan-Trotter): every entry stays within D/2, a diagonal entry
-    e stands for the factor gcd(e, D), and a missing one for D.  Pivots are
-    chosen to minimize fill-in, with lexicographic tie-breaking so results
-    are deterministic.
+    other k rows alternate with their column lattice in Hermite normal form
+    (Kannan-Bachem) until each has a single entry.  The product d of the
+    current leads is a k x k minor, so d * Z^k lies in the column lattice;
+    it goes in first, and every entry stays below d (Domich-Kannan-Trotter).
+    The diagonal then becomes a divisor chain by the gcd/lcm steps of
+    ModuleShape.__add__.
     """
-    basis = [row for row in lat.basis_rows() if row[min(row)] != 1]
-    m, ones = len(basis), lat.rank - len(basis)
-    D = prod(row[min(row)] for row in basis)
-    A = [dict() for _ in range(m)]
-    colidx = [set() for _ in range(n)]
-
-    def set_entry(r, c, v):
-        v %= D
-        if 2 * v > D:
-            v -= D
-        if v:
-            A[r][c] = v
-            colidx[c].add(r)
-        elif c in A[r]:
-            del A[r][c]
-            colidx[c].discard(r)
-
-    for r, row in enumerate(basis):
-        for c, v in row.items():
-            set_entry(r, c, v)
-
-    def row_op(dst, src, q):
-        # row dst -= q * row src
-        for c, v in list(A[src].items()):
-            set_entry(dst, c, A[dst].get(c, 0) - q * v)
-
-    def col_op(dst, src, q):
-        # col dst -= q * col src
-        for r in list(colidx[src]):
-            set_entry(r, dst, A[r].get(dst, 0) - q * A[r][src])
-
-    def swap_rows(a, b):
-        for c in set(A[a]) | set(A[b]):
-            colidx[c].discard(a)
-            colidx[c].discard(b)
-        A[a], A[b] = A[b], A[a]
-        for c in A[a]:
-            colidx[c].add(a)
-        for c in A[b]:
-            colidx[c].add(b)
-
-    def swap_cols(a, b):
-        for r in colidx[a] | colidx[b]:
-            va, vb = A[r].get(a), A[r].get(b)
-            for c, v in ((a, vb), (b, va)):
-                if v is None:
-                    A[r].pop(c, None)
-                else:
-                    A[r][c] = v
-        colidx[a], colidx[b] = colidx[b], colidx[a]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        # pivot choice: min fill-in proxy, then |value|, then lexicographic
-        best = None
-        for c in range(t, n):
-            live = [r for r in colidx[c] if r >= t]
-            if not live:
-                continue
-            cn = len(live)
-            for r in live:
-                rn = sum(1 for cc in A[r] if cc >= t)
-                key = ((rn - 1) * (cn - 1), abs(A[r][c]), r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        if best is None:
-            break
-        _, pr, pc = best
-        swap_rows(t, pr)
-        swap_cols(t, pc)
-        while True:
-            # clear column t by euclidean row steps
-            moved = False
-            rows_here = [r for r in colidx[t] if r != t]
-            for r in rows_here:
-                a = A[r].get(t)
-                if not a:
-                    continue
-                p = A[t][t]
-                q = a // p
-                if q:
-                    row_op(r, t, q)
-                if A[r].get(t):
-                    swap_rows(r, t)
-                    moved = True
-            if moved:
-                continue
-            cols_here = [c for c in list(A[t]) if c != t]
-            for c in cols_here:
-                a = A[t].get(c)
-                if not a:
-                    continue
-                p = A[t][t]
-                q = a // p
-                if q:
-                    col_op(c, t, q)
-                if A[t].get(c):
-                    swap_cols(c, t)
-                    moved = True
-            if moved:
-                continue
-            # row & column clean; enforce divisibility on the rest
-            d = A[t][t]
-            bad = None
-            for c in range(t + 1, n):
-                for r in colidx[c]:
-                    if r > t and A[r][c] % d != 0:
-                        bad = r
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_op(t, bad, -1)  # add offending row into pivot row
-        t += 1
-
-    diagonal = [A[i][i] for i in range(limit) if A[i].get(i)]
-    factors = [1] * ones + [gcd(v, D) for v in diagonal] + [D] * (m - len(diagonal))
-    for a, b in zip(factors, factors[1:]):
-        if b % a != 0:
-            raise AssertionError("invariant factor chain broken")
-    return factors
+    rows = [row for row in lat.basis_rows() if row[min(row)] != 1]
+    k = len(rows)
+    while any(len(row) > 1 for row in rows):
+        d = prod(row[min(row)] for row in rows)
+        cols = LatticeEchelon(hermite=True)
+        for i in range(k):
+            cols.add({i: d})
+        columns = {}
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                columns.setdefault(c, {})[i] = v
+        for col in columns.values():
+            cols.add(col)
+        rows = cols.basis_rows()
+    chain = sum((ModuleShape(0, tuple(row.values())) for row in rows), ModuleShape(0)).torsion
+    return [1] * (lat.rank - len(chain)) + list(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +940,7 @@ def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int
     lat = LatticeEchelon(hermite=True)
     for row in _in_ker_u(ZZ, rel_rows, u_cols):
         lat.add({c: int(v) for c, v in row.items()})
-    quotient = _cokernel_shape(ncols, _hermite_factors(lat, ncols))
+    quotient = _cokernel_shape(ncols, _hermite_factors(lat))
     if quotient.free_rank < rank_u:
         raise AssertionError(
             f"Z^{ncols}/R has free rank {quotient.free_rank} below rank(u) = {rank_u}"

@@ -15,18 +15,13 @@ _MR_LIMIT = 318665857834031151167461
 
 
 def _is_prime(n: int) -> bool:
+    """Whether n is prime.  At or above _MR_LIMIT a witness still proves n
+    composite, but a number with none raises ValueError."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= _MR_LIMIT:
-        d = _MR_BASES[-1] + 4
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -41,6 +36,11 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"primality above 3.18e23 is not decided: {n} passes Miller-Rabin "
+            "on the first 12 prime bases"
+        )
     return True
 
 

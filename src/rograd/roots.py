@@ -10,7 +10,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from .linalg import coordinates, span
+from .rings import QQ
+
 Vector = tuple
+
+
+def _sparse(v) -> dict:
+    return {i: a for i, a in enumerate(v) if a}
 
 
 def dot(u, v):
@@ -206,59 +213,46 @@ class RootSystem:
         simple = [tuple(b) for b in base] if base is not None else self.simple_roots()
         if base is not None:
             self._validate_base(simple)
-        span = self._span_basis()
-        k = len(span)
+        basis = self._span_basis()
+        k = len(basis)
         if len(simple) != k:
             raise ValueError("base does not span the root space")
-        rows = []
-        for a in simple:
-            na = dot(a, a)
-            rows.append([Fraction(2 * dot(b, a), na) for b in span])
+        # omega_i = sum_j x_j b_j where sum_j x_j <b_j, alpha-check> = e_i:
+        # the coordinates of e_i in the columns of the pairing matrix
+        pairings = [
+            {i: Fraction(2 * dot(b, a), dot(a, a)) for i, a in enumerate(simple) if dot(b, a)}
+            for b in basis
+        ]
+        solve = coordinates(QQ, pairings, k)
         weights = []
         for i in range(k):
-            sol = _solve_fraction(rows, [Fraction(int(i == j)) for j in range(k)])
-            coords = [Fraction(0)] * self.ambient_dim
-            for c, b in zip(sol, span):
+            coords = [0] * self.ambient_dim
+            for j, c in solve({i: 1}).items():
                 for t in range(self.ambient_dim):
-                    coords[t] += c * b[t]
+                    coords[t] += c * basis[j][t]
             weights.append(Weight(tuple(coords)))
         return weights
 
     def _validate_base(self, simple):
         if len(simple) != self.rank:
             raise ValueError("base has wrong size")
-        from .linalg import span
-        from .rings import QQ
-
-        ech = span(QQ, self.ambient_dim)
-        for b in simple:
-            ech.add({i: v for i, v in enumerate(b) if v})
-        if ech.rank != self.rank:
+        solve = coordinates(QQ, [_sparse(b) for b in simple], self.ambient_dim)
+        if solve is None:
             raise ValueError("base is not linearly independent")
         for a in simple:
             if a not in self.roots:
                 raise ValueError(f"{a} is not a root")
         # every root must be a nonneg or nonpos integer combination
         for r in self._nonzero:
-            coeffs = _solve_fraction(
-                [[Fraction(b[t]) for b in simple] for t in range(self.ambient_dim)],
-                [Fraction(c) for c in r],
-            )
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
+            coeffs = solve(_sparse(r))
+            if coeffs is None or any(c.denominator != 1 for c in coeffs.values()):
                 raise ValueError("base does not generate the root lattice")
-            if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+            if len({c > 0 for c in coeffs.values()}) > 1:
                 raise ValueError("base is not a root basis")
 
     def _span_basis(self):
-        from .linalg import span
-        from .rings import QQ
-
-        basis = []
         ech = span(QQ, self.ambient_dim)
-        for r in self._nonzero:
-            if ech.add(dict((i, v) for i, v in enumerate(r) if v)):
-                basis.append(r)
-        return basis
+        return [r for r in self._nonzero if ech.add(_sparse(r))]
 
     # -- root strings and gradings --------------------------------------
     def root_string(self, alpha, beta):
@@ -304,36 +298,6 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.type_letter}{self.rank}, {len(self._nonzero)} nonzero roots)"
-
-
-def _solve_fraction(rows, rhs):
-    """Solve a small dense rational linear system; None if inconsistent."""
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    nrows, ncols = len(m), len(rows[0])
-    piv = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv):
-        sol[c] = m[i][-1]
-    return sol
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,13 @@ tests compare the lattice code against them, and check their own U*M*V
 diagonal.  The SNF is dense and shares no code with rograd.linalg: it
 alternates row-style and column-style Hermite forms until the matrix is
 diagonal (Kannan-Bachem), then makes the diagonal a divisibility chain.
-Every Hermite form is reduced above its leads, so the working entries stay
-within the minors of the input; an elimination without that reduction
-grew 67-bit inputs of 10 x 14 past 350,000 bits.
+rograd.linalg alternates Hermite forms too, but on sparse lattice bases,
+without transforms, and through its own LatticeEchelon; this oracle stays
+independent dense code that carries U and V, so every factor it returns is
+checked as the diagonal of U*M*V.  Every Hermite form is reduced above its
+leads, so the working entries stay within the minors of the input; an
+elimination without that reduction grew 67-bit inputs of 10 x 14 past
+350,000 bits.
 """
 from rograd.linalg import SparseMatrix
 from rograd.rings import ZZ

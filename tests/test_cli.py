@@ -92,6 +92,14 @@ class TestRootsAndModels:
         code, _, err = run_cli(capsys, "tkk", "--model", "sl", "--ring", "banana")
         assert code == 1 and "ring" in err
 
+    def test_undecided_prime_exits_1(self, capsys):
+        # 2^89 - 1 is prime but above the Miller-Rabin bound
+        code, out, err = run_cli(
+            capsys, "tkk", "--model", "sl", "--n", "3", "--ring", f"Fp:{2**89 - 1}"
+        )
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "not decided" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, out, _ = run_cli(

@@ -146,12 +146,42 @@ class TestSmithNormalForm:
         assert module_invariants(FinitelyPresentedModule(ZZ, M.cols, M)) == full
 
     def test_factors_only_reads_diagonal_modulo_d(self):
-        # the Hermite basis is the row itself with lead 5, so D = 5; the -2
-        # left after reducing modulo 5 is a unit there, and (-5, 0, -2) is
-        # primitive
+        # the Hermite basis is the row (5, 0, 2) with lead 5, so d = 5; its
+        # column lattice, which contains 5 * Z, is all of Z because
+        # (-5, 0, -2) is primitive
         assert smith_normal_form(dense([[-5, 0, -2]])) == [1]
         assert smith_normal_form(dense([[4, 6]])) == [2]
         assert smith_normal_form(dense([[2, 0], [0, 3]])) == [1, 6]
+
+    @pytest.mark.parametrize("n", (26, 60, 128))
+    def test_many_non_unit_leads(self, n):
+        # diag(f) * L * R, with L and R unitriangular, has the factors of
+        # diag(f); f in {1, 2, 3, 4, 6} leaves 20 to 80 Hermite leads above 1
+        rng = random.Random(n)
+        f = [rng.choice((1, 2, 3, 4, 6)) for _ in range(n)]
+
+        def unitriangular(lower):
+            return [
+                [int(i == j) or ((j < i) == lower and rng.random() < 0.1) * rng.choice((-1, 1))
+                 for j in range(n)]
+                for i in range(n)
+            ]
+
+        L, R = unitriangular(True), unitriangular(False)
+        M = dense([
+            [f[i] * sum(L[i][t] * R[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ])
+        lat = LatticeEchelon(hermite=True)
+        for row in M.row_dicts():
+            lat.add(row)
+        assert 20 <= sum(row[min(row)] != 1 for row in lat.basis_rows()) <= 80
+        # factor i of diag(f) takes the i-th smallest power of 2 and of 3
+        twos = sorted((v & -v).bit_length() - 1 for v in f)
+        threes = sorted(int(v % 3 == 0) for v in f)
+        chain = [2**a * 3**b for a, b in zip(twos, threes)]
+        assert smith_normal_form(M) == chain
+        assert reference_snf(M)[0] == chain
 
     @given(M=sparse_matrices())
     @settings(max_examples=60, deadline=None)

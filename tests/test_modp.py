@@ -1,6 +1,8 @@
 """Exactness at every prime: the sparse mod-p echelon, the Jacobi check at
 large p and large structure constants, Miller-Rabin primality, and the CLI
 limit checks made before a model is built."""
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +142,14 @@ class TestPrimality:
         assert not _is_prime(2**61 + 1) and not _is_prime(999983 * (2**48 - 59))
         assert not _is_prime(43 * (2**89 - 1))  # above the Miller-Rabin bound
         assert GF(2**61 - 1).p == 2**61 - 1
+
+    def test_undecided_above_the_bound(self):
+        # 2^89 - 1 is prime, so no base is a witness; trial division up to
+        # its square root would not finish
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="primality above 3.18e23 is not decided"):
+            GF(2**89 - 1)
+        assert time.perf_counter() - start < 1
 
 
 MODELS = [("sl", 3), ("sl", 4), ("tkk-rect", 2), ("tkk-rect", 3), ("tkk-oct", 3),

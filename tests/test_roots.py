@@ -113,7 +113,10 @@ class TestWeylOrbit:
 
 
 class TestFundamentalWeights:
-    @pytest.mark.parametrize("letter,rank", SMALL)
+    @pytest.mark.parametrize(
+        "letter,rank",
+        SMALL + [("A", 1), ("B", 4), ("B", 5), ("C", 5), ("D", 5), ("E", 6), ("E", 7), ("E", 8)],
+    )
     def test_duality(self, letter, rank):
         R = build(letter, rank)
         simple = R.simple_roots()
@@ -140,6 +143,22 @@ class TestFundamentalWeights:
         R = build("A", 2)
         with pytest.raises(ValueError):
             R.fundamental_weights(base=[(1, -1, 0), (-1, 1, 0)])
+
+    @pytest.mark.parametrize(
+        "letter,base,message",
+        [
+            ("A", [(1, -1, 0)], "base has wrong size"),
+            ("A", [(1, -1, 0), (-1, 1, 0)], "base is not linearly independent"),
+            ("A", [(1, -1, 0), (1, 1, 0)], r"\(1, 1, 0\) is not a root"),
+            # (1, 1) is half of (2, 0) + (0, 2)
+            ("C", [(2, 0), (0, 2)], "base does not generate the root lattice"),
+            # (1, 0, -1) is alpha_1 minus the second base root
+            ("A", [(1, -1, 0), (0, -1, 1)], "base is not a root basis"),
+        ],
+    )
+    def test_bad_base_messages(self, letter, base, message):
+        with pytest.raises(ValueError, match=message):
+            build(letter, 2).fundamental_weights(base=base)
 
 
 class TestThreeGradings:
