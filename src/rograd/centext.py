@@ -14,17 +14,13 @@ on L ^ L modulo x ^ L.  So over a field the rank certificate reaches every
 column early and stops after a fraction of the rows.
 
 Most of each block reads no rows at all, by a weight argument
-(Chevalley-Eilenberg 1948; the degree-0 concentration of
-Allison-Benkart-Gao, Memoirs AMS 158, 2002).  The h in L_0 with ad h
-diagonal on the basis form a torus (GradedLieAlgebra.diagonal_torus),
-[h, x_b] = lambda_b(h) x_b.  When Jacobi holds (L.jacobi_ok) its weights
-grade the bracket, so a block splits into sub-blocks of weight
-mu = lambda_i + lambda_j, and R lies in ker u (u of a relation row is a
-Jacobiator).  For c in a sub-block, Cartan's formula gives
-d(h ^ c) = -mu(h) c + h ^ u(c): mu(h) ker u lies in R.  So a sub-block
-where some mu(h) is a unit (over Z: gcd(mu) = 1) has kernel 0 and uce part
-L_{d,mu}, without streaming a row.  The other sub-blocks are computed; over
-Z their kernels must be killed by gcd(mu).
+(Chevalley-Eilenberg 1948; Allison-Benkart-Gao, Memoirs AMS 158, 2002).
+When Jacobi holds (L.jacobi_ok), the weights mu = lambda_i + lambda_j of
+the diagonal torus (GradedLieAlgebra.diagonal_torus) split a block into
+sub-blocks, and R lies in ker u (u of a relation row is a Jacobiator).
+For c in a sub-block, Cartan's formula gives d(h ^ c) = -mu(h) c +
+h ^ u(c): mu(h) ker u lies in R.  So lie._Keys' unit rule applies: a
+certified sub-block has kernel 0 and uce part L_{d,mu}.
 
 Also: the homology quotients D_2, D_3, <D,D>, the tilde-wedge and HC_1,
 and the explicit A_2 / A_3 cocycle extensions with their fibers.  The uce
@@ -36,12 +32,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, product
-from math import gcd
+from itertools import combinations, islice, product
 
 from .algebras import StructureAlgebra, standard_derivation
 from .degsums import degenerate_sums_bruteforce
-from .lie import GradedLieAlgebra
+from .lie import GradedLieAlgebra, _Keys
 from .linalg import (
     ModuleShape,
     SparseMatrix,
@@ -78,44 +73,6 @@ class UceBlock:
         )
 
 
-class _Keys:
-    """Torus weight and degree of each basis vector as one int (balanced
-    digits in base B, the r weight digits lowest): the key of a wedge or a
-    triple is a sum of ints.  Over F_p canon() reduces the weight mod p."""
-
-    def __init__(self, degrees, weights, ring):
-        rows = [tuple(w) + tuple(d) for d, w in zip(degrees, weights)]
-        self.r, self.a, self.p = len(weights[0]), len(degrees[0]), ring.p
-        # a sum or difference of three keys has digits within 3 * big
-        self.base = 6 * max((abs(c) for row in rows for c in row), default=0) + 3
-        self.wbase = self.base**self.r
-        self.of = [self.pack(row) for row in rows]
-
-    def pack(self, digits) -> int:
-        return sum(c * self.base**k for k, c in enumerate(digits))
-
-    def unpack(self, x: int, width: int) -> list:
-        digits, half = [], self.base // 2
-        for _ in range(width):
-            digits.append((x + half) % self.base - half)
-            x = (x - digits[-1]) // self.base
-        return digits
-
-    def weight(self, x: int) -> int:
-        """The packed weight of a key; x - weight(x) is its degree part."""
-        return (x + self.wbase // 2) % self.wbase - self.wbase // 2
-
-    def degree(self, x: int) -> tuple:
-        return tuple(self.unpack((x - self.weight(x)) // self.wbase, self.a))
-
-    def canon(self, x: int) -> int:
-        """The key with the same degree and weight mod p (x outside F_p)."""
-        if self.p is None:
-            return x
-        w = self.weight(x)
-        return x - w + self.pack([c % self.p for c in self.unpack(w, self.r)])
-
-
 class UceResult:
     """uce(L) organized by degree, with the covering map data."""
 
@@ -139,52 +96,32 @@ class UceResult:
         # once Jacobi holds (u applied to a relation row is a Jacobiator)
         weights = L.diagonal_torus()[1] if L.jacobi_ok else [()] * n
         keys = self._keys = _Keys(L.degrees, weights, ring)
-        pairs = {}  # weight sub-block key -> its sorted generator pairs
-        for i, ki in enumerate(keys.of):
-            for j in range(i + 1, n):
-                pairs.setdefault(ki + keys.of[j], []).append((i, j))
-        if keys.p is not None:
-            merged = {}
-            for key, gens in pairs.items():
-                merged.setdefault(keys.canon(key), []).extend(gens)
-            pairs = {key: sorted(gens) for key, gens in merged.items()}
-        self._pairs = pairs
-        # the gcd of a packed weight's digits over Z; over a field 1 when
-        # some digit is nonzero, else 0.  A sub-block with 1 is certified.
-        weight_gcd = (lambda w: gcd(*keys.unpack(w, keys.r))) if ring.kind == "Z" else bool
-        by_degree = {}  # degree part of a key -> [generators, computed sub-blocks]
-        for key, gens in pairs.items():
-            w = keys.weight(key)
-            entry = by_degree.setdefault(key - w, [0, []])
-            entry[0] += len(gens)
-            if (g := weight_gcd(w)) != 1:
-                entry[1].append((key, gens, g))
+        of = keys.of
+        # weight sub-block key -> its sorted generator pairs x_i ^ x_j
+        self._pairs = keys.group((of[i] + of[j], (i, j)) for i, j in combinations(range(n), 2))
         basis_blocks = L.degree_blocks()
-        for d, (m, computed) in sorted((keys.degree(k), v) for k, v in by_degree.items()):
+        for d, subs in keys.by_degree(self._pairs):
             target = basis_blocks.get(d, [])
             parts = []
-            for key, gens, g in computed:
-                blk = self._process_block(d, gens, [b for b in target if keys.of[b] == key])
-                k = blk.kernel_shape  # over Z, g ker u lies in R: g kills k
-                if ring.kind == "Z" and g and (k.free_rank or any(g % f for f in k.torsion)):
-                    raise AssertionError(
-                        f"uce block {d} has kernel {k}, not killed by its weight gcd {g}"
-                    )
+            for key, gens, g in (sub for sub in subs if sub[2] != 1):
+                blk = self._process_block(d, gens, [b for b in target if of[b] == key])
+                keys.killed(blk.kernel_shape, g, f"uce block {d}")  # g ker u lies in R
                 parts.append(blk)
             # each certified sub-block has uce part L_{d, mu}, free
             free = len(target) - sum(b.target_dim for b in parts)
             uce_shape = sum((b.uce_shape for b in parts), ModuleShape(free))
             kernel = sum((b.kernel_shape for b in parts), ModuleShape(0))
+            m = sum(len(gens) for _, gens, _ in subs)
             certified = m - sum(b.n_gens for b in parts)
             self.blocks[d] = UceBlock(d, m, uce_shape, kernel, len(target), certified)
 
     @cached_property
     def _gen_blocks(self):
         """The sorted generator pairs x_i ^ x_j (i < j) of each degree."""
-        blocks = {}
-        for key, gens in self._pairs.items():
-            blocks.setdefault(self._keys.degree(key), []).extend(gens)
-        return {d: sorted(gens) for d, gens in blocks.items()}
+        return {
+            d: sorted(g for _, gens, _ in subs for g in gens)
+            for d, subs in self._keys.by_degree(self._pairs)
+        }
 
     def _wedge_into(self, row: dict, a: int, b: int, coef, block_pos, sign=1):
         """row += sign * coef * (x_a ^ x_b), in the block's generators."""

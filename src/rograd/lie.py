@@ -18,12 +18,16 @@ Jacobi and centre checks run on a generating set S of basis elements:
 """
 from __future__ import annotations
 
-from itertools import zip_longest
-from math import lcm
+from bisect import bisect_left
+from functools import cached_property, partial
+from itertools import islice, zip_longest
+from math import gcd, lcm
+from operator import add
 
 from .algebras import StructureAlgebra, tensor_matrix_algebra
 from .jordan import JordanAlgebra, JordanPair
 from .linalg import (
+    ModuleShape,
     SparseMatrix,
     _op_axpy,
     _op_bracket,
@@ -31,6 +35,7 @@ from .linalg import (
     _op_scale,
     _vec_axpy,
     coordinates,
+    field_rank,
     kernel_basis,
     lattice_span,
     quotient_shape,
@@ -451,6 +456,77 @@ class GradedLieAlgebra:
         return "\n".join(lines)
 
 
+class _Keys:
+    """Torus weight and degree of each basis vector as one int (balanced
+    digits in base B, the r weight digits lowest): the key of a wedge or a
+    triple is a sum of ints.  Over F_p canon() reduces the weight mod p.
+
+    Where mu(h) ker u lies in the relations, the sub-blocks (group,
+    by_degree) whose weight mu has a unit entry have kernel 0 and read no
+    row; over Z gcd(mu) kills the kernel of the others (killed)."""
+
+    def __init__(self, degrees, weights, ring):
+        rows = [tuple(w) + tuple(d) for d, w in zip(degrees, weights)]
+        self.r, self.a = (len(weights[0]), len(degrees[0])) if rows else (0, 0)
+        self.p, self.z = ring.p, ring.kind == "Z"
+        # a sum or difference of three keys has digits within 3 * big
+        self.base = 6 * max((abs(c) for row in rows for c in row), default=0) + 3
+        self.wbase = self.base**self.r
+        self.of = [self.pack(row) for row in rows]
+
+    def pack(self, digits) -> int:
+        return sum(c * self.base**k for k, c in enumerate(digits))
+
+    def unpack(self, x: int, width: int) -> list:
+        digits, half = [], self.base // 2
+        for _ in range(width):
+            digits.append((x + half) % self.base - half)
+            x = (x - digits[-1]) // self.base
+        return digits
+
+    def weight(self, x: int) -> int:
+        """The packed weight of a key; x - weight(x) is its degree part."""
+        return (x + self.wbase // 2) % self.wbase - self.wbase // 2
+
+    def canon(self, x: int) -> int:
+        """The key with the same degree and weight mod p (x outside F_p)."""
+        if self.p is None:
+            return x
+        w = self.weight(x)
+        return x - w + self.pack([c % self.p for c in self.unpack(w, self.r)])
+
+    def group(self, keyed) -> dict:
+        """{canon key: its items} of the (key, item) pairs, sorted when keyed is."""
+        raw = {}
+        for key, item in keyed:
+            raw.setdefault(key, []).append(item)
+        if self.p is None:
+            return raw
+        merged = {}
+        for key, items in raw.items():
+            merged.setdefault(self.canon(key), []).extend(items)
+        return {key: sorted(items) for key, items in merged.items()}
+
+    def by_degree(self, groups) -> list:
+        """[(degree, [(key, items, g)])] of group()'s output by degree, g
+        the gcd of the key's weight over Z, and over a field 1 when some
+        entry is nonzero, else 0.  A sub-block with g = 1 is certified."""
+        parts = {}  # degree part of a key -> its sub-blocks
+        for key, items in groups.items():
+            w = self.weight(key)
+            g = gcd(*self.unpack(w, self.r)) if self.z else int(bool(w))
+            parts.setdefault(key - w, []).append((key, items, g))
+        return sorted(
+            (tuple(self.unpack(k // self.wbase, self.a)), subs) for k, subs in parts.items()
+        )
+
+    def killed(self, kernel, g: int, where: str):
+        """kernel, checked over Z to be killed by its weight gcd g."""
+        if self.z and g and (kernel.free_rank or any(g % f for f in kernel.torsion)):
+            raise AssertionError(f"{where} has kernel {kernel}, not killed by its weight gcd {g}")
+        return kernel
+
+
 def structural_predicates(L: GradedLieAlgebra) -> dict:
     return {
         "is_perfect": L.is_perfect(),
@@ -578,106 +654,99 @@ def _tkk(V: JordanPair) -> TKKAlgebra:
 
 class UIDer:
     """Universal inner derivation module: V+ (x) V- modulo the A and B
-    relation families, with ud onto instr(V) and HC(V) = ker(ud)."""
+    relation families, with ud onto instr(V) and HC(V) = ker(ud).
+
+    It is computed on torus-weight sub-blocks, as the uce is (_Keys).
+    Building TKK(V) verifies Jacobi, so the weights of its diagonal torus
+    grade the relations, which lie in ker ud (ud of a relation row is a
+    Jacobiator).  x_i (x) y_j has weight lambda(x_i) + lambda(y_j) and V's
+    root degree, if any.  An h in the torus is ud(c), as the deltas span
+    instr(V), so for z in ker ud of weight mu the A relation puts mu(h) z
+    = delta(c) z + delta(z) c in R: a unit weight carries no HC.
+    """
 
     def __init__(self, V: JordanPair):
-        self.pair = V
-        self.ring = V.ring
-        self.inner = instr(V)
-        self.n = V.dim(1)
-        self.m = V.dim(-1)
-        self.gens = self.n * self.m
-        # ud matrix: gen (i,j) -> coordinates of delta(e_i, f_j) in instr basis
-        self.ud_columns = {}
-        for (i, j), op in self.inner.deltas.items():
-            coords = self.inner.express(op) if op else {}
-            if coords is None:
-                raise AssertionError("delta operator escaped instr(V)")
-            if coords:
-                self.ud_columns[self.gen_index(i, j)] = coords
-        self.gen_degrees = None
-        if V.degrees is not None:
-            # degrees of V^- basis vectors already carry the minus sign
-            self.gen_degrees = []
-            for i in range(self.n):
-                for j in range(self.m):
-                    d = tuple(
-                        a + b for a, b in zip(V.degrees[1][i], V.degrees[-1][j])
-                    )
-                    self.gen_degrees.append(d)
+        L = _tkk(V)
+        self.pair, self.ring, self.inner = V, V.ring, L.inner
+        n, m, k = V.dim(1), V.dim(-1), L.inner.dim
+        self.n, self.m, self.gens = n, m, n * m
+        gens = [(i, j) for i in range(n) for j in range(m)]
+        lam = L.diagonal_torus()[1]
+        degrees = V.degrees or {1: [()] * n, -1: [()] * m}
+        keys = self._keys = _Keys(
+            [tuple(map(add, degrees[1][i], degrees[-1][j])) for i, j in gens],
+            [tuple(map(add, lam[i], lam[n + k + j])) for i, j in gens],
+            V.ring,
+        )
+        # ud(x_i (x) y_j) = [x+_i, x-_j], in instr coordinates
+        brackets = [L.bracket.get((i, n + k + j)) for i, j in gens]
+        self._ud = {g: {t - n: c for t, c in vec.items()} for g, vec in enumerate(brackets) if vec}
+        # sub-block key -> its sorted generators
+        self._blocks = keys.group((key, g) for g, key in enumerate(keys.of))
 
-    def gen_index(self, i, j) -> int:
-        return i * self.m + j
-
-    def delta_action_row(self, op, k, l) -> dict:
-        """delta . (e_k (x) f_l) as a sparse generator vector, for delta
-        given as a block op on V+ (+) V-."""
-        n = self.n
-        row = {self.gen_index(p, l): v for p, v in op.get(k, {}).items()}
-        tail = {self.gen_index(k, q - n): v for q, v in op.get(n + l, {}).items()}
+    def _act(self, g: int, h: int) -> dict:
+        """delta(g) . h on generators, delta(g) a block op on V+ (+) V-."""
+        n, m = self.n, self.m
+        op, (k, l) = self.inner.deltas[divmod(g, m)], divmod(h, m)
+        row = {p * m + l: v for p, v in op.get(k, {}).items()}
+        tail = {k * m + q - n: v for q, v in op.get(n + l, {}).items()}
         return _vec_axpy(self.ring, row, tail)
 
-    def relation_rows(self):
-        """Yield the B rows (basis pairs) then the A rows (basis quadruples)."""
-        ring = self.ring
-        deltas = self.inner.deltas
-        for i in range(self.n):
-            for j in range(self.m):
-                row = self.delta_action_row(deltas[(i, j)], i, j)
+    def _relation_rows(self, key, gens):
+        """The rows of weight key on the sub-block gens: delta(g) g for the
+        B family (not the doubled A row, as 2 = 0 over F_2), and delta(g) g'
+        + delta(g') g for A, g < g', over the generator pairs whose keys sum
+        to key, in order of g."""
+        keys, blocks = self._keys, self._blocks
+        pos = {g: p for p, g in enumerate(gens)}
+        for g in range(self.gens):
+            partners = blocks.get(keys.canon(key - keys.of[g]), ())
+            for h in islice(partners, bisect_left(partners, g), None):
+                row = self._act(g, h)
+                if h != g:
+                    _vec_axpy(self.ring, row, self._act(h, g))
+                if any(t not in pos for t in row):
+                    raise AssertionError("uider relation fell outside its weight sub-block")
                 if row:
-                    yield row
-        for i in range(self.n):
-            for j in range(self.m):
-                for k in range(self.n):
-                    for l in range(self.m):
-                        if (k, l) <= (i, j):
-                            continue
-                        merged = _vec_axpy(
-                            ring,
-                            self.delta_action_row(deltas[(i, j)], k, l),
-                            self.delta_action_row(deltas[(k, l)], i, j),
-                        )
-                        if merged:
-                            yield merged
+                    yield {pos[t]: v for t, v in row.items()}
+
+    def _rank_ud(self, gens) -> int:
+        ud = [self._ud[g] for g in gens if g in self._ud]
+        return field_rank(SparseMatrix.from_rows(ud, self.inner.dim, self.ring))
+
+    @cached_property
+    def _hc_blocks(self) -> dict:
+        """{key: HC part} of the sub-blocks whose weight has no unit entry,
+        each checked over Z to be killed by its weight gcd."""
+        out = {}
+        for d, subs in self._keys.by_degree(self._blocks):
+            for key, gens, g in (sub for sub in subs if sub[2] != 1):
+                u_cols = {p: self._ud[h] for p, h in enumerate(gens) if h in self._ud}
+                rows = partial(self._relation_rows, key, gens)
+                _, kernel = quotient_shape(self.ring, rows, len(gens), u_cols, self._rank_ud(gens))
+                out[key] = self._keys.killed(kernel, g, f"HC block {d}")
+        return out
 
     def hc(self):
         """Normal form of HC(V) = ker(ud), the centre of the covering."""
-        # instr(V) is spanned by the deltas, so rank(ud) = inner.dim
-        _, kernel = quotient_shape(
-            self.ring, self.relation_rows, self.gens, self.ud_columns, self.inner.dim
-        )
-        return kernel
+        return sum(self._hc_blocks.values(), ModuleShape(0))
 
     def dim_over_field(self) -> int:
         """dim of uider(V) over a field."""
-        shape = self.hc()
-        return shape.free_rank + self.inner.dim
+        return self.hc().free_rank + self.inner.dim
 
     def degree_dims(self) -> dict:
-        """Dimensions of the Q(R)-homogeneous components of uider(V)
-        (field coefficients, grid-covered pairs only)."""
-        if self.gen_degrees is None:
+        """Dimensions of the root-degree components of uider(V), for pairs
+        with a root grading: rank(ud) on the degree plus its HC.  Over Z
+        they are free ranks, as uider(V) (x) Q = uider(V (x) Q)."""
+        if self.pair.degrees is None:
             raise ValueError("pair carries no root grading")
-        if self.ring.kind == "Z":
-            raise ValueError("degree-block dimensions implemented over fields")
-        gen_block = {}
-        for g, d in enumerate(self.gen_degrees):
-            gen_block.setdefault(d, []).append(g)
-        rel_ech = {}
-        for row in self.relation_rows():
-            d = self.gen_degrees[next(iter(row))]
-            if any(self.gen_degrees[g] != d for g in row):
-                raise AssertionError("inhomogeneous uider relation")
-            if d not in rel_ech:
-                rel_ech[d] = span(self.ring, self.gens)
-            rel_ech[d].add(row)
-        out = {}
-        for d, gens in gen_block.items():
-            rank = rel_ech[d].rank if d in rel_ech else 0
-            dim = len(gens) - rank
-            if dim:
-                out[d] = dim
-        return out
+        dims = {
+            d: self._rank_ud([g for _, gens, _ in subs for g in gens])
+            + sum(self._hc_blocks[key].free_rank for key, _, g in subs if g != 1)
+            for d, subs in self._keys.by_degree(self._blocks)
+        }
+        return {d: dim for d, dim in dims.items() if dim}
 
 
 def uider(V: JordanPair):
@@ -693,16 +762,8 @@ class UTKK:
         self.uider = UIDer(V)
         self.kernel_shape = self.uider.hc()
 
-    @property
-    def plus_dim(self):
-        return self.pair.dim(1)
-
-    @property
-    def minus_dim(self):
-        return self.pair.dim(-1)
-
     def degree_part_dims(self):
-        return {1: self.plus_dim, -1: self.minus_dim}
+        return {1: self.pair.dim(1), -1: self.pair.dim(-1)}
 
 
 def utkk(V: JordanPair) -> UTKK:

