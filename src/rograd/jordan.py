@@ -182,8 +182,11 @@ def verify_pair_identities(V: JordanPair) -> dict:
 
         [D(x,y), D(u,v)] = D({x y u}, v) - D(u, {y x v}):
 
-    Jacobi on (delta(u,v), x+, y-) is this identity, on (x+, u+, y-) the
-    symmetry, and on the other triples it holds for any closed operator span.
+    Jacobi on (delta(u,v), x+, y-) is this identity, and these are the only
+    triples the build evaluates (lie._verify_tkk_jacobi).  On (x+, u+, y-)
+    Jacobi is the symmetry, which is structural: delta_table writes column b
+    of D(e_a, f_j) and column a of D(e_b, f_j) from one vector.  On the
+    other triples it holds for any closed operator span.
     Every Jordan pair satisfies the identity, over any base ring.  The
     converse, that trilinear maps with the symmetry and the identity make a
     Jordan pair with Q_x y = 1/2 {x y x}, is the passage from linear Jordan

@@ -15,6 +15,14 @@ Jacobi and centre checks run on a generating set S of basis elements:
   every triple that meets S;
 - when Jacobi holds, the centralizer of any z is a subalgebra, so z is
   central once [z, s] = 0 for every s in S.
+
+The two model constructions take part of Jacobi from how they are built
+(jacobi_certificate records the route).  TKK(V) evaluates only its
+(x+, T, y-) triples that meet S: the others vanish in any closed operator
+span or by the symmetry that delta_table builds in (_verify_tkk_jacobi).
+sl_K(D) evaluates none: its bracket is the commutator of the associative
+M_K(D), read back in exact coordinates, and a commutator bracket satisfies
+Jacobi.  A hand-built GradedLieAlgebra keeps the generic verify_jacobi.
 """
 from __future__ import annotations
 
@@ -237,6 +245,7 @@ class GradedLieAlgebra:
             if clean:
                 self.bracket[(i, j)] = clean
         self.jacobi_ok = None
+        self._jacobi_route = None  # set by a construction that certifies Jacobi itself
         if check:
             self._check_degrees()
             self.verify_jacobi()
@@ -377,6 +386,18 @@ class GradedLieAlgebra:
                     )
         self.jacobi_ok = True
 
+    @property
+    def jacobi_certificate(self):
+        """How jacobi_ok was certified, or None while it is not:
+        "operator-span" (TKK(V), _verify_tkk_jacobi), "associative-ambient"
+        (sl_K(D)), or by verify_jacobi "generators", or "all-triples" when
+        generators() is None."""
+        if not self.jacobi_ok:
+            return None
+        if self._jacobi_route:
+            return self._jacobi_route
+        return "all-triples" if self.generators() is None else "generators"
+
     # -- predicates ---------------------------------------------------------
     def derived_rows(self):
         for vec in self.bracket.values():
@@ -392,14 +413,19 @@ class GradedLieAlgebra:
         return ech.is_full(self.dim)
 
     def centre_basis(self):
-        """Basis of {z : [z, L] = 0} (exact; pure lattice over Z).
+        """Basis of {z : [z, L] = 0} (exact; pure lattice over Z), cached.
 
         Once Jacobi holds (jacobi_ok), the centralizer of z is a subalgebra,
         so [z, s] = 0 for every s in generators() makes z central: the rows
         [e_i, e_s] alone certify a trivial centre.  When they fall short of
         rank dim, every row is used, so a returned basis does not depend
-        on that shortcut.
+        on that shortcut, nor on when it was first computed.
         """
+        if not hasattr(self, "_centre"):
+            self._centre = self._solve_centre()
+        return self._centre
+
+    def _solve_centre(self):
         ring = self.ring
         n = self.dim
 
@@ -579,14 +605,16 @@ def _instr(V: JordanPair) -> OperatorLieAlgebra:
 
 
 class TKKAlgebra(GradedLieAlgebra):
-    """TKK(V) = V+ (+) instr(V) (+) V-, Z-graded with support {-1, 0, 1}."""
+    """TKK(V) = V+ (+) instr(V) (+) V-, Z-graded with support {-1, 0, 1}.
+
+    Built unchecked: _tkk checks the degrees and Jacobi."""
 
     def __init__(self, pair: JordanPair, inner: OperatorLieAlgebra, labels, degrees, bracket):
         self.pair = pair
         self.inner = inner
         self.n_plus = pair.dim(1)
         self.n_minus = pair.dim(-1)
-        super().__init__(pair.ring, labels, degrees, bracket)
+        super().__init__(pair.ring, labels, degrees, bracket, check=False)
 
 
 def tkk(V: JordanPair) -> TKKAlgebra:
@@ -600,7 +628,58 @@ def tkk(V: JordanPair) -> TKKAlgebra:
 
 
 def _tkk(V: JordanPair) -> TKKAlgebra:
-    """TKK(V) with instr(V) closed and Jacobi verified, centre unchecked.
+    """TKK(V) with instr(V) closed and Jacobi verified, centre unchecked."""
+    L = _assemble_tkk(V)
+    L._check_degrees()
+    _verify_tkk_jacobi(L)
+    return L
+
+
+def _verify_tkk_jacobi(L: TKKAlgebra):
+    """Jacobi on TKK(V) from its triples (x+, T, y-) that meet generators().
+
+    Every other triple vanishes by construction:
+    - (x, T, T') and (T, T', T''): [T, x] is T x and [T, T'] is the
+      commutator, solved exactly by coordinates (which raises outside the
+      span), so these are Jacobiators of End(V+ (+) V-);
+    - (x+, u+, y-) is D(u, y) x - D(x, y) u, as [x+, y-] is delta(x, y) in
+      exact coordinates, and (x+, y-, v-) is its analogue on V-:
+      delta_table writes column b of delta(e_a, f_j) and column a of
+      delta(e_b, f_j) from one vector, and likewise on V-;
+    - on the rest no cyclic term can be nonzero, as [V+, V+] = [V-, V-] = 0.
+    So ad s is a derivation for s in S = generators() once J(s, T, y-) = 0
+    or J(x+, T, s) = 0 for every x, T, y, and verify_jacobi's subalgebra
+    lemma carries Jacobi from S to L (every x and y when S is None).  Each
+    triple is evaluated once, from its pair (x+, y-), and only for the T
+    with a cyclic term that can be nonzero.
+    """
+    ad = _integral_ad(L)
+    gens = L._generators = _generating_set(L, ad)
+    n, k = L.n_plus, L.inner.dim
+    inner, minus = range(n, n + k), range(n + k, L.dim)
+    S = set(range(L.dim) if gens is None else gens)
+    p = L.ring.characteristic
+    # per basis index: the T it brackets nontrivially, with the support of
+    # that bracket, and the indices of the opposite side it brackets with
+    by_t = [{t: row.keys() for t, row in ad[a].items() if t in inner} for a in range(L.dim)]
+    other = [{b for b in row if b not in inner} for row in ad]
+    for x in range(n):
+        for y in minus:
+            if x not in S and y not in S:
+                continue
+            ts = {t for t, sup in by_t[x].items() if not other[y].isdisjoint(sup)}  # [[x, T], y]
+            ts.update(t for t, sup in by_t[y].items() if not other[x].isdisjoint(sup))  # [[T, y], x]
+            for u in ad[x].get(y, ()):  # [[y, x], T]
+                ts.update(by_t[u])
+            for t in sorted(ts):
+                if _jacobiator(ad, x, t, y, p):
+                    raise AssertionError(f"Jacobi identity fails on basis triple ({x}, {t}, {y})")
+    L.jacobi_ok = True
+    L._jacobi_route = "operator-span"
+
+
+def _assemble_tkk(V: JordanPair) -> TKKAlgebra:
+    """TKK(V) with instr(V) closed, degrees and Jacobi unchecked.
 
     instr(V) is built unchecked: the [T, S] brackets come from
     OperatorLieAlgebra._basis_brackets, one commutator per basis pair a < b
@@ -780,6 +859,15 @@ def sl_algebra(k_size: int, D: StructureAlgebra) -> GradedLieAlgebra:
 
     L_0 = {sum E_ii a_i : sum a_i in [D, D]} is verified against the
     generated degree-0 lattice/space.
+
+    Jacobi is certified by the associative ambient, not by Jacobiators:
+    every bracket is a commutator in M_K(D), read back in exact coordinates
+    on independent basis rows (coords_of raises outside the span), so L is
+    a Lie subalgebra of M_K(D) under [a, b] = ab - ba.  M_K(D) is
+    associative, as D is: D's flag is set only by an associator scan (D's
+    own, or for D = M_n(D') that of D'), and a commutator bracket of an
+    associative algebra satisfies Jacobi (Jacobson, *Lie Algebras*, 1962,
+    ch. I).
     """
     if not D.flags.get("associative") or D.unit is None:
         raise ValueError("sl_K(D) needs an associative unital D")
@@ -865,7 +953,10 @@ def sl_algebra(k_size: int, D: StructureAlgebra) -> GradedLieAlgebra:
         else:
             labels.append(f"h[{min(r)}]")
             coord_vecs.append(None)
-    L = GradedLieAlgebra(ring, labels, degrees, bracket)
+    L = GradedLieAlgebra(ring, labels, degrees, bracket, check=False)
+    L._check_degrees()
+    L.jacobi_ok = True
+    L._jacobi_route = "associative-ambient"
     _verify_sl_zero_part(L, D, k_size, amb_idx, rows, ring)
     from .roots import build as _build_roots
 

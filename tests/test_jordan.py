@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rograd import lie
 from rograd.algebras import matrix_algebra, split_octonions
 from rograd.jordan import (
     JordanAlgebra,
@@ -25,7 +26,15 @@ from rograd.jordan import (
     verify_grid,
     verify_pair_identities,
 )
-from rograd.lie import OperatorLieAlgebra, _delta_block_op, _instr, ider, tkk, uider
+from rograd.lie import (
+    GradedLieAlgebra,
+    OperatorLieAlgebra,
+    _delta_block_op,
+    _instr,
+    ider,
+    tkk,
+    uider,
+)
 from rograd.linalg import _op_apply, _op_axpy, _op_bracket, _op_compose, _vec_axpy
 from rograd.rings import GF, QQ, ZZ
 from rograd.roots import build, three_grading
@@ -935,6 +944,28 @@ def _corrupt(V, rng):
     return W
 
 
+def _random_small_pair(ring, rng):
+    """A pair of dimensions at most 2 with random sparse Q tensors, mostly
+    not a Jordan pair; instr(V) closes on about half of them."""
+    n, m = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+
+    def op(rows, cols):
+        out = {}
+        for j in range(cols):
+            for r in range(rows):
+                if rng.random() < 0.4:
+                    out.setdefault(j, {})[r] = ring.coerce(rng.choice((-2, -1, 1, 2)))
+        return out
+
+    dims = {1: n, -1: m}
+    Qdiag = {s: [op(dims[s], dims[-s]) for _ in range(dims[s])] for s in (1, -1)}
+    Qlin = {
+        s: {(a, b): op(dims[s], dims[-s]) for a in range(dims[s]) for b in range(a + 1, dims[s])}
+        for s in (1, -1)
+    }
+    return JordanPair(ring, dims, None, Qdiag, Qlin)
+
+
 def _passes(check, V):
     try:
         check(V)
@@ -995,6 +1026,30 @@ class TestTKKCertificate:
                 assert verdict == _passes(_oracle, W)
                 rejected += not verdict
         assert rejected
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_tkk_triples_match_the_generic_check(self, ring, seed):
+        # where instr(W) closes, the (x+, T, y-) triples that tkk evaluates
+        # reject exactly the pairs that every triple rejects.  No
+        # single-entry corruption of _small_pairs closes instr, so random
+        # tensors of dimension at most 2 supply the closed cases
+        rng = random.Random(seed)
+        pairs = [_corrupt(V, rng) for V in _small_pairs(ring) for _ in range(8)]
+        pairs += [_random_small_pair(ring, rng) for _ in range(60)]
+        verdicts = []
+        for W in pairs:
+            try:
+                L = lie._assemble_tkk(W)
+            except AssertionError:
+                continue  # instr(W) is not bracket-closed
+            generic = _passes(
+                lambda L: GradedLieAlgebra(L.ring, L.labels, L.degrees, L.bracket), L
+            )
+            verdict = _passes(lie._tkk, W)
+            assert verdict == generic
+            verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
@@ -1072,7 +1127,8 @@ class TestIntegerQTensors:
 
 def _assert_delta_table(V):
     """delta_table against one _delta_block_op call per basis pair, with
-    the keys in row-major order and each op's columns sorted."""
+    the keys in row-major order and each op's columns sorted, and with the
+    symmetry of _assert_delta_symmetric."""
     one = V.ring.coerce(1)
     table = V.delta_table()
     keys = [(i, j) for i in range(V.dim(1)) for j in range(V.dim(-1))]
@@ -1081,6 +1137,23 @@ def _assert_delta_table(V):
         want = _delta_block_op(V, {i: one}, {j: one})
         assert table[(i, j)] == want, (i, j)
         assert list(table[(i, j)]) == list(want), (i, j)
+    _assert_delta_symmetric(V)
+
+
+def _assert_delta_symmetric(V):
+    """D(e_a, f_j) e_b = D(e_b, f_j) e_a on V+, and delta(e_i, f_j) f_v =
+    delta(e_i, f_v) f_j on V-: the symmetry that lets TKK(V) skip its
+    (x+, u+, y-) and (x+, y-, v-) triples."""
+    table = V.delta_table()
+    n, m = V.dim(1), V.dim(-1)
+    for j in range(m):
+        for a in range(n):
+            for b in range(n):
+                assert table[(a, j)].get(b) == table[(b, j)].get(a), (a, b, j)
+    for i in range(n):
+        for j in range(m):
+            for v in range(m):
+                assert table[(i, j)].get(n + v) == table[(i, v)].get(n + j), (i, j, v)
 
 
 def _assembly_pairs():

@@ -2,9 +2,10 @@ import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
 
 from rograd import lie
-from rograd.algebras import matrix_algebra, split_octonions
+from rograd.algebras import StructureAlgebra, matrix_algebra, split_octonions
 from rograd.jordan import (
     hermitian_algebra,
     hermitian_grid,
@@ -26,6 +27,7 @@ from rograd.lie import (
 )
 from rograd.rings import GF, QQ, ZZ
 from rograd.roots import build, three_grading
+from test_algebras import incidence_algebras
 
 
 @pytest.fixture(scope="module")
@@ -451,9 +453,11 @@ class TestGeneratingSetJacobi:
 
     @pytest.mark.parametrize(
         "name, reduced, full",
-        [("albert", 14_637, 49_888), ("oct", 5_601, 13_018)],
+        [("albert", 7_704, 49_888), ("oct", 2_733, 13_018)],
     )
     def test_jacobiator_evaluations(self, monkeypatch, name, reduced, full):
+        # tkk evaluates only the (x+, T, y-) triples that meet generators();
+        # the generic check on the same bracket keeps its full count
         from rograd.jordan import albert_algebra
 
         if name == "albert":
@@ -473,19 +477,21 @@ class TestGeneratingSetJacobi:
         assert len(calls) == reduced
         gens = set(L.generators())
         if name == "oct":
-            # exactly the triples that meet generators() and have a cyclic
-            # term that can be nonzero, each once, by a plain triple loop
+            # exactly the (x+, T, y-) triples that meet generators() and
+            # have a cyclic term that can be nonzero, each once, by a plain
+            # loop over them
             ad = lie._integral_ad(L)
-            want = set()
-            for a in range(L.dim):
-                for b in range(a + 1, L.dim):
-                    for c in range(b + 1, L.dim):
-                        if gens.intersection((a, b, c)) and any(
-                            lie._reaches(ad, x, y, z)
-                            for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+            n, k = L.n_plus, L.inner.dim
+            want = []
+            for x in range(n):
+                for t in range(n, n + k):
+                    for y in range(n + k, L.dim):
+                        if gens.intersection((x, y)) and any(
+                            lie._reaches(ad, a, b, c)
+                            for a, b, c in ((x, t, y), (t, y, x), (y, x, t))
                         ):
-                            want.add((a, b, c))
-            assert sorted(tuple(sorted(t)) for t in calls) == sorted(want)
+                            want.append((x, t, y))
+            assert sorted(tuple(sorted(t)) for t in calls) == want
         calls.clear()
         monkeypatch.setattr(lie, "_generating_set", lambda L, ad: None)
         GradedLieAlgebra(QQ, L.labels, L.degrees, L.bracket)
@@ -533,7 +539,7 @@ class TestCentreOnGenerators:
             return real(factory, ncols, bound, ring)
 
         monkeypatch.setattr(lie, "rank_certified", recorded)
-        L = tkk(M12)
+        L = lie._tkk(M12)  # Jacobi checked, centre not yet computed (cached)
         unchecked = GradedLieAlgebra(QQ, L.labels, L.degrees, L.bracket, check=False)
         rows.clear()
         assert L.centre_basis() == []
@@ -543,3 +549,58 @@ class TestCentreOnGenerators:
             GradedLieAlgebra, "generators", lambda self: pytest.fail("generators() called")
         )
         assert unchecked.centre_basis() == []
+
+
+def _generic(L):
+    """The same bracket through the generic check (every triple that meets
+    generators())."""
+    return GradedLieAlgebra(L.ring, L.labels, L.degrees, L.bracket)
+
+
+class TestJacobiByConstruction:
+    """tkk and sl_algebra take part of Jacobi from their construction; the
+    generic check must accept their brackets too."""
+
+    @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+    @pytest.mark.parametrize("model", ["albert", "M12O", "H4"])
+    def test_generic_check_passes_on_tkk(self, model, ring):
+        from rograd.jordan import albert_algebra
+
+        if model == "albert":
+            V = albert_algebra(ring).pair()
+        elif model == "M12O":
+            V = rectangular_pair(1, 2, split_octonions(ring))
+        else:
+            V = hermitian_algebra(4, matrix_algebra(1, ring, involution="identity")).pair()
+        L = lie._tkk(V)
+        assert L.jacobi_ok and L.jacobi_certificate == "operator-span"
+        full = _generic(L)
+        assert full.jacobi_ok and full.jacobi_certificate == "generators"
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=["Z", "Q", "F2", "F5"])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_generic_check_passes_on_sl(self, size, ring):
+        L = sl_algebra(3, matrix_algebra(size, ring))
+        assert L.jacobi_ok and L.jacobi_certificate == "associative-ambient"
+        assert _generic(L).jacobi_ok
+
+    @settings(max_examples=8, deadline=None)
+    @given(D=incidence_algebras())
+    def test_generic_check_passes_on_sl_of_incidence_algebras(self, D):
+        L = sl_algebra(3, D)
+        assert L.jacobi_certificate == "associative-ambient"
+        assert _generic(L).jacobi_ok
+
+    def test_unscanned_coefficients_refused(self):
+        # a D built without its law checks carries no associative flag, so
+        # the commutator argument has nothing to stand on
+        D = matrix_algebra(2, QQ)
+        bare = StructureAlgebra(QQ, D.labels, D.mult, unit=D.unit, check=False)
+        with pytest.raises(ValueError, match="associative"):
+            sl_algebra(3, bare)
+
+    def test_certificate_without_generators(self):
+        L = _sl2_sum(QQ)
+        assert L.jacobi_certificate is None
+        L.verify_jacobi()
+        assert L.jacobi_certificate == "all-triples"
