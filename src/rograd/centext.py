@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import combinations, islice, product
 
 from .algebras import StructureAlgebra, standard_derivation
-from .degsums import degenerate_sums_bruteforce
+from .degsums import _pairs_for, degenerate_sums_bruteforce, divisor
 from .lie import GradedLieAlgebra, _Keys
 from .linalg import (
     ModuleShape,
@@ -289,13 +289,10 @@ def kernel_report(
     """
     by_degree = {}
     classification = {}
-    ds = None
-    if root_system is not None:
-        ds = degenerate_sums_bruteforce(root_system)
     for d, blk in u.blocks.items():
         if not blk.uce_shape.is_trivial:
             by_degree[d] = blk.kernel_shape
-            classification[d] = _classify(d, root_system, ds)
+            classification[d] = _classify(d, root_system)
             if root_system is not None:
                 if classification[d] == "root" and not blk.bijective:
                     raise AssertionError(
@@ -321,7 +318,7 @@ def kernel_report(
     )
 
 
-def _classify(degree, R: RootSystem | None, ds) -> str:
+def _classify(degree, R: RootSystem | None) -> str:
     if not any(degree):
         return "zero_degree"
     if R is None:
@@ -332,9 +329,11 @@ def _classify(degree, R: RootSystem | None, ds) -> str:
     scaled = tuple(c * R.coord_scale for c in degree)
     if scaled in R.roots:
         return "root"
-    std = tuple(degree)
-    for n, vecs in ds.by_divisor.items():
-        if std in vecs:
+    # _pairs_for reads the scaled vector, so a pair with a root that is not
+    # integral in standard coordinates (E, F) cannot raise here
+    if _pairs_for(scaled, R):
+        n = divisor(degree, R)
+        if n > 1:
             return f"degenerate_sum({n})"
     raise AssertionError(f"support degree {degree} is neither root nor degenerate sum")
 

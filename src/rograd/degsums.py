@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .linalg import span
 from .rings import ZZ
@@ -17,8 +18,9 @@ from .roots import RootSystem, vadd, vneg, vsub, dot
 
 
 def divisor(gamma, R: RootSystem) -> int:
-    """gcd of |<gamma, alpha-check>| over the nonzero roots alpha."""
-    g = tuple(gamma)
+    """gcd of |<gamma, alpha-check>| over the nonzero roots alpha, with gamma
+    in standard (unscaled) coordinates, as in the reports."""
+    g = tuple(c * R.coord_scale for c in gamma)
     if not any(g):
         raise ValueError("the zero vector has no divisor")
     d = 0
@@ -145,32 +147,37 @@ def _assemble(R: RootSystem, sums_by_divisor: dict) -> DegenerateSumReport:
 def degenerate_sums_bruteforce(R: RootSystem) -> DegenerateSumReport:
     """Enumerate all sums of two independent roots and keep divisor > 1.
 
-    Each pairing 2(a|b) of two roots is checked to be divisible by both
-    root lengths.  The pairing is linear, so every sum of two roots then
-    pairs integrally with every coroot.
+    One pass over the pairs i < j checks that 2(a_i|a_j) is divisible by
+    both root lengths, fills the Cartan table C[i][k] = <a_i, a_k-check>,
+    and keeps the first pair of each nonzero sum.  The pairing is linear,
+    so the divisor of a_i + a_j is gcd_k (C[i][k] + C[j][k]).
     """
     roots = R.nonzero_roots
     lengths = [dot(a, a) for a in roots]
-    sums = set()
+    cartan = [[2] * len(roots) for _ in roots]
+    first = {}
     for i, a in enumerate(roots):
+        row, li = cartan[i], lengths[i]
         for j in range(i + 1, len(roots)):
-            b = roots[j]
+            b, lj = roots[j], lengths[j]
             ab = 2 * dot(a, b)
-            if ab % lengths[i] or ab % lengths[j]:
+            if ab % li or ab % lj:
                 raise AssertionError("non-integral pairing in the root lattice")
+            row[j] = ab // lj
+            cartan[j][i] = ab // li
             s = vadd(a, b)
-            if any(s):
-                sums.add(s)
+            if s not in first and any(s):
+                first[s] = (i, j)
     by_divisor = {2: set(), 3: set()}
-    for g in sums:
+    for s, (i, j) in first.items():
         d = 0
-        for a, n in zip(roots, lengths):
-            d = gcd(d, 2 * dot(a, g) // n)
+        for n in map(add, cartan[i], cartan[j]):
+            d = gcd(d, n)
             if d == 1:
                 break
         if d > 1:
             assert d in (2, 3), f"degenerate sum with divisor {d}"
-            by_divisor[d].add(g)
+            by_divisor[d].add(s)
     return _assemble(R, by_divisor)
 
 

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from operator import add, mul, neg, sub
 
-from .linalg import coordinates, span
+from .linalg import coordinates
 from .rings import QQ
 
 Vector = tuple
@@ -21,31 +22,33 @@ def _sparse(v) -> dict:
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u):
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def vscale(c, u):
-    return tuple(c * a for a in u)
+    return tuple(map(mul, repeat(c), u))
+
+
+def _rational(a):
+    f = Fraction(a)
+    return int(f) if f.denominator == 1 else f
 
 
 def _normalize(coords):
-    out = []
-    for a in coords:
-        f = Fraction(a)
-        out.append(int(f) if f.denominator == 1 else f)
-    return tuple(out)
+    """Coordinates as ints where integral, Fractions otherwise."""
+    return tuple(a if type(a) is int else _rational(a) for a in coords)
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,10 @@ class RootSystem:
         a = _coords(alpha)
         if not any(a):
             raise ValueError("pairing against the zero root is undefined")
-        b = _coords(beta)
-        val = Fraction(2 * dot(b, a), dot(a, a))
-        return int(val) if val.denominator == 1 else val
+        num, den = 2 * dot(_coords(beta), a), dot(a, a)
+        if num % den:
+            return Fraction(num, den)
+        return num // den
 
     def reflect(self, alpha, x):
         """s_alpha(x) = x - <x, alpha-check> alpha."""
@@ -129,7 +133,10 @@ class RootSystem:
             nxt = []
             for v in frontier:
                 for a in gens:
-                    w = _normalize(vsub(v, vscale(self.pairing(v, a), a)))
+                    n = self.pairing(v, a)
+                    if not n:
+                        continue  # s_a fixes v
+                    w = _normalize(vsub(v, vscale(n, a)))
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
@@ -209,27 +216,28 @@ class RootSystem:
         return [mid_arm[-1], short_arm[0], mid_arm[0], branch] + long_arm
 
     def fundamental_weights(self, base=None):
-        """Weights with <omega_i, alpha_j-check> = delta_ij, inside span(R)."""
-        simple = [tuple(b) for b in base] if base is not None else self.simple_roots()
-        if base is not None:
+        """Weights with <omega_i, alpha_j-check> = delta_ij, inside span(R).
+
+        A base (found or validated) is a basis of span(R), so omega_i is
+        sum_j x_j alpha_j where sum_j x_j <alpha_j, alpha_i-check> = delta_ij:
+        the coordinates of e_i in the rows of the Cartan matrix."""
+        if base is None:
+            simple = self.simple_roots()
+        else:
+            simple = [tuple(b) for b in base]
             self._validate_base(simple)
-        basis = self._span_basis()
-        k = len(basis)
-        if len(simple) != k:
-            raise ValueError("base does not span the root space")
-        # omega_i = sum_j x_j b_j where sum_j x_j <b_j, alpha-check> = e_i:
-        # the coordinates of e_i in the columns of the pairing matrix
-        pairings = [
-            {i: Fraction(2 * dot(b, a), dot(a, a)) for i, a in enumerate(simple) if dot(b, a)}
-            for b in basis
+        k = len(simple)
+        cartan = [
+            {i: self.pairing(b, a) for i, a in enumerate(simple) if dot(b, a)}
+            for b in simple
         ]
-        solve = coordinates(QQ, pairings, k)
+        solve = coordinates(QQ, cartan, k)
         weights = []
         for i in range(k):
             coords = [0] * self.ambient_dim
             for j, c in solve({i: 1}).items():
-                for t in range(self.ambient_dim):
-                    coords[t] += c * basis[j][t]
+                for t, x in _sparse(simple[j]).items():
+                    coords[t] += c * x
             weights.append(Weight(tuple(coords)))
         return weights
 
@@ -249,10 +257,6 @@ class RootSystem:
                 raise ValueError("base does not generate the root lattice")
             if len({c > 0 for c in coeffs.values()}) > 1:
                 raise ValueError("base is not a root basis")
-
-    def _span_basis(self):
-        ech = span(QQ, self.ambient_dim)
-        return [r for r in self._nonzero if ech.add(_sparse(r))]
 
     # -- root strings and gradings --------------------------------------
     def root_string(self, alpha, beta):

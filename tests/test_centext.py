@@ -20,6 +20,7 @@ from rograd.centext import (
     tilde_wedge,
     uce,
 )
+from rograd.degsums import degenerate_sums_bruteforce
 from rograd.jordan import albert_algebra, hermitian_algebra, rectangular_pair
 from rograd.lie import GradedLieAlgebra, sl_algebra, tkk, uider
 from rograd.linalg import (
@@ -207,6 +208,36 @@ class TestUce:
         data = rep.to_json()
         assert data["algebra"] == "sl3(Z)"
         assert any(v["torsion"] == [3] for v in data["kernel"].values())
+
+    @pytest.mark.parametrize(
+        "n,d_dim,ring",
+        [(n, 1, r) for n in (3, 4, 5, 6) for r in (ZZ, GF(2))] + [(3, 2, ZZ)],
+        ids=lambda x: str(x),
+    )
+    def test_classification_equals_the_table_route(self, n, d_dim, ring):
+        # kernel_report classifies each degree by root membership, expressing
+        # pairs and divisor; the brute-force table must say the same
+        R = build("A", n - 1)
+        rep = kernel_report(uce(sl_algebra(n, matrix_algebra(d_dim, ring))), R)
+        table = degenerate_sums_bruteforce(R)
+
+        def by_table(d):
+            if not any(d):
+                return "zero_degree"
+            if d in R.roots:
+                return "root"
+            (k,) = [k for k, vecs in table.by_divisor.items() if d in vecs]
+            return f"degenerate_sum({k})"
+
+        assert rep.classification
+        assert rep.classification == {d: by_table(d) for d in rep.classification}
+
+    def test_classification_rejects_a_degree_outside_the_table(self):
+        u = uce(sl_algebra(3, matrix_algebra(1, ZZ)))
+        d = next(d for d in u.blocks if any(d))
+        u.blocks[(2, 0, -2)] = u.blocks[d]  # 2(e_1 - e_3): neither root nor sum
+        with pytest.raises(AssertionError, match="neither root nor degenerate sum"):
+            kernel_report(u, build("A", 2))
 
 
 class TestCocycles:

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,6 +10,8 @@ from rograd.degsums import (
     divisor,
 )
 from rograd.roots import RootSystem, build, vneg
+
+from degsums_reference import degenerate_sums_reference
 
 
 def pm(*vecs):
@@ -92,6 +95,30 @@ class TestDivisor:
         with pytest.raises(ValueError):
             divisor((1, 1, 1), R)  # orthogonal to all of A_2
 
+    def test_f4_takes_standard_coordinates(self):
+        # (-2, 0, 0, 0) is a divisor-2 sum of the F_4 table; read in the
+        # scaled coordinates it would be the root -eps_1, of divisor 1
+        assert divisor((-2, 0, 0, 0), build("F", 4)) == 2
+
+    @pytest.mark.parametrize("letter,rank", [("F", 4), ("E", 6), ("E", 7), ("E", 8)])
+    def test_scaled_systems_agree_with_the_table(self, letter, rank):
+        R = build(letter, rank)
+        report = degenerate_sums_bruteforce(R)
+        for n, vecs in report.by_divisor.items():
+            assert all(divisor(v, R) == n for v in vecs)
+        for r in R.nonzero_roots:
+            std = tuple(c // R.coord_scale for c in r)
+            if tuple(c * R.coord_scale for c in std) == r:
+                assert divisor(std, R) == 1
+            else:  # a half-integer root of E or F has no integer coordinates
+                assert divisor(tuple(Fraction(c, R.coord_scale) for c in r), R) == 1
+
+    @pytest.mark.parametrize("letter,rank", sorted(CLASSIFICATION_TABLES))
+    def test_every_table_sum_has_its_divisor(self, letter, rank):
+        R = build(letter, rank)
+        for n, vecs in CLASSIFICATION_TABLES[(letter, rank)].items():
+            assert all(divisor(v, R) == n for v in vecs)
+
 
 @pytest.mark.parametrize("letter,rank", sorted(CLASSIFICATION_TABLES))
 def test_bruteforce_matches_classification_tables(letter, rank):
@@ -107,6 +134,21 @@ def test_bruteforce_matches_classification_tables(letter, rank):
 def test_algorithm_equals_bruteforce(letter, rank):
     R = build(letter, rank)
     assert degenerate_sums_algorithm(R) == degenerate_sums_bruteforce(R)
+
+
+REFERENCE_SYSTEMS = (
+    [("A", r) for r in range(1, 9)]
+    + [(t, r) for t in "BC" for r in range(2, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("letter,rank", REFERENCE_SYSTEMS)
+def test_bruteforce_equals_the_vector_sum_reference(letter, rank):
+    # DegenerateSumReport equality compares the expressing pairs too
+    R = build(letter, rank)
+    assert degenerate_sums_bruteforce(R) == degenerate_sums_reference(R)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,13 @@ EXPECTED_COUNTS = {
     ("G", 2): 12,
 }
 
+UP_TO_RANK_8 = (
+    [("A", r) for r in range(1, 9)]
+    + [(t, r) for t in "BC" for r in range(2, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
 SMALL = [("A", 2), ("A", 3), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
 
 
@@ -53,6 +60,27 @@ def test_build_rejects_bad_input():
 
 
 class TestPairing:
+    @pytest.mark.parametrize("letter,rank", UP_TO_RANK_8)
+    def test_integral_pairings_are_ints(self, letter, rank):
+        R = build(letter, rank)
+        simple = R.simple_roots()
+        for a in R.nonzero_roots:
+            assert all(type(R.pairing(a, b)) is int for b in simple)
+        for i, w in enumerate(R.fundamental_weights()):
+            for j, a in enumerate(simple):
+                val = R.pairing(w, a)
+                assert type(val) is int and val == (i == j)
+
+    def test_non_integral_pairings_are_fractions(self):
+        R = build("A", 2)
+        assert R.pairing((1, 0, 0), (1, 1, 1)) == Fraction(2, 3)
+        third = Weight((Fraction(1, 3), 0, 0))
+        assert R.pairing(third, (1, -1, 0)) == Fraction(1, 3)
+        assert type(R.pairing(third, (1, -1, 0))) is Fraction
+        half = Weight((Fraction(1, 2), Fraction(-1, 2), 0))
+        assert type(R.pairing(half, (1, -1, 0))) is int
+        assert type(R.pairing((True, False, False), (1, -1, 0))) is int
+
     def test_a2_values(self):
         R = build("A", 2)
         assert R.pairing((1, -1, 0), (1, 0, -1)) == 1
@@ -103,13 +131,28 @@ class TestWeylOrbit:
             expected.add(vneg(v))
         assert orbit == expected
 
-    @pytest.mark.parametrize("letter,rank", [("B", 3), ("C", 3), ("D", 4)])
+    @pytest.mark.parametrize("letter,rank", UP_TO_RANK_8)
     def test_simple_vs_full_reflection_orbits(self, letter, rank):
         R = build(letter, rank)
-        x = R.nonzero_roots[0]
-        full = R._orbit(x, R.nonzero_roots)
-        simple = R._orbit(x, R.simple_roots())
-        assert full == simple
+        simple_roots = R.simple_roots()
+        vectors = [R.nonzero_roots[0], R.long_roots()[0]]
+        vectors.append(next(r for r in R.nonzero_roots if dot(r, r) == R.short_norm))
+        if rank <= 6:  # the full orbit costs |orbit| * |R| reflections
+            vectors.append(vadd(simple_roots[0], simple_roots[-1]))
+        # fundamental weights of A_n and E_6 have fractional coordinates;
+        # E_7's (here omega_1 and omega_7) are integral in the scaled model
+        weights = R.fundamental_weights()
+        if letter == "A":
+            vectors += [w.coords for w in weights[:2] + weights[-1:]]
+        elif letter == "E" and rank < 8:
+            vectors += [weights[0].coords, weights[-1].coords]
+        for x in vectors:
+            full = R._orbit(x, R.nonzero_roots)
+            simple = R._orbit(x, simple_roots)
+            assert full == simple
+            assert full == R.weyl_orbit(Weight(x))
+            integral = all(type(c) is int for c in x)
+            assert all(all(type(c) is int for c in v) == integral for v in full)
 
 
 class TestFundamentalWeights:
