@@ -120,7 +120,6 @@ class StructureAlgebra:
     def _verify(self, associative=False):
         """Check the declared structure and set flags; a caller that has
         proved associativity passes associative=True to skip the scan."""
-        ring = self.ring
         dim = self.dim
         basis = [self.basis_vec(i) for i in range(dim)]
         if self.unit is not None:
@@ -137,20 +136,28 @@ class StructureAlgebra:
                 rhs = self.mul(self.conj(basis[j]), self.conj(basis[i]))
                 if lhs != rhs:
                     raise ValueError("involution is not an anti-automorphism")
-        assoc = associative or all(
-            not self.associator(basis[i], basis[j], basis[k])
-            for i, j, k in self._associator_triples()
-        )
+        # each associator of _associator_triples once; it vanishes on every
+        # other basis triple
+        assocs = {} if associative else {
+            t: vec
+            for t in self._associator_triples()
+            if (vec := self.associator(*(basis[i] for i in t)))
+        }
         comm = all(
             self.mul(basis[i], basis[j]) == self.mul(basis[j], basis[i])
             for i, j in product(range(dim), repeat=2)
         )
-        if assoc:
-            alt = True
-        else:
-            alt = self._check_alternative(basis)
+        # alternative in every scalar extension: (x, x, y) = (y, x, x) = 0
+        # and their linearizations, that is, no nonzero associator repeats an
+        # index in its first two or last two places, and swapping either
+        # pair negates it (over F_2 only the first rule forces (x, x, y) = 0)
+        alt = all(
+            i != j != k
+            and self.smul(-1, vec) == assocs.get((j, i, k)) == assocs.get((i, k, j))
+            for (i, j, k), vec in assocs.items()
+        )
         self.flags = {
-            "associative": assoc,
+            "associative": not assocs,
             "alternative": alt,
             "commutative": comm,
             "unital": self.unit is not None,
@@ -175,32 +182,6 @@ class StructureAlgebra:
                 for i in range(dim):
                     if i not in lefts:
                         yield i, j, k
-
-    def _check_alternative(self, basis):
-        # (x,x,y) = 0 and (y,x,x) = 0 together with their linearizations,
-        # which is alternativity in every scalar extension.
-        dim = self.dim
-        for i, j in product(range(dim), repeat=2):
-            if self.associator(basis[i], basis[i], basis[j]):
-                return False
-            if self.associator(basis[j], basis[i], basis[i]):
-                return False
-        for i in range(dim):
-            for k in range(i + 1, dim):
-                for j in range(dim):
-                    lin = self.add(
-                        self.associator(basis[i], basis[k], basis[j]),
-                        self.associator(basis[k], basis[i], basis[j]),
-                    )
-                    if lin:
-                        return False
-                    lin = self.add(
-                        self.associator(basis[j], basis[i], basis[k]),
-                        self.associator(basis[j], basis[k], basis[i]),
-                    )
-                    if lin:
-                        return False
-        return True
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> dict:

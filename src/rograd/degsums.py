@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import add
 
 from .linalg import span
 from .rings import ZZ
-from .roots import RootSystem, vadd, vneg, vsub, dot
+from .roots import RootSystem, _normalize, vadd, vneg, vsub, dot
 
 
 def divisor(gamma, R: RootSystem) -> int:
@@ -97,14 +98,11 @@ class DegenerateSumReport:
 
 
 def _descale(vec, scale: int):
+    """vec / scale in standard coordinates: ints where integral, exact
+    Fractions otherwise (the half-integer roots of E and F)."""
     if scale == 1:
         return tuple(vec)
-    out = []
-    for c in vec:
-        if c % scale:
-            raise AssertionError("degenerate sum not integral in standard coords")
-        out.append(c // scale)
-    return tuple(out)
+    return _normalize(Fraction(c, scale) for c in vec)
 
 
 def _pairs_for(gamma, R: RootSystem):
@@ -141,6 +139,11 @@ def _assemble(R: RootSystem, sums_by_divisor: dict) -> DegenerateSumReport:
             report.pairs[_descale(v, s)] = frozenset(
                 frozenset(_descale(r, s) for r in p) for p in pairs
             )
+    for v, pairs in report.pairs.items():
+        vectors = [v, *chain.from_iterable(pairs)]
+        assert all(type(c) is int for r in vectors for c in r), (
+            "degenerate sum not integral in standard coords"
+        )
     return report
 
 

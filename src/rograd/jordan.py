@@ -8,6 +8,11 @@ on arbitrary elements without dividing by 2.  Stored entries go through
 ring.coerce, so integral rational entries are plain ints, not Fraction(k, 1),
 and the products built from them stay integer arithmetic.
 
+H_n(D) and the Albert algebra H_3(O) are both read off D-valued matrices:
+one construction, _matrix_jordan, computes x o y = xy + yx cell by cell with
+D's product and records the matrix cell of every basis element, from which
+pair() takes the C_n root degrees and the grids their idempotents.
+
 Operators are kept sparse as dicts column -> (dict row -> scalar), with the
 helpers of linalg.  Every pair's tensors are read off structure constants:
 rectangular_pair's off D's multiplication table by the matrix-unit rule,
@@ -376,8 +381,11 @@ class JordanAlgebra:
 
     The unit u satisfies u o x = 2x and U_u = id for the quadratic operator
     U_a(b) = (a o (a o b))/2 - ((a o a) o b)/4; the base ring must contain
-    1/2 (C-type pipeline convention).
+    1/2 (C-type pipeline convention).  A matrix Jordan algebra records the
+    matrix cell (r, c) of every basis element in cells.
     """
+
+    cells = None
 
     def __init__(self, ring: BaseRing, labels, circ, unit, check=True):
         if not ring.has_inverse_of(2):
@@ -446,9 +454,9 @@ class JordanAlgebra:
             Q_{e_i,e_k} e_j = 1/2 (e_i o (e_k o e_j) + e_k o (e_i o e_j)
                                    - (e_i o e_k) o e_j)
 
-        They are computed once; V^- gets its own copy.  For hermitian/Albert
-        algebras the C_n root degrees eps_i + eps_j of the Peirce-aligned
-        basis are attached.
+        They are computed once; V^- gets its own copy.  For matrix Jordan
+        algebras (hermitian and Albert) the C_n root degree eps_r + eps_c of
+        each basis element is read off its recorded cell (r, c).
         """
         ring = self.ring
         n = self.dim
@@ -502,31 +510,10 @@ class JordanAlgebra:
             {1: diag, -1: [copy(op) for op in diag]},
             {1: lin, -1: {key: copy(op) for key, op in lin.items()}},
         )
-        roots = self._basis_roots()
-        if roots is not None:
-            V.degrees = {
-                1: list(roots),
-                -1: [tuple(-c for c in r) for r in roots],
-            }
+        if self.cells is not None:
+            roots = _cell_roots(self.cells)
+            V.degrees = {1: roots, -1: [tuple(-c for c in r) for r in roots]}
         return V
-
-    def _basis_roots(self):
-        data = getattr(self, "hermitian_data", None)
-        if data is not None:
-            n = data["n"]
-            out = []
-            for (i, j, _vec) in data["payload"]:
-                out.append(tuple(int(t == i) + int(t == j) for t in range(n)))
-            return out
-        if getattr(self, "albert_data", None) is not None:
-            out = []
-            for i in range(3):
-                out.append(tuple(2 * int(t == i) for t in range(3)))
-            for k in range(3):
-                i, j = [x for x in range(3) if x != k]
-                out.extend([tuple(int(t == i) + int(t == j) for t in range(3))] * 8)
-            return out
-        return None
 
     def _verify(self):
         ring = self.ring
@@ -593,8 +580,80 @@ def _nuclear_involution(D: StructureAlgebra) -> bool:
     return True
 
 
+def _matrix_jordan(D: StructureAlgebra, n: int, sym, cells, labels) -> JordanAlgebra:
+    """The hermitian n x n matrices over D under x o y = xy + yx.
+
+    The basis is s E_ii for each i and each s in sym (a basis of D's
+    symmetric elements), then d E_rc + dbar E_cr for each stored cell (r, c)
+    in cells and each basis vector d of D; cells names one orientation of
+    each off-diagonal pair.  The product is the matrix product itself,
+    computed cell by cell with D.mul on the diagonal and the stored cells
+    only: a mirrored cell holds the conjugate of its stored one, since the
+    involution is an anti-automorphism (StructureAlgebra._verify).  Stored
+    cells are read back directly, diagonal ones through sym coordinates.
+    The cell of every basis element is recorded as J.cells.
+    """
+    ring = D.ring
+    vecs = [dict(s) for s in sym]  # the D-vectors that occur as entries
+    vecs += [{t: ring.coerce(1)} for t in range(D.dim)]
+    vecs += [D.conj(d) for d in vecs[len(sym):]]
+    mats = []  # each basis element as its (row, col, index in vecs) entries
+    basis_cells = []
+    for i in range(n):
+        for s_idx in range(len(sym)):
+            mats.append([(i, i, s_idx)])
+            basis_cells.append((i, i))
+    for r, c in cells:
+        for t in range(len(sym), len(sym) + D.dim):
+            mats.append([(r, c, t), (c, r, t + D.dim)])
+            basis_cells.append((r, c))
+    start = {}  # cell -> index of its first basis element
+    for k, cell in enumerate(basis_cells):
+        start.setdefault(cell, k)
+    sym_coords = _coords_in(ring, sym, D.dim)
+    products = {}
+
+    def read(cell, dvec):
+        items = sym_coords(dvec) if cell[0] == cell[1] else dvec.items()
+        return {start[cell] + k: c for k, c in items}
+
+    circ = {}
+    for p, X in enumerate(mats):
+        for q in range(p, len(mats)):
+            Y = mats[q]
+            cellwise = {}
+            for A, B in ((X, Y), (Y, X)):
+                for a, m, x in A:
+                    for m2, b, y in B:
+                        if m == m2 and (a, b) in start:
+                            xy = products.get((x, y))
+                            if xy is None:
+                                xy = products[(x, y)] = D.mul(vecs[x], vecs[y])
+                            _vec_axpy(ring, cellwise.setdefault((a, b), {}), xy)
+            vec = {}
+            for cell, dvec in cellwise.items():
+                if dvec:
+                    vec.update(read(cell, dvec))
+            if vec:
+                circ[(p, q)] = circ[(q, p)] = vec
+    unit = {}
+    for i in range(n):
+        unit.update(read((i, i), D.unit))
+    J = JordanAlgebra(ring, labels, circ, unit)
+    J.cells = basis_cells
+    return J
+
+
+def _cell_roots(cells):
+    """The C_n root eps_r + eps_c of each matrix cell (r, c) in cells, n the
+    matrix size."""
+    n = max(map(max, cells)) + 1
+    return [tuple(int(t == r) + int(t == c) for t in range(n)) for r, c in cells]
+
+
 def hermitian_algebra(n: int, D: StructureAlgebra) -> JordanAlgebra:
-    """H_n(D, -): hermitian matrices d[ij] = d E_ij + dbar E_ji over D.
+    """H_n(D, -): hermitian matrices d[ij] = d E_ij + dbar E_ji over D,
+    with the cells (i, j), i < j, stored.
 
     Needs n >= 3, a unital alternative D with nuclear involution
     (associative when n >= 4) and 1/2 in the ring.
@@ -611,109 +670,20 @@ def hermitian_algebra(n: int, D: StructureAlgebra) -> JordanAlgebra:
         raise ValueError("hermitian algebras need 1/2 in the base ring")
     if not _nuclear_involution(D):
         raise ValueError("involution is not nuclear")
-    ring = D.ring
     sym = _symmetric_basis(D)
-    # basis bookkeeping: (i, j) blocks with i < j carry a full D basis,
-    # diagonal blocks a basis of the symmetric elements
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index = {}
     labels = []
-    basis_payload = []  # (i, j, D-vector) with i <= j
     for i in range(n):
-        for s_idx, s in enumerate(sym):
+        for s_idx in range(len(sym)):
             index[(i, i, s_idx)] = len(labels)
             labels.append(f"sym{s_idx}[{i + 1}{i + 1}]")
-            basis_payload.append((i, i, dict(s)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for t in range(D.dim):
-                index[(i, j, t)] = len(labels)
-                labels.append(f"{D.labels[t]}[{i + 1}{j + 1}]")
-                basis_payload.append((i, j, {t: ring.coerce(1)}))
-    sym_coords = _coords_in(ring, sym, D.dim)
-
-    def normalize(i, j, d):
-        """d[ij] with arbitrary i, j into the stored (i <= j) convention."""
-        if i <= j:
-            return i, j, d
-        return j, i, D.conj(d)
-
-    def product(p, q):
-        (i, j, a) = p
-        (k, l, b) = q
-        # both arguments normalized with i <= j, k <= l
-        terms = {}
-
-        def emit(r, s, dvec, coef=1):
-            r2, s2, d2 = normalize(r, s, dvec)
-            key = (r2, s2)
-            cur = terms.get(key, {})
-            terms[key] = D.add(cur, D.smul(coef, d2)) if cur else D.smul(coef, d2)
-
-        if {i, j} & {k, l} == set():
-            return {}
-        if i == j and k == l:
-            if i == k:
-                emit(i, i, D.add(D.mul(a, b), D.mul(b, a)))
-            return _collect(terms)
-        if i == j:  # a[ii] o b[kl], k < l
-            if i == k:
-                emit(i, l, D.mul(a, b))
-            elif i == l:
-                emit(k, i, D.mul(b, a))
-            return _collect(terms)
-        if k == l:  # a[ij] o b[kk]
-            if k == i:
-                emit(k, j, D.mul(b, a))
-            elif k == j:
-                emit(i, k, D.mul(a, b))
-            return _collect(terms)
-        # both off-diagonal
-        if (i, j) == (k, l):
-            bbar = D.conj(b)
-            abar = D.conj(a)
-            emit(i, i, D.add(D.mul(a, bbar), D.mul(b, abar)))
-            emit(j, j, D.add(D.mul(bbar, a), D.mul(abar, b)))
-            return _collect(terms)
-        if j == k:  # a[ij] o b[jl]
-            emit(i, l, D.mul(a, b))
-        elif i == l:  # b[kl=ki] o a[ij]
-            emit(k, j, D.mul(b, a))
-        elif i == k:  # a[ij] o b[il]: rewrite a[ij] = abar[ji]
-            emit(j, l, D.mul(D.conj(a), b))
-        elif j == l:  # a[ij] o b[kj]: rewrite b[kj] = bbar[jk]
-            emit(i, k, D.mul(a, D.conj(b)))
-        return _collect(terms)
-
-    def _collect(terms):
-        out = {}
-        for (r, s), dvec in terms.items():
-            if r == s:
-                coords = {index[(r, r, k)]: c for k, c in sym_coords(dvec)}
-            else:
-                coords = {index[(r, s, t)]: c for t, c in dvec.items()}
-            _vec_axpy(ring, out, coords)
-        return out
-
-    circ = {}
-    for p_idx, p in enumerate(basis_payload):
-        for q_idx in range(p_idx, len(basis_payload)):
-            vec = product(p, basis_payload[q_idx])
-            if vec:
-                circ[(p_idx, q_idx)] = vec
-                if q_idx != p_idx:
-                    circ[(q_idx, p_idx)] = vec
-    unit = {}
-    for i in range(n):
-        for s_idx, coef in sym_coords(D.unit):
-            unit[index[(i, i, s_idx)]] = coef
-    J = JordanAlgebra(ring, labels, circ, unit)
-    J.hermitian_data = {
-        "n": n,
-        "D": D,
-        "index": index,
-        "payload": basis_payload,
-        "sym_basis": sym,
-    }
+    for i, j in cells:
+        for t in range(D.dim):
+            index[(i, j, t)] = len(labels)
+            labels.append(f"{D.labels[t]}[{i + 1}{j + 1}]")
+    J = _matrix_jordan(D, n, sym, cells, labels)
+    J.hermitian_data = {"n": n, "D": D, "index": index, "sym_basis": sym}
     return J
 
 
@@ -732,8 +702,13 @@ def _coords_in(ring, basis, dim):
 
 
 def albert_algebra(ring: BaseRing) -> JordanAlgebra:
-    """Split Albert algebra: H_3 over the split octonions, in the
-    e_i / P_i(x) presentation; 27-dimensional.  Needs 1/2 and 1/3."""
+    """Split Albert algebra H_3(O) over the split octonions O, in the
+    e_i / P_k(x) presentation; 27-dimensional.  Needs 1/2 and 1/3.
+
+    e_i = E_ii and P_k(x) = x E_ij + xbar E_ji for (k, i, j) cyclic, so the
+    stored cells are (1, 2), (2, 0), (0, 1); the matrix product gives
+    P_i(x) o P_j(y) = P_k(ybar xbar) and P_i(x) o P_i(y) = n(x, y)(e_j + e_k).
+    """
     if not (ring.has_inverse_of(2) and ring.has_inverse_of(3)):
         raise ValueError("the Albert algebra needs 1/2 and 1/3 in the ring")
     from .algebras import split_octonions
@@ -742,6 +717,7 @@ def albert_algebra(ring: BaseRing) -> JordanAlgebra:
     labels = ["e1", "e2", "e3"] + [
         f"P{i + 1}({O.labels[t]})" for i in range(3) for t in range(8)
     ]
+    J = _matrix_jordan(O, 3, [O.unit], [(1, 2), (2, 0), (0, 1)], labels)
 
     def e_idx(i):
         return i
@@ -749,37 +725,6 @@ def albert_algebra(ring: BaseRing) -> JordanAlgebra:
     def p_idx(i, t):
         return 3 + 8 * i + t
 
-    circ = {}
-
-    def put(a, b, vec):
-        if vec:
-            circ[(a, b)] = dict(vec)
-            if a != b:
-                circ[(b, a)] = dict(vec)
-
-    cyc = {(0, 1): 2, (1, 2): 0, (2, 0): 1}
-    for i in range(3):
-        put(e_idx(i), e_idx(i), {e_idx(i): 2})
-        for j in range(3):
-            for t in range(8):
-                if i != j:
-                    put(e_idx(i), p_idx(j, t), {p_idx(j, t): 1})
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        for t in range(8):
-            for s in range(t, 8):
-                val = O.norm_bilinear(O.basis_vec(t), O.basis_vec(s))
-                if not O.ring.is_zero(val):
-                    put(p_idx(i, t), p_idx(i, s), {e_idx(j): val, e_idx(k): val})
-    for (i, j), k in cyc.items():
-        for t in range(8):
-            for s in range(8):
-                # P_i(x) o P_j(y) = P_k(ybar xbar)
-                prod = O.mul(O.conj(O.basis_vec(s)), O.conj(O.basis_vec(t)))
-                vec = {p_idx(k, u): c for u, c in prod.items()}
-                put(p_idx(i, t), p_idx(j, s), vec)
-    unit = {0: 1, 1: 1, 2: 1}
-    J = JordanAlgebra(ring, labels, circ, unit)
     J.albert_data = {"octonions": O, "p_idx": p_idx, "e_idx": e_idx}
     return J
 
@@ -1033,47 +978,29 @@ def verify_grid(V: JordanPair, family: dict, grading) -> GridReport:
     return GridReport(ok=not failures, failures=failures, joint=joint)
 
 
+def _matrix_grid(J: JordanAlgebra, unit):
+    """(1[rc], 1[rc]) at the root eps_r + eps_c of every cell of a matrix
+    Jordan algebra: J's unit (in sym coordinates) on a diagonal cell, D's
+    unit in a stored one."""
+    family = {}
+    for k, (cell, root) in enumerate(zip(J.cells, _cell_roots(J.cells))):
+        if root in family:
+            continue
+        if cell[0] == cell[1]:
+            vec = {i: v for i, v in J.unit.items() if J.cells[i] == cell}
+        else:
+            vec = {k + t: v for t, v in unit.items()}
+        family[root] = (vec, dict(vec))
+    return family
+
+
 def albert_grid(J: JordanAlgebra):
     """C_3-grid for the pair (A, A) of the split Albert algebra:
     (e_i, e_i) at 2 eps_i and (P_k(1), P_k(1)) at eps_i + eps_j."""
-    data = J.albert_data
-    O = data["octonions"]
-    p_idx = data["p_idx"]
-    family = {}
-    for i in range(3):
-        root = tuple(2 * int(t == i) for t in range(3))
-        vec = {i: J.ring.coerce(1)}
-        family[root] = (dict(vec), dict(vec))
-    for k in range(3):
-        i, j = [x for x in range(3) if x != k]
-        root = tuple(int(t == i) + int(t == j) for t in range(3))
-        vec = {p_idx(k, t): c for t, c in O.unit.items()}
-        family[root] = (dict(vec), dict(vec))
-    return family
+    return _matrix_grid(J, J.albert_data["octonions"].unit)
 
 
 def hermitian_grid(J: JordanAlgebra):
     """Grid for the pair (J, J) of a hermitian algebra, indexed by the
     C_n roots eps_i + eps_j (i <= j): e = (1[ij], 1[ij])."""
-    data = J.hermitian_data
-    n = data["n"]
-    D = data["D"]
-    index = data["index"]
-    sym = data["sym_basis"]
-    ring = J.ring
-    sym_coords = _coords_in(ring, sym, D.dim)
-    family = {}
-    for i in range(n):
-        root = tuple(2 * int(t == i) for t in range(n))
-        vec = {}
-        for s_idx, coef in sym_coords(D.unit):
-            vec[index[(i, i, s_idx)]] = coef
-        family[root] = (dict(vec), dict(vec))
-    for i in range(n):
-        for j in range(i + 1, n):
-            root = tuple(int(t == i) + int(t == j) for t in range(n))
-            vec = {}
-            for t, coef in D.unit.items():
-                vec[index[(i, j, t)]] = coef
-            family[root] = (dict(vec), dict(vec))
-    return family
+    return _matrix_grid(J, J.hermitian_data["D"].unit)

@@ -120,11 +120,11 @@ class RootSystem:
     def weyl_orbit(self, x) -> set:
         """Closure of {x} under the Weyl group, as a set of coordinate tuples.
 
-        Small ranks use the full reflection set, larger ones BFS over simple
-        reflections; the two agree (tested).
+        A breadth-first search over the simple reflections, which generate
+        the Weyl group; it agrees with the closure under every reflection
+        (tested), at a fraction of the cost.
         """
-        gens = self._nonzero if self.rank <= 4 else self.simple_roots()
-        return self._orbit(_coords(x), gens)
+        return self._orbit(_coords(x), self.simple_roots())
 
     def _orbit(self, start, gens) -> set:
         seen = {_normalize(start)}

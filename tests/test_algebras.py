@@ -377,6 +377,60 @@ def random_tables(draw):
     return StructureAlgebra(QQ, [str(i) for i in range(dim)], mult)
 
 
+@st.composite
+def prime_field_tables(draw):
+    """Sparse tables over F_2 or F_3 on up to five basis vectors: random
+    ones, and unscaled incidence algebras with one entry changed."""
+    ring = draw(st.sampled_from([GF(2), GF(3)]))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        below = {(a, b) for a in range(k) for b in range(a + 1, k) if draw(st.booleans())}
+        below |= {(a, b) for (a, x) in below for (y, b) in below if x == y}
+        pairs = [(a, a) for a in range(k)] + sorted(below)
+        pos = {ab: i for i, ab in enumerate(pairs)}
+        dim = len(pairs)
+        mult = {
+            (pos[(a, b)], pos[(c, d)]): {pos[(a, d)]: 1}
+            for (a, b), (c, d) in product(pairs, repeat=2)
+            if b == c
+        }
+        key = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
+        mult.setdefault(key, {})[draw(st.integers(0, dim - 1))] = draw(st.integers(1, 2))
+    else:
+        dim = draw(st.integers(1, 5))
+        idx = st.integers(0, dim - 1)
+        vec = st.dictionaries(idx, st.integers(1, 2), max_size=2)
+        mult = draw(st.dictionaries(st.tuples(idx, idx), vec, max_size=2 * dim))
+    return StructureAlgebra(ring, [str(i) for i in range(dim)], mult)
+
+
+def _check_alternative(self, basis):
+    # (x,x,y) = 0 and (y,x,x) = 0 together with their linearizations,
+    # which is alternativity in every scalar extension.
+    dim = self.dim
+    for i, j in product(range(dim), repeat=2):
+        if self.associator(basis[i], basis[i], basis[j]):
+            return False
+        if self.associator(basis[j], basis[i], basis[i]):
+            return False
+    for i in range(dim):
+        for k in range(i + 1, dim):
+            for j in range(dim):
+                lin = self.add(
+                    self.associator(basis[i], basis[k], basis[j]),
+                    self.associator(basis[k], basis[i], basis[j]),
+                )
+                if lin:
+                    return False
+                lin = self.add(
+                    self.associator(basis[j], basis[i], basis[k]),
+                    self.associator(basis[j], basis[k], basis[i]),
+                )
+                if lin:
+                    return False
+    return True
+
+
 def _full_scan_flags(A):
     """The law flags from every basis triple and pair."""
     basis = [A.basis_vec(i) for i in range(A.dim)]
@@ -388,7 +442,7 @@ def _full_scan_flags(A):
     )
     return {
         "associative": assoc,
-        "alternative": assoc or A._check_alternative(basis),
+        "alternative": assoc or _check_alternative(A, basis),
         "commutative": comm,
         "unital": A.unit is not None,
     }
@@ -415,6 +469,27 @@ class TestLawFlags:
             for i, j, k in product(range(A.dim), repeat=3)
             if A.mult.get((i, j)) or A.mult.get((j, k))
         }
+
+    @settings(max_examples=150, deadline=None)
+    @given(A=prime_field_tables())
+    def test_prime_field_tables(self, A):
+        assert A.flags == _full_scan_flags(A)
+
+    def test_every_two_dimensional_table_over_f2(self):
+        # 256 tables.  Over F_2 negation is the identity, so on some, e.g.
+        # e1 e0 = e0 and e1 e1 = e0 + e1, every linearization holds and only
+        # (x, x, y) != 0 breaks alternativity
+        vecs = [{}, {0: 1}, {1: 1}, {0: 1, 1: 1}]
+        keys = list(product(range(2), repeat=2))
+        for choice in product(vecs, repeat=4):
+            A = StructureAlgebra(GF(2), ["0", "1"], dict(zip(keys, choice)))
+            assert A.flags == _full_scan_flags(A)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)], ids=["Z", "Q", "F2", "F3"])
+    def test_split_octonions(self, ring):
+        O = split_octonions(ring)
+        assert O.flags == _full_scan_flags(O)
+        assert O.flags["alternative"] and not O.flags["associative"]
 
     def test_named_algebras(self):
         for A in (matrix_algebra(3, ZZ), split_octonions(GF(3)), tensor_matrix_algebra(2, _oct(QQ))):

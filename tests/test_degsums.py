@@ -173,6 +173,22 @@ class TestPairStructure:
         pairs = degenerate_pairs((1, 1, -1, -1), R)
         assert len(pairs) == 2
 
+    @pytest.mark.parametrize(
+        "letter,rank,gamma",
+        [("F", 4, (1, 0, 0, 0)), ("E", 8, (1, 1, 0, 0, 0, 0, 0, 0))],
+    )
+    def test_half_integer_roots_in_standard_coords(self, letter, rank, gamma):
+        # E and F are stored scaled by 2; their half-integer roots come back
+        # as exact Fractions
+        R = build(letter, rank)
+        pairs = degenerate_pairs(gamma, R)
+        assert any(type(c) is Fraction for p in pairs for r in p for c in r)
+        for p in pairs:
+            a, b = p
+            assert tuple(x + y for x, y in zip(a, b)) == gamma
+            for r in p:
+                assert any(r) and tuple(c * R.coord_scale for c in r) in R.roots
+
     def test_root_of_a4_has_no_pairs(self):
         R = build("A", 4)
         report = degenerate_sums_bruteforce(R)

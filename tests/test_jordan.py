@@ -1026,6 +1026,17 @@ class TestTKKCertificate:
                 assert verdict == _passes(_oracle, W)
                 rejected += not verdict
         assert rejected
+        # every corruption fails on closure alone; random tensors of
+        # dimension at most 2 supply pairs whose instr closes, where Jacobi
+        # decides
+        closed = set()
+        for _ in range(60):
+            W = _random_small_pair(ring, rng)
+            verdict = _passes(verify_pair_identities, W)
+            assert verdict == _passes(_oracle, W)
+            if _passes(lie._assemble_tkk, W):
+                closed.add(verdict)
+        assert closed == {True, False}
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
@@ -1065,6 +1076,15 @@ class TestTKKCertificate:
                 assert verdict == _passes(uider, W)
                 rejected += not verdict
         assert rejected
+        # random pairs whose instr closes reach the Jacobi check
+        closed = set()
+        for _ in range(60):
+            W = _random_small_pair(ring, rng)
+            verdict = _passes(verify_pair_identities, W)
+            assert verdict == _passes(uider, W)
+            if _passes(lie._assemble_tkk, W):
+                closed.add(verdict)
+        assert closed == {True, False}
 
     @pytest.mark.parametrize(
         "make,dim",
