@@ -22,13 +22,15 @@ The two model constructions take part of Jacobi from how they are built
 span or by the symmetry that delta_table builds in (_verify_tkk_jacobi).
 sl_K(D) evaluates none: its bracket is the commutator of the associative
 M_K(D), read back in exact coordinates, and a commutator bracket satisfies
-Jacobi.  A hand-built GradedLieAlgebra keeps the generic verify_jacobi.
+Jacobi.  Its basis is the generators E_ij a plus the transposed brackets
+[E_ij a, E_ji b], and that bracket loop also checks closure.  A hand-built
+GradedLieAlgebra keeps the generic verify_jacobi.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, partial
-from itertools import islice, zip_longest
+from itertools import combinations, islice, permutations, zip_longest
 from math import gcd, lcm
 from operator import add
 
@@ -52,6 +54,7 @@ from .linalg import (
     span,
 )
 from .rings import BaseRing
+from .roots import build as _build_roots
 
 
 # ---------------------------------------------------------------------------
@@ -857,17 +860,23 @@ def utkk(V: JordanPair) -> UTKK:
 def sl_algebra(k_size: int, D: StructureAlgebra) -> GradedLieAlgebra:
     """Subalgebra of gl_K(D) generated by off-diagonal E_ij a, A_{K-1}-graded.
 
-    L_0 = {sum E_ii a_i : sum a_i in [D, D]} is verified against the
-    generated degree-0 lattice/space.
+    The basis is the generators E_ij e_t, as unit rows, plus an echelon
+    basis of the brackets [E_ij e_a, E_ji e_b] = E_ii (e_a e_b) - E_jj (e_b e_a).
+    Closure is checked, not assumed: the bracket loop reads every bracket of
+    basis rows back in exact coordinates (it raises outside the span, and
+    over Z a fractional coefficient raises ValueError), so the rows span a
+    subalgebra containing the generators, and as each row is a generator or
+    a sum of their brackets, it is the subalgebra they generate.  The
+    degree-0 rows are then checked to span L_0 = {sum E_ii a_i : sum a_i in
+    [D, D]}.
 
     Jacobi is certified by the associative ambient, not by Jacobiators:
     every bracket is a commutator in M_K(D), read back in exact coordinates
-    on independent basis rows (coords_of raises outside the span), so L is
-    a Lie subalgebra of M_K(D) under [a, b] = ab - ba.  M_K(D) is
-    associative, as D is: D's flag is set only by an associator scan (D's
-    own, or for D = M_n(D') that of D'), and a commutator bracket of an
-    associative algebra satisfies Jacobi (Jacobson, *Lie Algebras*, 1962,
-    ch. I).
+    on independent basis rows, so L is a Lie subalgebra of M_K(D) under
+    [a, b] = ab - ba.  M_K(D) is associative, as D is: D's flag is set only
+    by an associator scan (D's own, or for D = M_n(D') that of D'), and a
+    commutator bracket of an associative algebra satisfies Jacobi
+    (Jacobson, *Lie Algebras*, 1962, ch. I).
     """
     if not D.flags.get("associative") or D.unit is None:
         raise ValueError("sl_K(D) needs an associative unital D")
@@ -876,90 +885,44 @@ def sl_algebra(k_size: int, D: StructureAlgebra) -> GradedLieAlgebra:
     ring = D.ring
     amb = tensor_matrix_algebra(k_size, D)
     dd = D.dim
+    one = ring.coerce(1)
+    width = k_size * k_size * dd
 
     def amb_idx(i, j, t):
         return (i * k_size + j) * dd + t
 
-    def cell_of(idx):
-        cell, t = divmod(idx, dd)
-        i, j = divmod(cell, k_size)
-        return i, j, t
+    # (degree, least column, row, label, coordinates in D), one per basis row
+    entries = []
+    zero_part = span(ring, width)
+    for i, j in permutations(range(k_size), 2):
+        degree = tuple(int(t == i) - int(t == j) for t in range(k_size))
+        for a in range(dd):
+            col = amb_idx(i, j, a)
+            gen = {col: one}
+            entries.append((degree, col, gen, f"E{i + 1}{j + 1}.{D.labels[a]}", {a: one}))
+            for b in range(dd):
+                zero_part.add(amb.commutator(gen, {amb_idx(j, i, b): one}))
+    zero = (0,) * k_size
+    for row in zero_part.basis_rows():
+        row = {c: ring.coerce(v) for c, v in row.items()}
+        entries.append((zero, min(row), row, f"h[{min(row)}]", None))
+    entries.sort(key=lambda e: e[:2])
+    degrees, _, rows, labels, coord_vecs = map(list, zip(*entries))
 
-    def degree_of(idx):
-        i, j, _ = cell_of(idx)
-        return tuple(int(t == i) - int(t == j) for t in range(k_size))
-
-    gens = []
-    for i in range(k_size):
-        for j in range(k_size):
-            if i != j:
-                for t in range(dd):
-                    gens.append({amb_idx(i, j, t): ring.coerce(1)})
-
-    # closure under brackets inside the ambient associative algebra
-    width = k_size * k_size * dd
-    ech = span(ring, width)
-    basis_vecs = []
-    frontier = []
-    for g in gens:
-        if ech.add(g):
-            frontier.append(g)
-    basis_vecs.extend(frontier)
-    while frontier:
-        new = []
-        for x in frontier:
-            for y in basis_vecs:
-                br = amb.commutator(x, y)
-                if br and ech.add(br):
-                    new.append(br)
-                    basis_vecs.append(br)
-        frontier = new
-
-    rows = sorted(ech.basis_rows(), key=lambda r: (degree_of(min(r)), min(r)))
-    basis = [{c: ring.coerce(v) for c, v in row.items()} for row in rows]
-    degrees = [degree_of(min(r)) for r in rows]
-    for vec, deg in zip(basis, degrees):
-        assert all(degree_of(c) == deg for c in vec), "inhomogeneous basis vector"
-
-    solve = coordinates(ring, basis, width)  # echelon rows: independent
-
-    def coords_of(vec):
-        coords = solve(vec)
-        if coords is None:
-            raise AssertionError("bracket left the generated span")
-        return coords
-
+    solve = coordinates(ring, rows, width)  # echelon rows: independent
     bracket = {}
-    nbasis = len(basis)
-    for a in range(nbasis):
-        for b in range(a + 1, nbasis):
-            br = amb.commutator(basis[a], basis[b])
-            if br:
-                vec = coords_of(br)
-                if vec:
-                    bracket[(a, b)] = vec
-    labels = []
-    coord_vecs = []
-    for r in rows:
-        i, j, t = cell_of(min(r))
-        if i != j:
-            labels.append(f"E{i + 1}{j + 1}.{D.labels[t]}")
-            vec = {}
-            for c, v in r.items():
-                ci, cj, ct = cell_of(c)
-                assert (ci, cj) == (i, j), "off-diagonal basis row spans cells"
-                vec[ct] = ring.coerce(v)
-            coord_vecs.append(vec)
-        else:
-            labels.append(f"h[{min(r)}]")
-            coord_vecs.append(None)
+    for a, b in combinations(range(len(rows)), 2):
+        br = amb.commutator(rows[a], rows[b])
+        vec = br and solve(br)
+        if vec is None:
+            raise AssertionError("bracket left the generated span")
+        if vec:
+            bracket[(a, b)] = vec
     L = GradedLieAlgebra(ring, labels, degrees, bracket, check=False)
     L._check_degrees()
     L.jacobi_ok = True
     L._jacobi_route = "associative-ambient"
     _verify_sl_zero_part(L, D, k_size, amb_idx, rows, ring)
-    from .roots import build as _build_roots
-
     L.sl_data = {
         "k": k_size,
         "D": D,

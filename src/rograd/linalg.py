@@ -640,9 +640,8 @@ def _xgcd(a: int, b: int):
     return a, x0, y0
 
 
-CERT_PRIMES = (999983, 999979, 999961)
-for _q in CERT_PRIMES:
-    assert _is_prime(_q)
+CERT_PRIME = 999983
+assert _is_prime(CERT_PRIME)
 
 
 class ModularEchelon:
@@ -656,7 +655,7 @@ class ModularEchelon:
     is hit.
     """
 
-    def __init__(self, ncols: int, p: int = CERT_PRIMES[0]):
+    def __init__(self, ncols: int, p: int = CERT_PRIME):
         self.ncols = ncols
         self.p = p
         self.pivots = {}  # lead col -> row dict with lead entry 1
@@ -861,9 +860,8 @@ def rank_certified(rows_factory, ncols: int, upper_bound: int, ring: BaseRing = 
     max(64, upper_bound)) rows and stops after the first batch that
     reaches the bound.  Over F_p that is one exact pass.
     Over Q it proves rank = bound (a mod-p rank is a lower bound); when the
-    bound is not attained it falls back to a second prime and finally to
-    exact integer elimination, so the result is exact in every case.  A
-    rank above the bound raises.
+    bound is not attained it falls back to exact integer elimination, so
+    the result is exact in every case.  A rank above the bound raises.
     """
     def _hit(rank):
         if rank > upper_bound:
@@ -874,20 +872,19 @@ def rank_certified(rows_factory, ncols: int, upper_bound: int, ring: BaseRing = 
 
     modular = ring.kind == "Fp"
     batch = min(1024, max(64, upper_bound))
-    for p in (ring.p,) if modular else CERT_PRIMES[:2]:
-        ech = ModularEchelon(ncols, p)
-        buf = []
-        for row in rows_factory():
-            buf.append(row if modular else _cleared(row)[0])
-            if len(buf) >= batch:
-                ech.add_batch(buf)
-                buf = []
-                if _hit(ech.rank):
-                    return upper_bound
-        if buf:
+    ech = ModularEchelon(ncols, ring.p if modular else CERT_PRIME)
+    buf = []
+    for row in rows_factory():
+        buf.append(row if modular else _cleared(row)[0])
+        if len(buf) >= batch:
             ech.add_batch(buf)
-        if _hit(ech.rank) or modular:
-            return ech.rank
+            buf = []
+            if _hit(ech.rank):
+                return upper_bound
+    if buf:
+        ech.add_batch(buf)
+    if _hit(ech.rank) or modular:
+        return ech.rank
     exact = IntEchelon()
     for row in rows_factory():
         exact.add(row)

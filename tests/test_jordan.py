@@ -268,6 +268,21 @@ class TestJordanAlgebraBasics:
         for i in range(J.dim):
             assert J.U_apply(J.unit, J.basis_vec(i)) == J.basis_vec(i)
 
+    def test_non_commutative_table_refused(self):
+        # (0, 1) and (1, 0) both stored, with different products
+        circ = {(0, 0): {0: 2}, (0, 1): {1: 2}, (1, 0): {1: 1}, (1, 1): {}}
+        with pytest.raises(ValueError, match="circle product is not commutative"):
+            JordanAlgebra(QQ, ["e0", "e1"], circ, {0: 1})
+        circ[(1, 0)] = {1: 2}
+        assert JordanAlgebra(QQ, ["e0", "e1"], circ, {0: 1}).dim == 2
+
+    def test_wrong_unit_refused(self):
+        # Q x Q with the circle product: (1, 0) is an idempotent, not the unit
+        circ = {(0, 0): {0: 2}, (1, 1): {1: 2}}
+        with pytest.raises(ValueError, match="unit does not satisfy u o x = 2x"):
+            JordanAlgebra(QQ, ["e0", "e1"], circ, {0: 1})
+        assert JordanAlgebra(QQ, ["e0", "e1"], circ, {0: 1, 1: 1}).dim == 2
+
     def test_pair_identities_of_h3(self, DQ):
         V = hermitian_algebra(3, DQ).pair()
         rep = verify_pair_identities(V)

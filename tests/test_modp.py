@@ -79,6 +79,19 @@ class TestRankCertified:
         rows = [{0: 999983 * 999979}]
         assert rank_certified(lambda: iter(rows), 1, 1) == 1
 
+    def test_one_modular_pass_then_exact(self):
+        # Q-rank 1 below the bound 2: the mod-p pass cannot certify it, so
+        # the rows are read once more, by the exact fallback, and no more
+        rows = [{0: 1, 1: 2}, {0: 3, 1: 6}, {0: -5, 1: -10}]
+        reads = []
+
+        def factory():
+            reads.append(1)
+            return iter(rows)
+
+        assert rank_certified(factory, 2, 2) == 1
+        assert len(reads) == 2
+
 
 class TestJacobiExactness:
     @pytest.mark.parametrize("p", BIG_PRIMES)
