@@ -1,21 +1,16 @@
 """rograd: exact construction of root-graded Lie algebras from Jordan data
 and computation of their universal central extensions.
 
-Layers (bottom up): exact linear algebra over Z/Q/F_p, root systems and
-degenerate sums, coordinate algebras (matrix / split octonion), Jordan
-pairs and algebras with grids, graded Lie algebras (TKK, sl_K, J*J), and
-the uce engine with its kernel reports.
+Layers (bottom up): exact linear algebra over Z/Q/F_p, whose matrices are
+lists of sparse rows (dicts col -> scalar) and whose module shapes come
+from one quotient routine; root systems and degenerate sums; coordinate
+algebras (matrix / split octonion); Jordan pairs and algebras with grids;
+graded Lie algebras (TKK, sl_K, J*J); and the uce engine with its kernel
+reports.
 """
 
 from .rings import GF, QQ, ZZ, BaseRing, ring_from_flag
-from .linalg import (
-    FinitelyPresentedModule,
-    ModuleShape,
-    SparseMatrix,
-    kernel_basis,
-    module_invariants,
-    smith_normal_form,
-)
+from .linalg import ModuleShape, kernel_basis, smith_normal_form
 from .roots import RootSystem, ThreeGrading, Weight, build, three_grading
 from .degsums import (
     DegenerateSumReport,
@@ -85,8 +80,7 @@ from .centext import (
 
 __all__ = [
     "BaseRing", "ZZ", "QQ", "GF", "ring_from_flag",
-    "SparseMatrix", "FinitelyPresentedModule", "ModuleShape",
-    "smith_normal_form", "kernel_basis", "module_invariants",
+    "ModuleShape", "smith_normal_form", "kernel_basis",
     "RootSystem", "Weight", "ThreeGrading", "build", "three_grading",
     "DegenerateSumReport", "divisor", "degenerate_pairs",
     "degenerate_sums_bruteforce", "degenerate_sums_algorithm",

@@ -39,7 +39,6 @@ from .degsums import _pairs_for, degenerate_sums_bruteforce, divisor
 from .lie import GradedLieAlgebra, _Keys
 from .linalg import (
     ModuleShape,
-    SparseMatrix,
     _op_axpy,
     _vec_axpy,
     field_rank,
@@ -466,11 +465,9 @@ def hc1(D: StructureAlgebra) -> HomologyQuotient:
             c = D.commutator(D.basis_vec(i), D.basis_vec(j))
             if c:
                 u_cols[_tensor_index(D, i, j)] = c
-    u = SparseMatrix(
-        n, n * n, {(t, k): v for k, col in u_cols.items() for t, v in col.items()}, ring
-    )
     rows = _angle_rows(D)
-    _, shape = quotient_shape(ring, lambda: iter(rows), n * n, u_cols, field_rank(u))
+    rank_u = field_rank(u_cols.values(), n, ring)  # the rank of u's columns
+    _, shape = quotient_shape(ring, lambda: iter(rows), n * n, u_cols, rank_u)
     return HomologyQuotient("HC1", shape, n * n + 2 * n, tilde_wedge(D).relation_lattice)
 
 

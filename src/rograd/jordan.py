@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .algebras import StructureAlgebra
 from .linalg import (
-    SparseMatrix,
     _op_apply,
     _op_axpy,
     _op_scale,
@@ -558,14 +557,12 @@ class JordanAlgebra:
 def _symmetric_basis(D: StructureAlgebra):
     """Basis of the fixed points of the involution: kernel of (conj - id)."""
     ring = D.ring
-    ent = {}
+    rows = [{} for _ in range(D.dim)]
     for j in range(D.dim):
-        col = D.conj(D.basis_vec(j))
-        for i, v in col.items():
-            ent[(i, j)] = v
-        ent[(j, j)] = ring.sub(ent.get((j, j), ring.coerce(0)), ring.coerce(1))
-    ent = {k: v for k, v in ent.items() if not ring.is_zero(v)}
-    return kernel_basis(SparseMatrix(D.dim, D.dim, ent, ring))
+        for i, v in D.conj(D.basis_vec(j)).items():
+            rows[i][j] = v
+        rows[j][j] = rows[j].get(j, 0) - 1
+    return kernel_basis(rows, D.dim, ring)
 
 
 def _nuclear_involution(D: StructureAlgebra) -> bool:
@@ -793,7 +790,7 @@ def peirce(J: JordanAlgebra, idempotents) -> PeirceDecomposition:
             f"family fails to decompose J: Peirce spaces span {found} of {J.dim}"
         )
     rows = [v for vs in spaces.values() for v in vs]
-    if field_rank(SparseMatrix.from_rows(rows, J.dim, ring)) != J.dim:
+    if field_rank(rows, J.dim, ring) != J.dim:
         raise ValueError("Peirce spaces are not independent")
     dec = PeirceDecomposition(J, es, spaces)
     _verify_peirce_rules(J, dec)
@@ -813,7 +810,7 @@ def _eigenspace(ring, n: int, conditions):
             for i in range(n):
                 _vec_axpy(ring, by_row.setdefault(i, {}), {i: ring.coerce(val)}, -1)
         rows.extend(by_row.values())
-    return kernel_basis(SparseMatrix.from_rows(rows, n, ring))
+    return kernel_basis(rows, n, ring)
 
 
 def _verify_peirce_rules(J: JordanAlgebra, dec: PeirceDecomposition):
@@ -969,9 +966,7 @@ def verify_grid(V: JordanPair, family: dict, grading) -> GridReport:
                     f"joint Peirce spaces span {total} of {V.dim(sign)} on sign {sign}"
                 )
             rows = [v for g in roots for v in joint[g][sign]]
-            if field_rank(SparseMatrix.from_rows(rows, V.dim(sign), ring)) != min(
-                total, V.dim(sign)
-            ):
+            if field_rank(rows, V.dim(sign), ring) != min(total, V.dim(sign)):
                 failures.append("joint Peirce spaces are not independent")
     return GridReport(ok=not failures, failures=failures, joint=joint)
 

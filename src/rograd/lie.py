@@ -38,7 +38,6 @@ from .algebras import StructureAlgebra, tensor_matrix_algebra
 from .jordan import JordanAlgebra, JordanPair
 from .linalg import (
     ModuleShape,
-    SparseMatrix,
     _op_axpy,
     _op_bracket,
     _op_flatten,
@@ -320,13 +319,13 @@ class GradedLieAlgebra:
         """diagonal_torus solved on cols; None if an h is not diagonal."""
         ring = self.ring
         zero = [i for i, d in enumerate(self.degrees) if not any(d)]
-        eqs, entries = {}, {}
+        eqs = {}  # one row per equation: the e_t-coefficient of [h, e_s], t != s
         for s in cols:
             for a, z in enumerate(zero):
                 for t, v in self.bracket_basis(z, s).items():
                     if t != s:
-                        entries[(eqs.setdefault((s, t), len(eqs)), a)] = v
-        kernel = kernel_basis(SparseMatrix(len(eqs), len(zero), entries, ring))
+                        eqs.setdefault((s, t), {})[a] = v
+        kernel = kernel_basis(eqs.values(), len(zero), ring)
         hs = [{zero[a]: v for a, v in vec.items()} for vec in kernel]
         lams = []
         for h in hs:
@@ -450,7 +449,7 @@ class GradedLieAlgebra:
         row_list = rows_of(range(n))
         if rank_certified(lambda: iter(row_list), n, n, ring) == n:
             return []
-        return kernel_basis(SparseMatrix.from_rows(row_list, n, ring))
+        return kernel_basis(row_list, n, ring)
 
     # -- reports ------------------------------------------------------------
     def to_json(self) -> dict:
@@ -794,7 +793,7 @@ class UIDer:
 
     def _rank_ud(self, gens) -> int:
         ud = [self._ud[g] for g in gens if g in self._ud]
-        return field_rank(SparseMatrix.from_rows(ud, self.inner.dim, self.ring))
+        return field_rank(ud, self.inner.dim, self.ring)
 
     @cached_property
     def _hc_blocks(self) -> dict:
@@ -1150,7 +1149,9 @@ def assign_root_grading(L: TKKAlgebra, family: dict, grading) -> GradedLieAlgebr
     Homogeneous components: L_{+alpha} = V_alpha^+, L_{-alpha} = V_alpha^-,
     and instr split along degrees alpha - beta.  Orthogonal pairs must
     bracket to zero (defect check); sl2-triples from the grid act diagonally
-    with the coroot pairings as eigenvalues.
+    with the coroot pairings as eigenvalues.  The result is L in a new basis,
+    so it carries L's Jacobi certificate when L.jacobi_ok; otherwise
+    verify_jacobi runs on it.
     """
     from .jordan import verify_grid
 
@@ -1170,8 +1171,8 @@ def assign_root_grading(L: TKKAlgebra, family: dict, grading) -> GradedLieAlgebr
             new_basis.append(dict(vec))
             new_degrees.append(tuple(alpha))
             new_labels.append(f"V+[{alpha}]{t}")
-    # instr components by degree alpha - beta
-    one = ring.coerce(1)
+    # instr components by degree alpha - beta: [x+, y-] is delta(x, y) in
+    # instr coordinates, shifted by n
     mid_ech = {}
     for alpha in roots:
         for beta in roots:
@@ -1179,10 +1180,8 @@ def assign_root_grading(L: TKKAlgebra, family: dict, grading) -> GradedLieAlgebr
             pairing = R.pairing(alpha, beta) if alpha != beta else 2
             for x in report.joint[alpha][1]:
                 for y in report.joint[beta][-1]:
-                    op = _delta_block_op(V, x, y)
-                    coords = L.inner.express(op) if op else {}
-                    if coords is None:
-                        raise AssertionError("delta escaped instr")
+                    br = L.bracket_vec(x, {n + k + j: v for j, v in y.items()})
+                    coords = {t - n: v for t, v in br.items()}
                     if alpha != beta and pairing == 0:
                         if coords:
                             raise ValueError(
@@ -1235,12 +1234,16 @@ def assign_root_grading(L: TKKAlgebra, family: dict, grading) -> GradedLieAlgebr
                 vec = coords_of(br)
                 if vec:
                     bracket[(a, b)] = vec
-    graded = GradedLieAlgebra(ring, new_labels, new_degrees, bracket)
-    _check_sl2_action(graded, family, grading, coords_of, new_basis, L)
+    graded = GradedLieAlgebra(ring, new_labels, new_degrees, bracket, check=not L.jacobi_ok)
+    if L.jacobi_ok:
+        graded._check_degrees()
+        graded.jacobi_ok = True
+        graded._jacobi_route = L.jacobi_certificate
+    _check_sl2_action(graded, family, grading, coords_of, L)
     return graded
 
 
-def _check_sl2_action(graded, family, grading, coords_of, new_basis, L):
+def _check_sl2_action(graded, family, grading, coords_of, L):
     """ad h_alpha acts diagonally with eigenvalue <beta, alpha-check>."""
     ring = graded.ring
     R = grading.system

@@ -1,22 +1,25 @@
 """Exact sparse linear algebra over Z, Q and F_p.
 
-Callers reach it through entry points that pick the algorithm from the
-ring: span(ring, ncols) returns the ring's one echelon backend, and
+A matrix is a list of rows, each a dict col -> scalar.  Callers reach the
+algebra through entry points that pick the algorithm from the ring:
+span(ring, ncols) returns the ring's one echelon backend, and
 quotient_shape(ring, ...) reads R^m/R and ker(u)/R off a relation stream
 (a lattice basis and its factors-only Smith normal form over Z, a certified
-rank over a field).  The uce blocks, HC(V), HC_1(D) and the homology
-quotients all go through quotient_shape, and the sl_K degree-0 check
-compares two spans with same_span.  Coordinates in a basis (a bracket
-written in the basis of its algebra) come from coordinates(ring, basis,
-ncols), which reduces against the span of the rows (b_k | e_k) over the
-field (Q over Z); no backend tracks combinations.  Over Z every
-computation works on a lattice basis in Hermite normal form: kernel_basis
-reads the pure kernel off one, smith_normal_form and module_invariants the
-invariant factors (by alternating it with the Hermite basis of its
-columns), and integer membership is span(ZZ, n).contains; no unimodular
-transforms are formed.  rank_certified streams rows through a mod-p
-echelon (a mod-p rank is a lower bound for the rank over Q, so reaching a
-known upper bound proves the exact value).
+rank over a field).  The uce blocks, HC(V), HC_1(D), the homology
+quotients and every other module shape go through quotient_shape, and the
+sl_K degree-0 check compares two spans with same_span.  kernel_basis(rows,
+ncols, ring) and field_rank(rows, ncols, ring) coerce each entry into the
+ring and check its column.  Coordinates in a basis (a bracket written in
+the basis of its algebra) come from coordinates(ring, basis, ncols), which
+reduces against the span of the rows (b_k | e_k) over the field (Q over
+Z); no backend tracks combinations.  Over Z every computation works on a
+lattice basis in Hermite normal form: kernel_basis reads the pure kernel
+off one, smith_normal_form(rows) and quotient_shape the invariant factors
+(by alternating it with the Hermite basis of its columns), and integer
+membership is span(ZZ, n).contains; no unimodular transforms are formed.
+rank_certified streams rows through a mod-p echelon (a mod-p rank is a
+lower bound for the rank over Q, so reaching a known upper bound proves
+the exact value).
 """
 from __future__ import annotations
 
@@ -26,119 +29,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 
 from .rings import GF, QQ, ZZ, BaseRing, _is_prime
-
-# ---------------------------------------------------------------------------
-# sparse matrices
-# ---------------------------------------------------------------------------
-
-
-class SparseMatrix:
-    """Immutable sparse matrix; entries maps (row, col) -> nonzero scalar."""
-
-    __slots__ = ("rows", "cols", "ring", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: dict, ring: BaseRing = ZZ):
-        self.rows = rows
-        self.cols = cols
-        self.ring = ring
-        clean = {}
-        for (r, c), v in entries.items():
-            v = ring.coerce(v)
-            if not ring.is_zero(v):
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"entry ({r},{c}) out of bounds")
-                clean[(r, c)] = v
-        self.entries = clean
-
-    @classmethod
-    def from_rows(cls, row_list, cols: int, ring: BaseRing = ZZ) -> "SparseMatrix":
-        """row_list: iterable of dicts col -> scalar."""
-        entries = {}
-        n = 0
-        for r, row in enumerate(row_list):
-            n = r + 1
-            for c, v in row.items():
-                entries[(r, c)] = v
-        return cls(n, cols, entries, ring)
-
-    @classmethod
-    def from_dense(cls, data, ring: BaseRing = ZZ) -> "SparseMatrix":
-        entries = {}
-        for r, row in enumerate(data):
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        ncols = len(data[0]) if data else 0
-        return cls(len(data), ncols, entries, ring)
-
-    @classmethod
-    def identity(cls, n: int, ring: BaseRing = ZZ) -> "SparseMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)}, ring)
-
-    def to_dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols,
-            self.rows,
-            {(c, r): v for (r, c), v in self.entries.items()},
-            self.ring,
-        )
-
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        by_row = {}
-        for (r, c), v in self.entries.items():
-            by_row.setdefault(r, {})[c] = v
-        o_rows = {}
-        for (r, c), v in other.entries.items():
-            o_rows.setdefault(r, {})[c] = v
-        entries = {}
-        for r, row in by_row.items():
-            acc = {}
-            for k, v in row.items():
-                for c, w in o_rows.get(k, {}).items():
-                    acc[c] = acc.get(c, 0) + v * w
-            for c, v in acc.items():
-                if v:
-                    entries[(r, c)] = v
-        return SparseMatrix(self.rows, other.cols, entries, self.ring)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)}, {self.ring})"
-
-    def to_json(self) -> dict:
-        items = sorted(self.entries.items())
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[r, c, self.ring.scalar_str(v)] for (r, c), v in items],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, ring: BaseRing = ZZ) -> "SparseMatrix":
-        entries = {(r, c): ring.parse_scalar(s) for r, c, s in data["entries"]}
-        return cls(data["rows"], data["cols"], entries, ring)
-
 
 # ---------------------------------------------------------------------------
 # sparse vectors and operators
@@ -216,19 +106,18 @@ def _op_flatten(op: dict, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(M: SparseMatrix):
-    """The invariant factors of the lattice R spanned by the rows of M.
+def smith_normal_form(rows):
+    """The invariant factors of the lattice R spanned by the rows (dicts
+    col -> integer; a non-integral entry raises ValueError).
 
-    The list has length rank(M); each factor is positive and divides the
+    The list has length rank(R); each factor is positive and divides the
     next.  The factors depend only on R, so the rows first go into a
     LatticeEchelon in Hermite normal form, whose basis _hermite_factors
     reads them off.
     """
-    if M.ring.kind != "Z":
-        raise ValueError("Smith normal form requires integer entries")
     lat = LatticeEchelon(hermite=True)
-    for row in M.row_dicts():
-        lat.add(row)
+    for row in rows:
+        lat.add({c: ZZ.coerce(v) for c, v in row.items()})
     return _hermite_factors(lat)
 
 
@@ -263,7 +152,7 @@ def _hermite_factors(lat: LatticeEchelon):
 
 
 # ---------------------------------------------------------------------------
-# finitely presented modules
+# module shapes
 # ---------------------------------------------------------------------------
 
 
@@ -297,34 +186,9 @@ class ModuleShape:
         return " + ".join(parts) if parts else "0"
 
 
-class FinitelyPresentedModule:
-    """Generators plus a relation matrix (one row per relation)."""
-
-    def __init__(self, ring: BaseRing, generators: int, relations: SparseMatrix):
-        if relations.cols != generators:
-            raise ValueError("relation matrix width must equal generator count")
-        self.ring = ring
-        self.generators = generators
-        self.relations = relations
-
-
 def _cokernel_shape(n: int, factors) -> ModuleShape:
     """Z^n modulo a lattice with these invariant factors."""
     return ModuleShape(n - len(factors), tuple(d for d in factors if d != 1))
-
-
-def module_invariants(m: FinitelyPresentedModule) -> ModuleShape:
-    """Normal form: over Z invariant factors (1s dropped) + free rank;
-    over a field just the dimension.  Over Z the factors come from the
-    factors-only SNF, which works on a lattice basis of the relations."""
-    if m.ring.kind == "Z":
-        return _cokernel_shape(m.generators, smith_normal_form(m.relations))
-    rank = field_rank(
-        SparseMatrix(
-            m.relations.rows, m.relations.cols, m.relations.entries, m.ring
-        )
-    )
-    return ModuleShape(m.generators - rank, ())
 
 
 # ---------------------------------------------------------------------------
@@ -811,8 +675,24 @@ def op_span_dim(ops, ring: BaseRing) -> int:
     return ech.rank
 
 
-def kernel_basis(M: SparseMatrix):
-    """Basis of the null space of M, as dict-vectors.
+def _ring_rows(rows, ncols: int, ring: BaseRing):
+    """The rows (dicts col -> scalar) with every entry coerced into the ring
+    and zeros dropped; a nonzero entry outside columns [0, ncols) raises
+    ValueError, as does a non-integral entry over Z."""
+    for row in rows:
+        clean = {}
+        for c, v in row.items():
+            v = ring.coerce(v)
+            if not ring.is_zero(v):
+                if not 0 <= c < ncols:
+                    raise ValueError(f"column {c} outside [0, {ncols})")
+                clean[c] = v
+        yield clean
+
+
+def kernel_basis(rows, ncols: int, ring: BaseRing):
+    """Basis of the null space {x : Mx = 0} of the matrix M with these rows
+    (dicts col -> scalar) and ncols columns, as dict-vectors.
 
     Over a field: reduced echelon pivots with the natural column order;
     each basis vector has entry 1 at its free column.
@@ -823,27 +703,30 @@ def kernel_basis(M: SparseMatrix):
     (Cohen, GTM 138, section 2.4).  Their e-parts are the basis, which depends
     only on the kernel and has small entries.
     """
-    if M.ring.kind == "Z":
-        m = M.rows
-        rows = [{m + j: 1} for j in range(M.cols)]
-        for (i, j), v in M.entries.items():
-            rows[j][i] = v
+    rows = list(_ring_rows(rows, ncols, ring))
+    if ring.kind == "Z":
+        m = len(rows)
+        cols = [{m + j: 1} for j in range(ncols)]
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                cols[j][i] = v
         lat = LatticeEchelon(hermite=True)
-        for row in rows:
-            lat.add(row)
+        for col in cols:
+            lat.add(col)
         return [
             {c - m: v for c, v in row.items()} for row in lat.basis_rows() if min(row) >= m
         ]
-    ech = span(M.ring, M.cols)
-    for row in M.row_dicts():
+    ech = span(ring, ncols)
+    for row in rows:
         ech.add(row)
     return ech.kernel()
 
 
-def field_rank(M: SparseMatrix) -> int:
-    """Rank of M over the fraction field of its ring."""
-    ech = span(M.ring, M.cols)
-    for row in M.row_dicts():
+def field_rank(rows, ncols: int, ring: BaseRing) -> int:
+    """Rank over the fraction field of the ring of the rows (dicts col ->
+    scalar) in ncols columns."""
+    ech = span(ring, ncols)
+    for row in _ring_rows(rows, ncols, ring):
         ech.add(row)
     return ech.rank
 
@@ -927,7 +810,8 @@ def _in_ker_u(ring: BaseRing, rows, u_cols: dict):
 
 def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int):
     """(Z^ncols/R, ker(u)/R) for the integer map u given by its columns
-    (col -> {row: value}) of rank rank_u, and R spanned by rel_rows.
+    (col -> {row: value}) of rank rank_u, and R spanned by rel_rows (a
+    non-integral entry raises ValueError).
 
     One SNF of Z^ncols/R gives both: Z^ncols/ker(u) embeds in Z^rank_u, so
     it is free and splits off, Z^ncols/R = ker(u)/R + Z^rank_u.  That needs
@@ -936,7 +820,7 @@ def integer_kernel_mod_relations(u_cols: dict, rank_u: int, rel_rows, ncols: int
     """
     lat = LatticeEchelon(hermite=True)
     for row in _in_ker_u(ZZ, rel_rows, u_cols):
-        lat.add({c: int(v) for c, v in row.items()})
+        lat.add({c: ZZ.coerce(v) for c, v in row.items()})
     quotient = _cokernel_shape(ncols, _hermite_factors(lat))
     if quotient.free_rank < rank_u:
         raise AssertionError(

@@ -19,17 +19,13 @@ def _check(results, name, fn):
 
 
 def suite_linalg():
-    from .linalg import (
-        FinitelyPresentedModule,
-        SparseMatrix,
-        field_rank,
-        kernel_basis,
-        module_invariants,
-        smith_normal_form,
-    )
+    from .linalg import field_rank, kernel_basis, quotient_shape, smith_normal_form
     from .rings import QQ, ZZ
 
     results = []
+
+    def rows_of(data):
+        return [{c: v for c, v in enumerate(row) if v} for row in data]
 
     def det(a):  # Laplace expansion along the first row; a has at most 4 rows
         if not a:
@@ -44,11 +40,10 @@ def suite_linalg():
         for trial in range(40):
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             data = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-            M = SparseMatrix.from_dense(data)
-            factors = smith_normal_form(M)
+            factors = smith_normal_form(rows_of(data))
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
-            assert len(factors) == field_rank(SparseMatrix.from_dense(data, QQ))
+            assert len(factors) == field_rank(rows_of(data), n, QQ)
             if m == n and det(data):
                 assert prod(factors) == abs(det(data))
         return "40 random SNF factor lists verified"
@@ -59,16 +54,15 @@ def suite_linalg():
         rng = random.Random(77)
         for trial in range(40):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
-            data = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-            M = SparseMatrix.from_dense(data, QQ)
-            assert field_rank(M) + len(kernel_basis(M)) == n
+            rows = rows_of([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+            assert field_rank(rows, n, QQ) + len(kernel_basis(rows, n, QQ)) == n
         return "rank + nullity = cols on 40 samples"
 
     def row_op_invariance():
-        M1 = SparseMatrix.from_dense([[2, 4], [6, 8]])
-        M2 = SparseMatrix.from_dense([[2, 4], [0, -4]])  # r2 -= 3 r1
-        s1 = module_invariants(FinitelyPresentedModule(ZZ, 2, M1))
-        s2 = module_invariants(FinitelyPresentedModule(ZZ, 2, M2))
+        M1 = rows_of([[2, 4], [6, 8]])
+        M2 = rows_of([[2, 4], [0, -4]])  # r2 -= 3 r1
+        s1 = quotient_shape(ZZ, lambda: iter(M1), 2, {}, 0)[0]
+        s2 = quotient_shape(ZZ, lambda: iter(M2), 2, {}, 0)[0]
         assert s1 == s2
         return str(s1)
 

@@ -14,8 +14,6 @@ leads, so the working entries stay within the minors of the input; an
 elimination without that reduction grew 67-bit inputs of 10 x 14 past
 350,000 bits.
 """
-from rograd.linalg import SparseMatrix
-from rograd.rings import ZZ
 
 
 def _xgcd(a, b):
@@ -80,16 +78,15 @@ def _transpose(rows, ncols):
     return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(ncols)]
 
 
-def smith_normal_form(M: SparseMatrix):
-    """Return (invariant factors, (U, V)) with U*M*V diagonal, U, V unimodular.
+def smith_normal_form(A):
+    """Return (invariant factors, (U, V)) with U*A*V diagonal, U, V unimodular,
+    for a dense integer matrix A (a list of rows); U and V are dense too.
 
-    The factor list has length rank(M); each factor is positive and divides
-    the next, and it is the diagonal of U*M*V from its first entry on."""
-    if M.ring.kind != "Z":
-        raise ValueError("Smith normal form requires integer entries")
-    m, n = M.rows, M.cols
+    The factor list has length rank(A); each factor is positive and divides
+    the next, and it is the diagonal of U*A*V from its first entry on."""
+    m, n = len(A), len(A[0]) if A else 0
     identity = lambda k: [[int(i == j) for j in range(k)] for i in range(k)]
-    A, U, VT = M.to_dense(), identity(m), identity(n)  # VT[j] = column j of V
+    A, U, VT = [list(row) for row in A], identity(m), identity(n)  # VT[j] = column j of V
     while True:
         A, U = _hermite(A, U)
         AT, VT = _hermite(_transpose(A, n), VT)
@@ -110,47 +107,34 @@ def smith_normal_form(M: SparseMatrix):
             VT[i], VT[j] = _comb(x, VT[i], y, VT[j]), _comb(-d[j] // g, VT[i], d[i] // g, VT[j])
             U[j] = _comb(1, U[j], -(y * d[j] // g), U[i])
             d[i], d[j] = g, d[i] * d[j] // g
-    Urows = [{c: v for c, v in enumerate(row) if v} for row in U]
-    Umat = SparseMatrix.from_rows(Urows, m, ZZ) if m else SparseMatrix(0, 0, {})
-    Vmat = SparseMatrix(
-        n, n, {(r, j): v for j, col in enumerate(VT) for r, v in enumerate(col) if v}, ZZ
-    )
-    return d, (Umat, Vmat)
+    return d, (U, _transpose(VT, n))
 
 
-def integer_kernel(M: SparseMatrix):
-    """Basis (list of dict-vectors) of the pure lattice {x in Z^n : Mx = 0}."""
-    factors, (_, V) = smith_normal_form(M)
+def integer_kernel(A):
+    """Basis (list of dict-vectors) of the pure lattice {x in Z^n : Ax = 0}."""
+    factors, (_, V) = smith_normal_form(A)
+    return [{i: v for i, v in enumerate(col) if v} for col in zip(*V)][len(factors):]
+
+
+def integer_solver(A):
+    """The function b -> one integer solution x of Ax = b, or None.  One SNF
+    of A serves every right-hand side."""
+    factors, (U, V) = smith_normal_form(A)
     r = len(factors)
-    cols = [dict() for _ in range(M.cols)]
-    for (i, j), v in V.entries.items():
-        cols[j][i] = v
-    return cols[r:]
-
-
-def integer_solver(M: SparseMatrix):
-    """The function b -> one integer solution x of Mx = b, or None.  One SNF
-    of M serves every right-hand side."""
-    factors, (U, V) = smith_normal_form(M)
-    r = len(factors)
-    Urows = U.row_dicts()
-    Vrows = V.row_dicts()
 
     def solve(b: dict):
-        ub = []
-        for i in range(M.rows):
-            ub.append(sum(v * b.get(c, 0) for c, v in Urows[i].items()))
         y = {}
-        for i in range(M.rows):
+        for i, row in enumerate(U):
+            ub = sum(u * b.get(c, 0) for c, u in enumerate(row))
             if i < r:
-                if ub[i] % factors[i] != 0:
+                if ub % factors[i] != 0:
                     return None
-                y[i] = ub[i] // factors[i]
-            elif ub[i] != 0:
+                y[i] = ub // factors[i]
+            elif ub != 0:
                 return None
         x = {}
-        for i in range(M.cols):
-            s = sum(v * y.get(j, 0) for j, v in Vrows[i].items())
+        for i, row in enumerate(V):
+            s = sum(v * y.get(j, 0) for j, v in enumerate(row))
             if s:
                 x[i] = s
         return x
@@ -158,6 +142,6 @@ def integer_solver(M: SparseMatrix):
     return solve
 
 
-def solve_integer(M: SparseMatrix, b: dict):
-    """One integer solution x of Mx = b, or None."""
-    return integer_solver(M)(b)
+def solve_integer(A, b: dict):
+    """One integer solution x of Ax = b, or None."""
+    return integer_solver(A)(b)

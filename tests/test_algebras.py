@@ -156,7 +156,7 @@ class TestSplitOctonions:
             # b + conj(b) is always a multiple of the unit
             A._unit_multiple(sym)
         # skew part has rank 7, symmetric part rank 1
-        from rograd.linalg import SparseMatrix, field_rank
+        from rograd.linalg import field_rank
 
         fr = QQ if ring.kind != "Fp" else ring
         conj_rows_minus = []
@@ -167,8 +167,8 @@ class TestSplitOctonions:
             plus = A.add(A.conj(b), b)
             conj_rows_minus.append({k: fr.coerce(v) for k, v in minus.items()})
             conj_rows_plus.append({k: fr.coerce(v) for k, v in plus.items()})
-        skew_dim = field_rank(SparseMatrix.from_rows(conj_rows_minus, 8, fr))
-        sym_dim = field_rank(SparseMatrix.from_rows(conj_rows_plus, 8, fr))
+        skew_dim = field_rank(conj_rows_minus, 8, fr)
+        sym_dim = field_rank(conj_rows_plus, 8, fr)
         assert (skew_dim, sym_dim) == (7, 1)
 
     def test_conjugate_flips_associator_sign(self, O):

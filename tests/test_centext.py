@@ -23,14 +23,7 @@ from rograd.centext import (
 from rograd.degsums import degenerate_sums_bruteforce
 from rograd.jordan import albert_algebra, hermitian_algebra, rectangular_pair
 from rograd.lie import GradedLieAlgebra, sl_algebra, tkk, uider
-from rograd.linalg import (
-    FinitelyPresentedModule,
-    ModuleShape,
-    SparseMatrix,
-    kernel_basis,
-    module_invariants,
-    span,
-)
+from rograd.linalg import ModuleShape, kernel_basis, quotient_shape, span
 from rograd.rings import GF, QQ, ZZ
 from rograd.roots import build
 from snf_reference import integer_kernel, integer_solver
@@ -391,11 +384,13 @@ def _subquotient_oracle(u_cols, tdim, rel_rows, m, ring=ZZ):
     """ker(u)/R the long way: a basis of ker u, then the relations written in
     that basis.  Over Z one solve per relation gives their coordinates, whose
     module normal form is the answer; over a field, dim ker u - rank R."""
-    ent = {(t, p): v for p, col in u_cols.items() for t, v in col.items()}
-    U = SparseMatrix(tdim, m, ent, ring)
+    U = [{} for _ in range(tdim)]
+    for p, col in u_cols.items():
+        for t, v in col.items():
+            U[t][p] = v
     rels = [r for r in rel_rows if r]
     if ring.is_field:
-        S = kernel_basis(U)
+        S = kernel_basis(U, m, ring)
         sub, rel_span = span(ring, m), span(ring, m)
         for vec in S:
             sub.add(vec)
@@ -403,15 +398,17 @@ def _subquotient_oracle(u_cols, tdim, rel_rows, m, ring=ZZ):
             assert sub.contains(r), "relation outside ker u"
             rel_span.add(r)
         return ModuleShape(len(S) - rel_span.rank)
-    S = integer_kernel(U)
+    # dense, with a zero row to keep the width of an empty u
+    S = integer_kernel([[row.get(p, 0) for p in range(m)] for row in U] or [[0] * m])
     if not S:
         assert not any(v for r in rels for v in r.values())
         return ModuleShape(0)
     cols = sorted({c for vec in S for c in vec})
     colpos = {c: i for i, c in enumerate(cols)}
-    K = SparseMatrix(
-        len(cols), len(S), {(colpos[c], j): v for j, vec in enumerate(S) for c, v in vec.items()}
-    )
+    K = [[0] * len(S) for _ in cols]
+    for j, vec in enumerate(S):
+        for c, v in vec.items():
+            K[colpos[c]][j] = v
     solve = integer_solver(K)
     coords = []
     for r in rels:
@@ -419,8 +416,7 @@ def _subquotient_oracle(u_cols, tdim, rel_rows, m, ring=ZZ):
         x = solve({colpos[c]: int(v) for c, v in r.items() if v})
         assert x is not None, "relation outside ker u"
         coords.append(x)
-    R = SparseMatrix.from_rows(coords, len(S)) if coords else SparseMatrix(0, len(S), {})
-    return module_invariants(FinitelyPresentedModule(ZZ, len(S), R))
+    return quotient_shape(ZZ, lambda: iter(coords), len(S), {}, 0)[0]
 
 
 class TestIntegerKernelFromCokernel:

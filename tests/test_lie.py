@@ -264,6 +264,19 @@ class TestRootGrading:
         )
         assert set(G.support()) == set(map(tuple, build("C", 4).roots))
 
+    def test_regrade_carries_the_tkk_certificate(self, M12, DQ):
+        # the regraded algebra is TKK(V) in a new basis, so it takes TKK's
+        # Jacobi certificate; an unchecked TKK still gets verify_jacobi
+        g = three_grading(build("A", 2), "collinear")
+        fam = rectangular_grid(1, 2, DQ)
+        G = assign_root_grading(tkk(M12), fam, g)
+        assert G.jacobi_certificate == "operator-span"
+        unchecked = lie._assemble_tkk(M12)
+        assert unchecked.jacobi_ok is None
+        H = assign_root_grading(unchecked, fam, g)
+        assert H.jacobi_certificate == "generators"
+        assert H.bracket == G.bracket and H.degrees == G.degrees
+
 
 class TestPredicates:
     def test_abelian_not_perfect(self):

@@ -14,19 +14,16 @@ from rograd.centext import uce
 from rograd.lie import OperatorLieAlgebra, sl_algebra
 from rograd.linalg import (
     FieldEchelon,
-    FinitelyPresentedModule,
     IntEchelon,
     LatticeEchelon,
     ModularEchelon,
     ModuleShape,
-    SparseMatrix,
     _op_axpy,
     _op_flatten,
     coordinates,
     field_rank,
     integer_kernel_mod_relations,
     kernel_basis,
-    module_invariants,
     quotient_shape,
     rank_certified,
     same_span,
@@ -179,13 +176,12 @@ class TestLatticeBackend:
         # rank over Q
         assert lat.rank == _reference(QQ, ncols, rows).rank
         # all of Z^n exactly when Z^n / lattice is trivial
-        rel = SparseMatrix.from_rows(rows, ncols, ZZ) if rows else SparseMatrix(0, ncols, {})
-        quotient = module_invariants(FinitelyPresentedModule(ZZ, ncols, rel))
+        quotient = quotient_shape(ZZ, lambda: iter(rows), ncols, {}, 0)[0]
         assert lat.is_full(ncols) == quotient.is_trivial
         # membership: probe is an integer combination of the rows
         if rows:
             # one reference SNF of the relations serves every right-hand side
-            solve = integer_solver(rel.transpose())
+            solve = integer_solver([[row.get(c, 0) for row in rows] for c in range(ncols)])
             in_lattice = solve({c: v for c, v in probe.items() if v})
             assert lat.contains(probe) == (in_lattice is not None)
             for row in lat.basis_rows():
@@ -198,14 +194,13 @@ class TestLatticeBackend:
     @settings(max_examples=80, deadline=None)
     @given(data=sparse_rows(INTS))
     def test_z_quotient_matches_full_snf(self, data):
-        """The reference for test_z_matches_snf, whose module_invariants goes
+        """The reference for test_z_matches_snf, whose quotient_shape goes
         through a lattice basis too: the quotient read off the SNF, with
         transforms, of the full relation matrix."""
         ncols, rows, _ = data
-        rel = SparseMatrix.from_rows(rows, ncols, ZZ) if rows else SparseMatrix(0, ncols, {})
-        factors, _ = smith_normal_form(rel)
+        factors, _ = smith_normal_form([[row.get(c, 0) for c in range(ncols)] for row in rows])
         full = ModuleShape(ncols - len(factors), tuple(d for d in factors if d != 1))
-        assert module_invariants(FinitelyPresentedModule(ZZ, ncols, rel)) == full
+        assert quotient_shape(ZZ, lambda: iter(rows), ncols, {}, 0)[0] == full
         lat = span(ZZ, ncols)
         for row in rows:
             lat.add(row)
@@ -337,16 +332,15 @@ class TestKernels:
         ncols, rows, _ = data
         if ring.kind == "Fp":
             rows = [{c: v.numerator for c, v in r.items()} for r in rows]
-        M = SparseMatrix.from_rows(rows, ncols, ring) if rows else SparseMatrix(0, ncols, {}, ring)
-        ker = kernel_basis(M)
-        ref = _reference(ring, ncols, M.row_dicts())
-        assert len(ker) == ncols - ref.rank == ncols - field_rank(M)
+        ker = kernel_basis(rows, ncols, ring)
+        ref = _reference(ring, ncols, rows)
+        assert len(ker) == ncols - ref.rank == ncols - field_rank(rows, ncols, ring)
         free = []
         for vec in ker:
             own = [c for c in vec if c not in ref.pivots]
             assert len(own) == 1 and vec[own[0]] == 1
             free.append(own[0])
-            for row in M.row_dicts():
+            for row in rows:
                 dot = sum(Fraction(v) * vec.get(c, 0) for c, v in row.items())
                 assert ring.is_zero(ring.coerce(dot)) if ring.kind == "Q" else dot % ring.p == 0
         assert free == sorted(set(free))
@@ -354,10 +348,10 @@ class TestKernels:
     def test_kernel_basis_over_z(self):
         # over Q the kernel vector with entry 1 in its free column is
         # (-3/2, 1); over Z the kernel lattice is spanned by (3, -2)
-        M = SparseMatrix.from_rows([{0: 2, 1: 3}], 2, ZZ)
-        assert kernel_basis(SparseMatrix(1, 2, M.entries, QQ)) == [{0: Fraction(-3, 2), 1: 1}]
-        assert kernel_basis(M) == [{0: 3, 1: -2}]
-        assert kernel_basis(SparseMatrix.identity(2, ZZ)) == []
+        M = [{0: 2, 1: 3}]
+        assert kernel_basis(M, 2, QQ) == [{0: Fraction(-3, 2), 1: 1}]
+        assert kernel_basis(M, 2, ZZ) == [{0: 3, 1: -2}]
+        assert kernel_basis([{0: 1}, {1: 1}], 2, ZZ) == []
 
 
 class TestQuotientShape:

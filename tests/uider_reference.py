@@ -8,7 +8,7 @@ instr(V) by express.  It builds no TKK and uses no weights.
 """
 from rograd.jordan import JordanPair
 from rograd.lie import instr
-from rograd.linalg import SparseMatrix, _vec_axpy, field_rank, quotient_shape
+from rograd.linalg import _vec_axpy, field_rank, quotient_shape
 
 
 class UIDerReference:
@@ -92,9 +92,7 @@ class UIDerReference:
         for d, gens in blocks.items():
             pos = {g: p for p, g in enumerate(gens)}
             u_cols = {pos[g]: self.ud_columns[g] for g in gens if g in self.ud_columns}
-            rank_u = field_rank(
-                SparseMatrix.from_rows(list(u_cols.values()), self.inner.dim, self.ring)
-            )
+            rank_u = field_rank(u_cols.values(), self.inner.dim, self.ring)
             block_rows = [{pos[g]: v for g, v in row.items()} for row in rows[d]]
             shape, _ = quotient_shape(
                 self.ring, lambda: iter(block_rows), len(gens), u_cols, rank_u
